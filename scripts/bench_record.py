@@ -73,14 +73,6 @@ def _fleet_ratio() -> Optional[float]:
 # Headline name -> (runner, source hint).  A runner returning None means
 # "cannot be measured on this host" and the headline records as null.
 HEADLINES: Dict[str, tuple] = {
-    "csr_preprocessing_speedup": (
-        _ratio("test_csr_kernels", "run_preprocessing_comparison"),
-        "benchmarks/test_csr_kernels.py (CSR/Dial vs legacy Dijkstra)",
-    ),
-    "csr_end_to_end_speedup": (
-        _ratio("test_csr_kernels", "run_end_to_end_comparison"),
-        "benchmarks/test_csr_kernels.py (frozen vs legacy pruneddp++)",
-    ),
     "store_warmstart_speedup": (
         _ratio("test_store_warmstart", "run_warmstart_comparison"),
         "benchmarks/test_store_warmstart.py (warm vs cold first pass)",

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Profile the PrunedDP++ hot path, frozen (CSR) versus unfrozen (legacy).
+"""Profile the PrunedDP++ hot path.
 
-Runs cProfile over a batch of solves on the DBLP-like generator — once
-on the raw adjacency-list graph (legacy kernels) and once after
-``Graph.freeze()`` (CSR snapshot: packed state keys, flat adjacency,
-Dial preprocessing, memoized feasible construction) — and prints each
-side's top 25 functions by cumulative time plus the wall-clock ratio.
+Runs cProfile over a batch of solves on the DBLP-like generator and
+prints the top functions by cumulative time.  Every solve runs on the
+graph's frozen CSR snapshot (packed state keys, flat adjacency, Dial
+preprocessing, memoized feasible construction); the snapshot is built
+once up front and its build time is printed separately.
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --solves 5 --top 40
@@ -32,53 +32,35 @@ GRAPH_KW = dict(
 QUERY = [f"q{i}" for i in range(6)]
 
 
-def profile_batch(graph, solves: int, top: int, title: str) -> float:
-    profiler = cProfile.Profile()
-    started = time.perf_counter()
-    profiler.enable()
-    for _ in range(solves):
-        result = PrunedDPPlusPlusSolver(graph, QUERY).solve()
-        assert result.optimal
-    profiler.disable()
-    elapsed = time.perf_counter() - started
-    print(f"\n=== {title}: {solves} solves in {elapsed:.3f}s ===")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-    return elapsed
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--solves", type=int, default=3,
                         help="solves per profiled batch (default 3)")
     parser.add_argument("--top", type=int, default=25,
-                        help="stats rows to print per side (default 25)")
+                        help="stats rows to print (default 25)")
     parser.add_argument("--seed", type=int, default=GRAPH_KW["seed"],
                         help="generator seed")
     args = parser.parse_args(argv)
 
-    kwargs = dict(GRAPH_KW, seed=args.seed)
-    legacy_graph = generators.dblp_like(**kwargs)
-    frozen_graph = generators.dblp_like(**kwargs)
-
-    legacy = profile_batch(
-        legacy_graph, args.solves, args.top, "legacy (unfrozen graph)"
-    )
-
+    graph = generators.dblp_like(**dict(GRAPH_KW, seed=args.seed))
     freeze_started = time.perf_counter()
-    snapshot = frozen_graph.freeze()
+    snapshot = graph.freeze()
     freeze_seconds = time.perf_counter() - freeze_started
-    print(f"\nfreeze(): {freeze_seconds * 1e3:.1f} ms "
+    print(f"freeze(): {freeze_seconds * 1e3:.1f} ms "
           f"({snapshot.num_nodes} nodes, {snapshot.num_edges} edges, "
           f"dial lane {'on' if snapshot.int_adjacency is not None else 'off'})")
 
-    csr = profile_batch(
-        frozen_graph, args.solves, args.top, "csr (frozen graph)"
-    )
-
-    total_csr = csr + freeze_seconds
-    print(f"\nlegacy {legacy:.3f}s vs csr {total_csr:.3f}s "
-          f"(freeze amortized) -> {legacy / total_csr:.2f}x")
+    profiler = cProfile.Profile()
+    started = time.perf_counter()
+    profiler.enable()
+    for _ in range(args.solves):
+        result = PrunedDPPlusPlusSolver(graph, QUERY).solve()
+        assert result.optimal
+    profiler.disable()
+    elapsed = time.perf_counter() - started
+    print(f"\n=== {args.solves} solves in {elapsed:.3f}s ===")
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
     return 0
 
 

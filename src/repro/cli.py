@@ -736,6 +736,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             **executor_kwargs,
         )
         await server.start()
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        received: dict = {"signum": None}
+
+        def _on_signal(signum: int) -> None:
+            if received["signum"] is None:
+                received["signum"] = signum
+                stop.set()
+
+        # Handlers go in before the banner: a supervisor may signal as
+        # soon as it reads the banner, and that signal must drain.
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, _on_signal, signum)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
         mode = (
             f"fleet of {args.workers} workers"
             if args.workers is not None
@@ -752,20 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"metrics: http://{server.host}:{server.metrics_port}/metrics",
                 flush=True,
             )
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        received: dict = {"signum": None}
-
-        def _on_signal(signum: int) -> None:
-            if received["signum"] is None:
-                received["signum"] = signum
-                stop.set()
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _on_signal, signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
         serving = asyncio.ensure_future(server.serve_forever())
         await stop.wait()
         name = signal.Signals(received["signum"]).name

@@ -80,7 +80,7 @@ class LowerBounds:
         self.use_tour2 = use_tour2
         # Memo keyed by packed ``node << key_bits | covered_mask`` ints —
         # the same packing the engine uses for queue/store keys, so the
-        # fast loop shares one key value across all three structures.
+        # search loop shares one key value across all three structures.
         self._cache: Dict[int, float] = {}
         # mask -> tuple of set bit positions; at most 2^k entries, each
         # tiny, and it removes a generator per cache miss.

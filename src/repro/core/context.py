@@ -14,6 +14,11 @@ single-source Dijkstra from it.  The resulting distance arrays
 path *trees* needed to materialize the actual paths), and records how
 long preprocessing took — the paper includes this in every reported
 query time.
+
+Building a context freezes the graph (``Graph.freeze()``): the first
+query on a graph pays the O(n + m) CSR snapshot build, later ones reuse
+the cached snapshot until a mutation drops it.  Every Dijkstra and the
+search loop itself run over that snapshot.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ class QueryContext:
         "node_masks",
         "build_seconds",
         "snapshot",
-        "kernel",
     )
 
     def __init__(
@@ -55,8 +59,7 @@ class QueryContext:
         parent: List[List[int]],
         node_masks: List[int],
         build_seconds: float,
-        snapshot=None,
-        kernel: str = "legacy",
+        snapshot,
     ) -> None:
         self.graph = graph
         self.query = query
@@ -65,11 +68,9 @@ class QueryContext:
         self.parent = parent        # parent[i][v] = next hop toward V_{p_i}
         self.node_masks = node_masks  # query-label bitmask per node
         self.build_seconds = build_seconds
-        # The frozen CSRGraph in effect when the context was built (None
-        # for an unfrozen graph) and the kernel family it implies; the
-        # engine dispatches its fast loop on these.
+        # The frozen CSRGraph the context was built on; the search loop
+        # iterates its adjacency views.
         self.snapshot = snapshot
-        self.kernel = kernel
 
     @classmethod
     def build(
@@ -82,7 +83,9 @@ class QueryContext:
         graph; cached labels skip their Dijkstra entirely (the
         multi-query amortization of :class:`PreparedGraph`).  A cache
         built for a *different* graph object is rejected — its arrays
-        would silently index the wrong nodes.
+        would silently index the wrong nodes.  The graph is frozen on
+        first use (cached thereafter) and the time counts towards
+        ``build_seconds``.
         """
         if cache is not None and cache.graph is not graph:
             raise ValueError(
@@ -90,7 +93,7 @@ class QueryContext:
                 "caches cannot be shared across graphs (or components)"
             )
         started = time.perf_counter()
-        snapshot = graph.snapshot()
+        snapshot = graph.freeze()
         groups = query.groups(graph)
         dist: List[List[float]] = []
         parent: List[List[int]] = []
@@ -115,7 +118,6 @@ class QueryContext:
             node_masks,
             time.perf_counter() - started,
             snapshot,
-            "csr" if snapshot is not None else "legacy",
         )
 
     # ------------------------------------------------------------------

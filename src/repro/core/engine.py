@@ -33,6 +33,13 @@ Progressiveness: the engine emits :class:`~repro.core.result.ProgressPoint`
 events whose ``(best_weight, lower_bound)`` pairs are exactly the UB/LB
 curves of the paper's Figure 10, and every intermediate answer carries a
 sound approximation guarantee (monotone non-increasing ratio).
+
+There is one search loop, :meth:`SearchEngine.run`.  It always runs over
+the frozen CSR snapshot that :meth:`QueryContext.build
+<repro.core.context.QueryContext.build>` takes from ``Graph.freeze()``,
+with states keyed by packed ``node << k | mask`` ints.  Its answers are
+pinned by independent oracles: brute force, DPBF and the certifier in
+:mod:`repro.verify`.
 """
 
 from __future__ import annotations
@@ -119,15 +126,12 @@ class SearchEngine:
         )
         self.trace: List[ProgressPoint] = []
 
-        # Queue/pending keys are ``(node, mask)`` tuples in the legacy
-        # loop and packed ``node << k | mask`` ints in the CSR fast loop
-        # (the store packs its backpointers the same way either way).
+        # Queue and pending keys are packed ``node << k | mask`` ints.
         self._queue = IndexedHeap()
-        self._pending: Dict[object, Tuple[float, tuple]] = {}
+        self._pending: Dict[int, Tuple[float, tuple]] = {}
         self._store = StateStore(context.graph.num_nodes, context.k)
         self._full = context.full_mask
-        self.kernel = context.kernel
-        # CSR-loop memos: materialized shortest-path pieces per
+        # Feasible-build memos: materialized shortest-path pieces per
         # (label, node), and signatures of feasible-tree unions already
         # refined (see ``_build_feasible_csr``).
         self._path_pieces: Dict[int, Optional[tuple]] = {}
@@ -148,139 +152,9 @@ class SearchEngine:
     def run(self) -> GSTResult:
         """Execute the search and return the (possibly anytime) result.
 
-        Dispatches on the query context: a frozen graph (``snapshot``
-        present) takes the packed-key CSR fast loop, an unfrozen graph
-        takes the original tuple-keyed loop.  The two are semantically
-        identical — the legacy loop is kept verbatim as the differential
-        reference (``repro.verify`` pins agreement) — and differ only in
-        mechanics: single-int state keys, snapshot adjacency views, a
-        π₁ gate in front of redundant feasible-tree constructions, and
-        sampled instead of per-push peak tracking.
-        """
-        if self.context.snapshot is not None:
-            return self._run_csr()
-        return self._run_legacy()
+        The packed-key search loop over the context's frozen snapshot.
 
-    def _run_legacy(self) -> GSTResult:
-        """The original tuple-keyed search loop (reference semantics)."""
-        self._started = time.perf_counter() - self.stats.init_seconds
-        self._emit("search_started", algorithm=self.algorithm_name)
-        if self.cancel_token is not None and self.cancel_token.cancelled:
-            # Cancelled before any work: return an empty anytime result
-            # without seeding a single state.
-            self.stats.cancelled = True
-            self.stats.total_seconds = self._elapsed()
-            self._record_progress(force=True)
-            self._emit("search_cancelled", elapsed=self.stats.total_seconds)
-            return GSTResult(
-                algorithm=self.algorithm_name,
-                labels=self.context.query.labels,
-                tree=None,
-                weight=INF,
-                lower_bound=0.0,
-                optimal=False,
-                stats=self.stats,
-                trace=self.trace,
-            )
-        if not self._restored:
-            self._seed_states()
-
-        checkpointer = self.checkpointer
-        optimal = False
-        pops_since_check = 0
-        while self._queue:
-            if checkpointer is not None:
-                # Loop top is the engine's consistent point: the queue,
-                # pending map, and settled store agree with each other.
-                checkpointer.maybe_checkpoint(self)
-            pops_since_check += 1
-            if pops_since_check >= _LIMIT_CHECK_INTERVAL:
-                pops_since_check = 0
-                if self._limits_hit():
-                    break
-            if self._epsilon_satisfied():
-                optimal = self.epsilon == 0.0 or self._best <= 0.0
-                break
-
-            key, f_value = self._queue.pop()
-            node, mask = key
-            cost, backpointer = self._pending.pop(key)
-            self.stats.states_popped += 1
-            self._raise_global_lb(f_value if self.bounds is not None else cost)
-
-            if mask == self._full:
-                # Goal popped: its cost is the proven optimum.
-                if cost < self._best - _COST_EPS:
-                    self._adopt_best_state(node, mask, cost, backpointer)
-                self._store.settle(node, mask, cost, backpointer)
-                self._raise_global_lb(self._best)
-                optimal = True
-                break
-
-            self._store.settle(node, mask, cost, backpointer)
-            self._track_peak()
-
-            if self.progressive:
-                self._build_feasible(node, mask, cost, backpointer)
-
-            parent_f = f_value if self.bounds is not None else cost
-
-            if self.complement_shortcut:
-                complement = self._full ^ mask
-                complement_cost = self._store.cost_or_none(node, complement)
-                if complement_cost is not None:
-                    self._update(
-                        node,
-                        self._full,
-                        cost + complement_cost,
-                        ("merge", mask, complement),
-                        parent_f,
-                    )
-                    continue  # Algorithm 2 line 18
-
-            if self.prune_half and cost >= self._best / 2.0:
-                self.stats.states_pruned += 1
-                continue  # Theorem 1: no expansion needed
-
-            self._expand(node, mask, cost, parent_f)
-
-        else:
-            # Queue drained without popping a goal: every alternative was
-            # pruned against `best`, so the best feasible answer is optimal
-            # (provided one exists at all).
-            if self._best < INF:
-                optimal = True
-                self._raise_global_lb(self._best)
-
-        if self._best < INF and self._global_lb >= self._best - _COST_EPS:
-            optimal = True
-        self.stats.total_seconds = self._elapsed()
-        self._record_progress(force=True)
-        self._emit(
-            "search_finished",
-            optimal=optimal,
-            elapsed=self.stats.total_seconds,
-            states_popped=self.stats.states_popped,
-            best_weight=self._best,
-        )
-        return GSTResult(
-            algorithm=self.algorithm_name,
-            labels=self.context.query.labels,
-            tree=self._best_tree,
-            weight=self._best,
-            lower_bound=self._best if optimal else min(self._global_lb, self._best),
-            optimal=optimal,
-            stats=self.stats,
-            trace=self.trace,
-        )
-
-    # ------------------------------------------------------------------
-    # CSR fast loop
-    # ------------------------------------------------------------------
-    def _run_csr(self) -> GSTResult:
-        """Packed-key search loop over a frozen snapshot.
-
-        Hot-path mechanics (all behavior-preserving):
+        Hot-path mechanics:
 
         * state keys are single ints ``node << k | mask`` shared by the
           queue, the pending map, the settled store, and the bound cache
@@ -350,7 +224,7 @@ class SearchEngine:
         pruned = stats.states_pruned
 
         def update(node, mask, cost, backpointer, parent_f):
-            # Inlined twin of ``_update`` (Alg 1 lines 21-26 / Alg 4
+            # The paper's ``update`` procedure (Alg 1 lines 21-26 / Alg 4
             # 28-36) over packed keys; reads ``self._best`` fresh so
             # mid-expansion incumbent drops tighten pruning immediately.
             nonlocal pushes, pruned
@@ -379,6 +253,9 @@ class SearchEngine:
             queue_update(key, f_value)
 
         if not self._restored:
+            # Seeding one label per state matches the paper; nodes carrying
+            # several query labels reach the richer masks via zero-cost
+            # merges of their seed states.
             for label_index, members in enumerate(context.groups):
                 bit = 1 << label_index
                 seed_bp = ("seed", label_index)
@@ -434,7 +311,7 @@ class SearchEngine:
 
                 if progressive:
                     if on_feasible is not None:
-                        self._build_feasible(node, mask, cost, backpointer)
+                        self._build_feasible(node, mask)
                     elif cost < self._best:
                         self._build_feasible_csr(node, mask, cost)
 
@@ -538,29 +415,16 @@ class SearchEngine:
         pairs), the pending map (``(key, cost, backpointer)``), the
         settled :class:`~repro.core.state.StateStore`, the incumbent
         tree, the global lower bound, cumulative elapsed time, and the
-        stats counters.  All state keys are normalized to packed
-        ``node << k | mask`` ints (:func:`~repro.core.state.pack_state`)
-        regardless of which run loop produced them, so a checkpoint
-        taken by the legacy loop restores into the CSR loop and vice
-        versa.  Must be called at a consistent point — between loop
-        iterations, which is where the engine invokes its checkpointer.
+        stats counters.  State keys are the packed ``node << k | mask``
+        ints (:func:`~repro.core.state.pack_state`) the loop runs on.
+        Must be called at a consistent point — between loop iterations,
+        which is where the engine invokes its checkpointer.
         """
         kb = self.context.k
-        legacy = self.context.snapshot is None
-        if legacy:
-            queue = [
-                [(key[0] << kb) | key[1], f] for key, f in self._queue.items()
-            ]
-            pending = [
-                [(key[0] << kb) | key[1], cost, list(bp)]
-                for key, (cost, bp) in self._pending.items()
-            ]
-        else:
-            queue = [[key, f] for key, f in self._queue.items()]
-            pending = [
-                [key, cost, list(bp)]
-                for key, (cost, bp) in self._pending.items()
-            ]
+        queue = [[key, f] for key, f in self._queue.items()]
+        pending = [
+            [key, cost, list(bp)] for key, (cost, bp) in self._pending.items()
+        ]
         settled = [
             [(node << kb) | mask, cost, list(bp)]
             for node, mask, cost, bp in self._store.items()
@@ -604,8 +468,8 @@ class SearchEngine:
         """Rehydrate a :meth:`checkpoint` dict; call before :meth:`run`.
 
         Rebuilds the queue, pending map, settled store, incumbent, and
-        lower bound, and marks the engine restored so the run loops skip
-        seeding and continue the clock and counters cumulatively.  The
+        lower bound, and marks the engine restored so :meth:`run` skips
+        seeding and continues the clock and counters cumulatively.  The
         caller (:mod:`repro.service.durability`) is responsible for
         binding the checkpoint to the right graph/query — this method
         only validates the mask width.
@@ -616,18 +480,15 @@ class SearchEngine:
                 f"checkpoint was taken with key_bits={kb} but this query "
                 f"has k={self.context.k} labels"
             )
-        legacy = self.context.snapshot is None
         mask_filter = (1 << kb) - 1
         for packed, cost, bp in state["settled"]:
             self._store.settle(
                 packed >> kb, packed & mask_filter, cost, tuple(bp)
             )
         for packed, cost, bp in state["pending"]:
-            key = (packed >> kb, packed & mask_filter) if legacy else packed
-            self._pending[key] = (cost, tuple(bp))
+            self._pending[packed] = (cost, tuple(bp))
         for packed, f_value in state["queue"]:
-            key = (packed >> kb, packed & mask_filter) if legacy else packed
-            self._queue.update(key, f_value)
+            self._queue.update(packed, f_value)
         self._best = float(state["best_weight"])
         tree = state.get("best_tree")
         if tree is not None:
@@ -662,100 +523,15 @@ class SearchEngine:
         )
 
     # ------------------------------------------------------------------
-    # Search phases
-    # ------------------------------------------------------------------
-    def _seed_states(self) -> None:
-        """Initial states ``(v, {p})`` at cost 0 for every ``v ∈ V_p``."""
-        # Seeding one label per state matches the paper; nodes carrying
-        # several query labels reach the richer masks via zero-cost merges
-        # of their seed states.
-        for label_index, members in enumerate(self.context.groups):
-            bit = 1 << label_index
-            for node in members:
-                self._update(node, bit, 0.0, ("seed", label_index), 0.0)
-        self._track_peak()
-
-    def _expand(self, node: int, mask: int, cost: float, parent_f: float) -> None:
-        self.stats.states_expanded += 1
-        full = self._full
-        # Edge growing: state (u, X) from (v, X) plus edge (v, u).
-        for neighbor, weight in self.context.graph.adjacency()[node]:
-            self.stats.edges_grown += 1
-            self._update(
-                neighbor, mask, cost + weight, ("grow", node, weight), parent_f
-            )
-        # Tree merging with every settled, disjoint mask at this node.
-        merge_budget = (
-            self.merge_factor * self._best
-            if self.merge_factor is not None and self._best < INF
-            else INF
-        )
-        for other_mask, other_cost in list(self._store.masks_at(node).items()):
-            if other_mask & mask:
-                continue
-            combined = cost + other_cost
-            new_mask = mask | other_mask
-            if new_mask != full and combined > merge_budget:
-                continue  # Theorem 2: unpromising partial merge
-            self.stats.merges_performed += 1
-            self._update(
-                node, new_mask, combined, ("merge", mask, other_mask), parent_f
-            )
-
-    def _update(
-        self,
-        node: int,
-        mask: int,
-        cost: float,
-        backpointer: tuple,
-        parent_f: float,
-    ) -> None:
-        """The paper's ``update`` procedure (Alg 1 lines 21-26 / Alg 4 28-36)."""
-        settled = self._store.cost_or_none(node, mask)
-        if settled is not None:
-            if cost >= settled - _COST_EPS:
-                return
-            # A strictly cheaper derivation reached a settled state: the
-            # exactness safety net (see module docstring).
-            self._store.reopen(node, mask)
-            self.stats.reopened += 1
-
-        if self.bounds is not None:
-            pi = self.bounds.raise_to(node, mask, parent_f - cost)
-            f_value = cost + pi
-        else:
-            f_value = cost
-
-        if f_value >= self._best:
-            self.stats.states_pruned += 1
-            return  # cannot improve on the best feasible solution
-
-        if mask == self._full and cost < self._best - _COST_EPS:
-            self._adopt_best_state(node, mask, cost, backpointer)
-
-        key = (node, mask)
-        existing = self._pending.get(key)
-        if existing is not None and existing[0] <= cost + _COST_EPS:
-            return
-        if existing is None:
-            self.stats.states_pushed += 1
-        self._pending[key] = (cost, backpointer)
-        self._queue.update(key, f_value)
-        self._track_peak()
-
-    # ------------------------------------------------------------------
     # Feasible solutions and progress reporting
     # ------------------------------------------------------------------
-    def _build_feasible(
-        self, node: int, mask: int, cost: float, backpointer: tuple
-    ) -> None:
-        """Algorithms 1/2/4 lines 10-15: upper bound from this state."""
-        if self._best <= cost and self.on_feasible is None:
-            # The feasible tree costs at least `cost`; it cannot beat
-            # the incumbent, so skip the MST work.  (With an on_feasible
-            # collector installed — the top-r mode — every candidate is
-            # still materialized.)
-            return
+    def _build_feasible(self, node: int, mask: int) -> None:
+        """Algorithms 1/2/4 lines 10-15: upper bound from this state.
+
+        Serves the top-r collector (``on_feasible``): every candidate is
+        materialized and handed to it, with no memo and no gate against
+        the incumbent.
+        """
         started = time.perf_counter()
         state_edges = self._store.tree_edges(node, mask)
         tree = build_feasible_tree(self.context, state_edges, node, mask)
@@ -763,8 +539,7 @@ class SearchEngine:
         self.stats.feasible_seconds += time.perf_counter() - started
         if tree is None:
             return
-        if self.on_feasible is not None:
-            self.on_feasible(tree)
+        self.on_feasible(tree)
         if tree.weight < self._best - _COST_EPS:
             self._best = tree.weight
             self._best_tree = tree
@@ -776,7 +551,7 @@ class SearchEngine:
                 self._certify_incumbent()
 
     def _build_feasible_csr(self, node: int, mask: int, cost: float) -> None:
-        """Memoized feasible construction for the CSR fast loop.
+        """Memoized feasible construction for the search loop.
 
         Same output as :meth:`_build_feasible` with two exact
         accelerations:

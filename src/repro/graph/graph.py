@@ -370,11 +370,12 @@ class Graph:
         """Build (or return the cached) immutable CSR snapshot.
 
         Returns a :class:`~repro.graph.csr.CSRGraph` over the current
-        structure.  The snapshot is cached on the graph and transparently
-        picked up by the shortest-path dispatchers and the search
-        engine's flat-kernel fast path; any later mutation
-        (``add_node`` / ``add_labels`` / ``add_edge`` that changes an
-        edge) drops it, so a stale snapshot can never be observed.
+        structure.  The snapshot is cached on the graph.  Every
+        shortest-path function and every query context calls this on
+        first use, so all solves run on the snapshot and pay its O(n + m)
+        build once per graph.  Any later mutation (``add_node`` /
+        ``add_labels`` / ``add_edge`` that changes an edge) drops it, so
+        a stale snapshot can never be observed.
         """
         if self._snapshot is None:
             from .csr import CSRGraph

@@ -16,17 +16,16 @@ graph either: a virtual node ``ṽ_q`` is reached at cost
 ``min_{u in V_q} dist(u)``, and leaving it re-seeds every node of
 ``V_q`` at that cost.
 
-Kernel dispatch
----------------
-Each public function is a thin dispatcher: when the graph carries a
-frozen :class:`~repro.graph.csr.CSRGraph` snapshot (``Graph.freeze()``)
-the ``*_csr`` kernel runs against the snapshot's immutable views —
-using Dial's bucket queue instead of a binary heap when the snapshot
-proved every weight a small integer — and otherwise the original
-adjacency-list implementation (kept verbatim as
-``multi_source_dijkstra_legacy``) runs.  Both kernels return identical
-``(dist, parent)`` tables; ``tests/properties`` pins the agreement on
-random graphs and ``benchmarks/test_csr_kernels.py`` pins the speedup.
+Kernels
+-------
+Everything runs over the graph's frozen :class:`~repro.graph.csr.CSRGraph`
+snapshot.  The ``Graph``-taking functions call ``graph.freeze()`` (cached
+until the next mutation) and hand the snapshot to their ``*_csr`` twin.
+Each ``*_csr`` function has two kernels, chosen by ``csr.int_adjacency``:
+Dial's bucket queue when the snapshot proved every weight a small
+integer, and a binary heap otherwise.  Both return identical tables;
+the tests compare the Dial lane with the heap lane on the same snapshot
+and both with networkx.
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ __all__ = [
     "dijkstra_csr",
     "multi_source_dijkstra",
     "multi_source_dijkstra_csr",
-    "multi_source_dijkstra_legacy",
     "reconstruct_path",
     "path_edges_to_source",
     "label_enhanced_distances",
     "label_enhanced_distances_csr",
-    "label_enhanced_distances_legacy",
 ]
 
 INF = float("inf")
@@ -102,55 +99,12 @@ def multi_source_dijkstra(
     parents from ``v`` reproduces the shortest path the feasible-tree
     construction unions together.
 
-    Dispatches to :func:`multi_source_dijkstra_csr` when the graph is
-    frozen (``graph.freeze()``); out-of-range sources raise
-    :class:`~repro.errors.NodeRangeError` (a :class:`GraphError` that
-    still subclasses ``IndexError`` for backwards compatibility).
+    Freezes the graph and runs :func:`multi_source_dijkstra_csr`;
+    out-of-range sources raise :class:`~repro.errors.NodeRangeError` (a
+    :class:`GraphError` that still subclasses ``IndexError`` for
+    backwards compatibility).
     """
-    snapshot = graph.snapshot()
-    if snapshot is not None:
-        return multi_source_dijkstra_csr(snapshot, sources, targets=targets)
-    return multi_source_dijkstra_legacy(graph, sources, targets=targets)
-
-
-def multi_source_dijkstra_legacy(
-    graph: Graph,
-    sources: Sequence[int],
-    *,
-    targets: Optional[Iterable[int]] = None,
-) -> Tuple[List[float], List[int]]:
-    """The adjacency-list reference kernel (binary heap, lazy deletion)."""
-    n = graph.num_nodes
-    _check_sources(sources, n)
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-1] * n
-    adjacency = graph.adjacency()
-
-    heap: List[Tuple[float, int]] = []
-    for source in sources:
-        if dist[source] != 0.0:
-            dist[source] = 0.0
-            heappush(heap, (0.0, source))
-
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining = {t for t in remaining if dist[t] != 0.0}
-
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, weight in adjacency[u]:
-            nd = d + weight
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heappush(heap, (nd, v))
-    return dist, parent
+    return multi_source_dijkstra_csr(graph.freeze(), sources, targets=targets)
 
 
 def multi_source_dijkstra_csr(
@@ -164,7 +118,7 @@ def multi_source_dijkstra_csr(
     Uses Dial's bucket queue when the snapshot's weights are small
     integers (exact integer arithmetic, no per-push tuple allocation),
     and the binary-heap kernel over the snapshot's immutable adjacency
-    views otherwise.  Output is identical to the legacy kernel.
+    views otherwise.  Both kernels return identical tables.
     """
     n = csr.num_nodes
     _check_sources(sources, n)
@@ -322,73 +276,9 @@ def label_enhanced_distances(
     is reached at ``d``, and all other members of ``V_q`` are relaxed to
     ``d``.  This matches Dijkstra on the enhanced graph exactly.
 
-    Dispatches to :func:`label_enhanced_distances_csr` when the graph
-    carries a frozen snapshot.
+    Freezes the graph and runs :func:`label_enhanced_distances_csr`.
     """
-    snapshot = graph.snapshot()
-    if snapshot is not None:
-        return label_enhanced_distances_csr(snapshot, groups)
-    return label_enhanced_distances_legacy(graph, groups)
-
-
-def label_enhanced_distances_legacy(
-    graph: Graph,
-    groups: Sequence[Sequence[int]],
-) -> List[List[float]]:
-    """The adjacency-list reference implementation (binary heap)."""
-    k = len(groups)
-    n = graph.num_nodes
-    adjacency = graph.adjacency()
-
-    # node -> list of group indexes it belongs to
-    membership: List[List[int]] = [[] for _ in range(n)]
-    for gi, members in enumerate(groups):
-        for node in members:
-            membership[node].append(gi)
-
-    result: List[List[float]] = []
-    for src in range(k):
-        dist: List[float] = [INF] * n
-        group_dist: List[float] = [INF] * k
-        group_expanded = [False] * k
-        group_dist[src] = 0.0
-
-        heap: List[Tuple[float, int]] = []
-        for node in groups[src]:
-            if dist[node] > 0.0:
-                dist[node] = 0.0
-                heappush(heap, (0.0, node))
-
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            # Settle u: record/relax every virtual node u belongs to.
-            for gi in membership[u]:
-                if d < group_dist[gi]:
-                    group_dist[gi] = d
-                if not group_expanded[gi]:
-                    group_expanded[gi] = True
-                    # Teleport: every member of group gi is reachable at d.
-                    for other in groups[gi]:
-                        if d < dist[other]:
-                            dist[other] = d
-                            heappush(heap, (d, other))
-            for v, weight in adjacency[u]:
-                nd = d + weight
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-
-        # A group may be unreachable (disconnected graph): keep inf.
-        result.append(group_dist)
-    # Symmetrize against floating noise (the metric is symmetric).
-    for i in range(k):
-        for j in range(i + 1, k):
-            best = min(result[i][j], result[j][i])
-            result[i][j] = best
-            result[j][i] = best
-    return result
+    return label_enhanced_distances_csr(graph.freeze(), groups)
 
 
 def label_enhanced_distances_csr(
@@ -397,10 +287,10 @@ def label_enhanced_distances_csr(
 ) -> List[List[float]]:
     """Label-enhanced virtual-node distances over the frozen snapshot.
 
-    Same teleport-augmented Dijkstra as the legacy kernel; on integer
-    snapshots the bucket queue replaces the heap (teleports are
-    zero-weight relaxations, i.e. same-bucket appends that the running
-    bucket scan picks up).
+    The teleport-augmented Dijkstra described in
+    :func:`label_enhanced_distances`; on integer snapshots the bucket
+    queue replaces the heap (teleports are zero-weight relaxations, i.e.
+    same-bucket appends that the running bucket scan picks up).
     """
     k = len(groups)
     n = csr.num_nodes

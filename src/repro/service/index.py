@@ -500,7 +500,6 @@ class GraphIndex:
                 context = solver.build_context()
             finally:
                 trace.stages["context_build"] = time.perf_counter() - stage_started
-            trace.kernel = getattr(context, "kernel", None)
             stage_started = time.perf_counter()
             prepared = solver.prepare(context)
             trace.stages["bounds_build"] = time.perf_counter() - stage_started

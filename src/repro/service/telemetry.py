@@ -86,11 +86,9 @@ class QueryTrace:
     warm_labels: int = 0
     result_cache: Optional[str] = None
     bounds_cache: Optional[Dict[str, Any]] = None
-    # CSR snapshot fields: how long the index spent freezing the graph
-    # (0.0 when the snapshot was already cached / never built) and which
-    # kernel family the query actually ran on ("csr" or "legacy").
+    # How long the index spent freezing the graph into its CSR snapshot
+    # (0.0 when the snapshot was already cached / never built).
     snapshot_build_seconds: float = 0.0
-    kernel: Optional[str] = None
     # Resilience-layer fields (filled in by the executor's pipeline).
     requested_algorithm: Optional[str] = None
     attempts: int = 1
@@ -144,7 +142,6 @@ class QueryTrace:
             "result_cache": self.result_cache,
             "bounds_cache": self.bounds_cache,
             "snapshot_build_seconds": self.snapshot_build_seconds,
-            "kernel": self.kernel,
             "index_build_seconds": self.index_build_seconds,
             "error": self.error,
             "events": [

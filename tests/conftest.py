@@ -88,3 +88,22 @@ def small_random_graph(seed: int, n: int = 10, extra_edges: int = 8, k: int = 3)
 @pytest.fixture
 def random_graph_factory():
     return small_random_graph
+
+
+def with_integer_weights(graph: Graph) -> Graph:
+    """Copy of ``graph`` (nodes and labels) with every weight rounded.
+
+    Integer weights put the frozen snapshot on the Dial lane
+    (``int_adjacency``); the float-weighted original takes the heap lane.
+    """
+    rounded = Graph()
+    for node in graph.nodes():
+        rounded.add_node(labels=graph.labels_of(node))
+    for u, v, weight in graph.edges():
+        rounded.add_edge(u, v, float(round(weight)))
+    return rounded
+
+
+@pytest.fixture
+def integer_weighted():
+    return with_integer_weights

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.core.context import QueryContext
 from repro.core.engine import SearchEngine
 from repro.graph import generators
+from repro.service import GraphIndex
 
 
 def engine_for(graph, labels, **kwargs):
@@ -168,3 +169,29 @@ class TestSeedStates:
         assert result.weight == 0.0
         assert result.stats.states_pushed == 1
         assert result.optimal
+
+
+class TestImplicitFreeze:
+    def test_direct_solve_never_serves_a_stale_snapshot(self):
+        graph = Graph()
+        a = graph.add_node(labels=["x"])
+        m = graph.add_node()
+        b = graph.add_node(labels=["y"])
+        graph.add_edge(a, m, 4.0)
+        graph.add_edge(m, b, 4.0)
+        assert graph.snapshot() is None
+
+        first = PrunedDPPlusPlusSolver(graph, ["x", "y"]).solve()
+        assert first.optimal and first.weight == 8.0
+        stale = graph.snapshot()
+        assert stale is not None  # the direct solve froze the graph
+
+        graph.add_edge(a, b, 1.0)  # shortcut: drops the snapshot
+        second = PrunedDPPlusPlusSolver(graph, ["x", "y"]).solve()
+        assert second.optimal and second.weight == 1.0
+        assert graph.snapshot() is not stale
+
+        served = GraphIndex(graph).execute(["x", "y"])
+        assert served.ok
+        assert served.result.weight == second.weight
+        assert served.result.tree.edges == second.tree.edges

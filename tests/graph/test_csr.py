@@ -2,7 +2,8 @@
 
 * ``Graph.freeze`` / ``Graph.snapshot`` lifecycle and invalidation,
 * CSR buffer shape/content against the source graph,
-* the integer-weight Dial fast lane and its ``MAX_DIAL_WEIGHT`` cutoff,
+* the integer-weight Dial fast lane, its ``MAX_DIAL_WEIGHT`` cutoff, and
+  its agreement with the heap lane on the same snapshot,
 * the O(1) duplicate-edge collapse rule (parallel edges keep the
   lighter weight — pinned here so the edge-position index can never
   silently change it),
@@ -17,10 +18,11 @@ from repro.errors import GraphError, NodeRangeError
 from repro.graph.csr import CSRGraph, MAX_DIAL_WEIGHT
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
+    _led_heap,
+    _msd_heap,
     dijkstra,
     dijkstra_csr,
     label_enhanced_distances_csr,
-    label_enhanced_distances_legacy,
     multi_source_dijkstra,
     multi_source_dijkstra_csr,
 )
@@ -89,6 +91,13 @@ class TestFreezeLifecycle:
         assert clone.snapshot() is None
         assert graph.snapshot() is not None
 
+    def test_shortest_paths_freeze_the_graph(self):
+        graph = path_graph([1.0, 2.0])
+        dist, _ = multi_source_dijkstra(graph, [0])
+        snapshot = graph.snapshot()
+        assert snapshot is not None
+        assert dist == multi_source_dijkstra_csr(snapshot, [0])[0]
+
 
 class TestCSRBuffers:
     def test_buffers_mirror_adjacency(self):
@@ -146,38 +155,30 @@ class TestDialLane:
         assert not csr.integer_weights
 
     def test_dial_and_heap_agree_with_zero_weight_edges(self):
-        graph = path_graph([0.0, 1.0, 0.0, 2.0])
-        csr = graph.freeze()
-        assert csr.integer_weights
+        csr = path_graph([0.0, 1.0, 0.0, 2.0]).freeze()
+        assert csr.int_adjacency is not None
         dist, parent = dijkstra_csr(csr, 0)
         assert dist == [0.0, 0.0, 1.0, 1.0, 3.0]
-        legacy_dist, _ = dijkstra(path_graph([0.0, 1.0, 0.0, 2.0]), 0)
-        assert dist == legacy_dist
+        assert dist == _msd_heap(csr, [0], None)[0]
 
-    def test_label_enhanced_csr_matches_legacy(self):
+    def test_label_enhanced_dial_matches_heap(self):
         graph = path_graph(
             [1.0, 2.0, 1.0, 1.0],
             labels=[(0, "a"), (4, "a"), (2, "b"), (3, "c")],
         )
+        csr = graph.freeze()
+        assert csr.int_adjacency is not None
         groups = [[0, 4], [2], [3]]
-        expected = label_enhanced_distances_legacy(graph, groups)
-        assert label_enhanced_distances_csr(graph.freeze(), groups) == expected
-
-
-class TestDispatch:
-    def test_frozen_graph_routes_to_csr(self):
-        graph = path_graph([1.0, 2.0])
-        legacy_dist, _ = multi_source_dijkstra(graph, [0])
-        graph.freeze()
-        csr_dist, _ = multi_source_dijkstra(graph, [0])
-        assert legacy_dist == csr_dist
+        membership = [(0,), (), (1,), (2,), (0,)]
+        expected = [_led_heap(csr, groups, membership, src) for src in range(3)]
+        assert label_enhanced_distances_csr(csr, groups) == expected
 
     def test_targets_early_exit_matches(self):
-        graph = path_graph([1.0, 1.0, 1.0, 1.0])
-        legacy_dist, _ = multi_source_dijkstra(graph, [0], targets=[2])
-        graph.freeze()
-        csr_dist, _ = multi_source_dijkstra(graph, [0], targets=[2])
-        assert csr_dist[2] == legacy_dist[2] == 2.0
+        csr = path_graph([1.0, 1.0, 1.0, 1.0]).freeze()
+        assert csr.int_adjacency is not None
+        dial_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=[2])
+        heap_dist, _ = _msd_heap(csr, [0], [2])
+        assert dial_dist[2] == heap_dist[2] == 2.0
 
 
 class TestNodeRangeError:

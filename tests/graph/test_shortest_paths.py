@@ -1,4 +1,9 @@
-"""Dijkstra and virtual-node distance tests (networkx as oracle)."""
+"""Dijkstra and virtual-node distance tests (networkx as oracle).
+
+The random-graph oracle tests run every instance through both kernel
+lanes: as generated (float weights, heap lane) and with its weights
+rounded (integer weights, Dial lane).
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,14 @@ from repro.graph.shortest_paths import (
 )
 
 INF = float("inf")
+
+
+def heap_and_dial(graph: Graph, integer_weighted) -> tuple:
+    """``graph`` on the heap lane and its integer rounding on the Dial lane."""
+    rounded = integer_weighted(graph)
+    assert graph.freeze().int_adjacency is None
+    assert rounded.freeze().int_adjacency is not None
+    return graph, rounded
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -47,22 +60,23 @@ class TestSingleSource:
         dist, _ = dijkstra(star_graph, 1, targets=[0])
         assert dist[0] == 1.0  # hub reached
 
-    def test_matches_networkx_on_random_graphs(self):
+    def test_matches_networkx_on_random_graphs(self, integer_weighted):
         for seed in range(8):
-            g = generators.random_graph(30, 60, seed=seed)
-            nxg = to_networkx(g)
-            source = seed % g.num_nodes
-            expected = nx.single_source_dijkstra_path_length(nxg, source)
-            dist, parent = dijkstra(g, source)
-            for node in g.nodes():
-                assert dist[node] == pytest.approx(expected.get(node, INF))
-            # Parent pointers reconstruct paths of exactly dist weight.
-            for node in g.nodes():
-                if dist[node] == INF or node == source:
-                    continue
-                edges = path_edges_to_source(parent, node)
-                total = sum(g.edge_weight(u, v) for u, v in edges)
-                assert total == pytest.approx(dist[node])
+            generated = generators.random_graph(30, 60, seed=seed)
+            for g in heap_and_dial(generated, integer_weighted):
+                nxg = to_networkx(g)
+                source = seed % g.num_nodes
+                expected = nx.single_source_dijkstra_path_length(nxg, source)
+                dist, parent = dijkstra(g, source)
+                for node in g.nodes():
+                    assert dist[node] == pytest.approx(expected.get(node, INF))
+                # Parent pointers reconstruct paths of exactly dist weight.
+                for node in g.nodes():
+                    if dist[node] == INF or node == source:
+                        continue
+                    edges = path_edges_to_source(parent, node)
+                    total = sum(g.edge_weight(u, v) for u, v in edges)
+                    assert total == pytest.approx(dist[node])
 
     def test_bad_source_raises(self, path_graph):
         with pytest.raises(IndexError):
@@ -70,23 +84,23 @@ class TestSingleSource:
 
 
 class TestMultiSource:
-    def test_equivalent_to_virtual_node(self):
+    def test_equivalent_to_virtual_node(self, integer_weighted):
         """Multi-source == Dijkstra from an explicit virtual node."""
         for seed in range(6):
-            g = generators.random_graph(25, 50, seed=seed)
+            generated = generators.random_graph(25, 50, seed=seed)
             rng = random.Random(seed)
-            sources = rng.sample(range(g.num_nodes), 4)
+            sources = rng.sample(range(generated.num_nodes), 4)
+            for g in heap_and_dial(generated, integer_weighted):
+                dist, _ = multi_source_dijkstra(g, sources)
 
-            dist, _ = multi_source_dijkstra(g, sources)
-
-            # Build the explicit virtual-node graph in networkx.
-            nxg = to_networkx(g)
-            virtual = "VIRTUAL"
-            for s in sources:
-                nxg.add_edge(virtual, s, weight=0.0)
-            expected = nx.single_source_dijkstra_path_length(nxg, virtual)
-            for node in g.nodes():
-                assert dist[node] == pytest.approx(expected.get(node, INF))
+                # Build the explicit virtual-node graph in networkx.
+                nxg = to_networkx(g)
+                virtual = "VIRTUAL"
+                for s in sources:
+                    nxg.add_edge(virtual, s, weight=0.0)
+                expected = nx.single_source_dijkstra_path_length(nxg, virtual)
+                for node in g.nodes():
+                    assert dist[node] == pytest.approx(expected.get(node, INF))
 
     def test_sources_have_zero_distance(self, star_graph):
         dist, parent = multi_source_dijkstra(star_graph, [1, 2])
@@ -103,25 +117,28 @@ class TestMultiSource:
 
 
 class TestLabelEnhancedDistances:
-    def test_matches_explicit_enhanced_graph(self):
+    def test_matches_explicit_enhanced_graph(self, integer_weighted):
         """Teleport Dijkstra == Dijkstra on the materialized enhanced graph."""
         for seed in range(6):
-            g = generators.random_graph(
+            generated = generators.random_graph(
                 24, 48, num_query_labels=4, label_frequency=3, seed=seed
             )
-            groups = [list(g.nodes_with_label(f"q{i}")) for i in range(4)]
-            got = label_enhanced_distances(g, groups)
+            for g in heap_and_dial(generated, integer_weighted):
+                groups = [list(g.nodes_with_label(f"q{i}")) for i in range(4)]
+                got = label_enhanced_distances(g, groups)
 
-            nxg = to_networkx(g)
-            for i, members in enumerate(groups):
-                for node in members:
-                    nxg.add_edge(("virt", i), node, weight=0.0)
-            for i in range(4):
-                expected = nx.single_source_dijkstra_path_length(nxg, ("virt", i))
-                for j in range(4):
-                    assert got[i][j] == pytest.approx(
-                        expected.get(("virt", j), INF)
-                    ), (seed, i, j)
+                nxg = to_networkx(g)
+                for i, members in enumerate(groups):
+                    for node in members:
+                        nxg.add_edge(("virt", i), node, weight=0.0)
+                for i in range(4):
+                    expected = nx.single_source_dijkstra_path_length(
+                        nxg, ("virt", i)
+                    )
+                    for j in range(4):
+                        assert got[i][j] == pytest.approx(
+                            expected.get(("virt", j), INF)
+                        ), (seed, i, j)
 
     def test_symmetry_and_zero_diagonal(self):
         g = generators.random_graph(20, 35, num_query_labels=3, seed=1)

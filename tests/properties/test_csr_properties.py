@@ -5,11 +5,12 @@ Two families, as the refactor's safety net:
 * *Invalidation*: any mutating ``Graph`` operation performed after
   ``freeze()`` drops the cached snapshot, so a stale CSR view can never
   be served (randomized over mutation kinds via Hypothesis).
-* *Kernel agreement*: the CSR kernels (including the integer-weight
-  Dial fast lane) compute exactly the legacy kernels' answers on the
-  same random instances the differential sweep draws — reusing
-  :func:`repro.verify.differential.generate_instance` so the seeds
-  here replay under ``repro verify`` verbatim.
+* *Kernel agreement*: the integer-weight Dial lane computes exactly
+  the heap lane's answers on the same snapshot.  The instances are the
+  differential sweep's own, from
+  :func:`repro.verify.differential.generate_instance` (so the seeds
+  replay under ``repro verify``), with every weight rounded to an
+  integer, which is what puts the snapshot on the Dial lane.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
+    _led_heap,
+    _msd_heap,
     label_enhanced_distances_csr,
-    label_enhanced_distances_legacy,
     multi_source_dijkstra_csr,
-    multi_source_dijkstra_legacy,
 )
 from repro.verify.differential import generate_instance
 
@@ -100,45 +101,66 @@ def test_mutation_after_freeze_invalidates(case):
 
 
 # ----------------------------------------------------------------------
-# Kernel agreement on the differential sweep's own random instances.
+# Dial lane == heap lane on the differential sweep's own instances.
 # ----------------------------------------------------------------------
 
 AGREEMENT_SEEDS = range(1000, 1040)
 
 
-def test_dijkstra_kernels_agree_on_random_graphs():
+def dial_snapshot(seed, integer_weighted, **kwargs):
+    """Seed ``seed``'s sweep instance, rounded and frozen onto the Dial lane."""
+    graph, labels = generate_instance(seed, **kwargs)
+    graph = integer_weighted(graph)
+    csr = graph.freeze()
+    assert csr.int_adjacency is not None, f"seed {seed} missed the Dial lane"
+    return graph, labels, csr
+
+
+def heap_label_enhanced(csr, groups):
+    """Per-source label-enhanced rows from the heap kernel."""
+    membership = [[] for _ in range(csr.num_nodes)]
+    for gi, members in enumerate(groups):
+        for node in members:
+            membership[node].append(gi)
+    return [_led_heap(csr, groups, membership, src) for src in range(len(groups))]
+
+
+def test_dijkstra_kernels_agree_on_random_graphs(integer_weighted):
     for seed in AGREEMENT_SEEDS:
-        graph, labels = generate_instance(seed, max_nodes=30, max_labels=5)
-        csr = graph.freeze()
+        graph, _labels, csr = dial_snapshot(
+            seed, integer_weighted, max_nodes=30, max_labels=5
+        )
         for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 4)):
-            legacy_dist, _ = multi_source_dijkstra_legacy(graph, [source])
-            csr_dist, _ = multi_source_dijkstra_csr(csr, [source])
-            assert csr_dist == legacy_dist, f"seed {seed}, source {source}"
+            dial_dist, _ = multi_source_dijkstra_csr(csr, [source])
+            heap_dist, _ = _msd_heap(csr, [source], None)
+            assert dial_dist == heap_dist, f"seed {seed}, source {source}"
 
 
-def test_multi_source_and_label_enhanced_agree():
+def test_multi_source_and_label_enhanced_agree(integer_weighted):
     for seed in AGREEMENT_SEEDS:
-        graph, labels = generate_instance(seed, max_nodes=30, max_labels=5)
+        graph, labels, csr = dial_snapshot(
+            seed, integer_weighted, max_nodes=30, max_labels=5
+        )
         groups = [list(graph.nodes_with_label(label)) for label in labels]
         groups = [members for members in groups if members]
         if not groups:
             continue
-        csr = graph.freeze()
         for members in groups:
-            legacy_dist, _ = multi_source_dijkstra_legacy(graph, members)
-            csr_dist, _ = multi_source_dijkstra_csr(csr, members)
-            assert csr_dist == legacy_dist, f"seed {seed}"
+            dial_dist, _ = multi_source_dijkstra_csr(csr, members)
+            heap_dist, _ = _msd_heap(csr, members, None)
+            assert dial_dist == heap_dist, f"seed {seed}"
         assert label_enhanced_distances_csr(csr, groups) == (
-            label_enhanced_distances_legacy(graph, groups)
+            heap_label_enhanced(csr, groups)
         ), f"seed {seed}"
 
 
-def test_targets_early_exit_agrees_on_requested_nodes():
+def test_targets_early_exit_agrees_on_requested_nodes(integer_weighted):
     for seed in AGREEMENT_SEEDS:
-        graph, _labels = generate_instance(seed, max_nodes=24, max_labels=4)
-        csr = graph.freeze()
+        graph, _labels, csr = dial_snapshot(
+            seed, integer_weighted, max_nodes=24, max_labels=4
+        )
         targets = list(range(0, graph.num_nodes, 3)) or [0]
-        legacy_dist, _ = multi_source_dijkstra_legacy(graph, [0], targets=targets)
-        csr_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=targets)
+        dial_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=targets)
+        heap_dist, _ = _msd_heap(csr, [0], targets)
         for t in targets:
-            assert csr_dist[t] == legacy_dist[t], f"seed {seed}, target {t}"
+            assert dial_dist[t] == heap_dist[t], f"seed {seed}, target {t}"

@@ -5,7 +5,7 @@ Three layers of guarantee, each tested against the real engine:
 * **Checkpoint round-trip** — an engine checkpoint serializes the full
   frontier (queue, pending, settled store, incumbent, global bound) and
   a restored engine finishes with exactly the uninterrupted run's
-  answer, on both the CSR and the legacy loop.
+  answer.
 * **Fail-closed corruption handling** — truncated files, flipped CRC
   bytes, version skew, and wrong-graph fingerprints each raise their
   typed :class:`~repro.errors.StoreError` subclass, and the execution
@@ -132,60 +132,6 @@ class TestResumeEquivalence:
             outcome.result.stats.states_popped
             == reference.stats.states_popped
         )
-
-    def test_legacy_loop_round_trip(self, graph, reference, tmp_path):
-        # The legacy (non-CSR) engine loop keeps tuple state keys; the
-        # checkpoint normalizes them to packed ints and restore must
-        # repack them. basic runs legacy when the snapshot is absent —
-        # simplest equivalent: checkpoint+restore through the engine
-        # API directly on a fresh context.
-        from repro.core.algorithms import PrunedDPPlusPlusSolver
-
-        solver = PrunedDPPlusPlusSolver(
-            graph, LABELS, budget=Budget(max_states=120, on_limit="return")
-        )
-        context = solver.build_context()
-        context.snapshot = None  # force the legacy loop
-        prepared = solver.prepare(context)
-        meta = checkpoint_meta("fp", LABELS, "pruneddp++")
-        path = str(tmp_path / "legacy.ckpt")
-        solver.checkpointer = Checkpointer(
-            path, meta, every_pops=25, every_seconds=None
-        )
-        partial = solver.run_search(context, prepared)
-        assert not partial.optimal
-        _, state = read_checkpoint(path)
-
-        resumed = PrunedDPPlusPlusSolver(graph, LABELS, restore_state=state)
-        context2 = resumed.build_context()
-        context2.snapshot = None
-        result = resumed.run_search(context2, resumed.prepare(context2))
-        assert result.optimal
-        assert result.weight == pytest.approx(reference.weight)
-
-    def test_cross_loop_restore(self, graph, reference, tmp_path):
-        # A checkpoint taken on the legacy loop restores onto the CSR
-        # loop (and vice versa): keys are stored packed, repacked per
-        # target loop.
-        from repro.core.algorithms import PrunedDPPlusPlusSolver
-
-        solver = PrunedDPPlusPlusSolver(
-            graph, LABELS, budget=Budget(max_states=120, on_limit="return")
-        )
-        context = solver.build_context()
-        context.snapshot = None
-        meta = checkpoint_meta("fp", LABELS, "pruneddp++")
-        path = str(tmp_path / "cross.ckpt")
-        solver.checkpointer = Checkpointer(
-            path, meta, every_pops=25, every_seconds=None
-        )
-        solver.run_search(context, solver.prepare(context))
-        _, state = read_checkpoint(path)
-
-        resumed = PrunedDPPlusPlusSolver(graph, LABELS, restore_state=state)
-        result = resumed.solve()  # CSR loop: snapshot left in place
-        assert result.optimal
-        assert result.weight == pytest.approx(reference.weight)
 
 
 # ----------------------------------------------------------------------
