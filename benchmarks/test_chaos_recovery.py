@@ -1,14 +1,14 @@
 """Chaos benchmark — crash recovery overhead and bounded work loss.
 
-The durability claim quantified: ``kill -9`` of a process worker
+The durability claim quantified: ``kill -9`` of a fleet worker
 mid-search loses at most one checkpoint interval of work.  A batch of
 progressive queries runs three ways over the same shared index —
 
-* **inline** (thread isolation, no checkpointing): the baseline cost;
-* **process + checkpoints**: the same batch through
-  :class:`~repro.service.durability.ProcessWorkerPool` with a
-  checkpoint cadence, measuring the durability tax;
-* **process + chaos**: one worker is SIGKILLed after its second
+* **inline** (in-thread, no checkpointing): the baseline cost;
+* **fleet + checkpoints**: the same batch through a one-worker
+  :class:`~repro.service.fleet.FleetPool` with a checkpoint cadence,
+  measuring the durability tax;
+* **fleet + chaos**: the worker is SIGKILLed after its second
   checkpoint; the batch must still complete with every answer equal to
   the baseline, and the killed query's *redone* work (resumed pops
   minus baseline pops) must stay under one checkpoint interval plus
@@ -26,7 +26,7 @@ import time
 
 from repro.core.engine import _LIMIT_CHECK_INTERVAL
 from repro.graph import generators
-from repro.service import GraphIndex, ProcessWorkerPool, WorkerPolicy
+from repro.service import FleetPool, GraphIndex, WorkerPolicy
 
 ALGORITHM = "pruneddp++"
 CHECKPOINT_EVERY = 100
@@ -59,16 +59,15 @@ def run_chaos_comparison():
     pops = [o.result.stats.states_popped for o in baseline]
 
     def run_pool(tmp_dir, policy):
-        pool = ProcessWorkerPool(index, checkpoint_dir=tmp_dir, policy=policy)
-        try:
+        with FleetPool(
+            index, workers=1, checkpoint_dir=tmp_dir, policy=policy
+        ) as pool:
             started = time.perf_counter()
             outcomes = [
                 pool.execute(labels, algorithm=ALGORITHM)
                 for labels in queries
             ]
             return outcomes, time.perf_counter() - started
-        finally:
-            pool.shutdown()
 
     import tempfile
 
@@ -118,9 +117,9 @@ def run_chaos_comparison():
     lines = [
         "chaos recovery: %d queries, %s" % (NUM_QUERIES, ALGORITHM),
         "  inline (threads, no durability) : %6.3f s" % inline_seconds,
-        "  process + checkpoints every %3d : %6.3f s  (%d checkpoints)"
+        "  fleet + checkpoints every %3d   : %6.3f s  (%d checkpoints)"
         % (CHECKPOINT_EVERY, durable_seconds, checkpoints),
-        "  process + kill -9 mid-search    : %6.3f s  (%d restarts, "
+        "  fleet + kill -9 mid-search      : %6.3f s  (%d restarts, "
         "max %d pops redone)" % (chaos_seconds, restarts, max_redone),
     ]
     return "\n".join(lines)

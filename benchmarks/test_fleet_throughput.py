@@ -106,7 +106,7 @@ def run_fleet_comparison(*, workers: int = WORKERS, **workload_kw):
     # timed batch, charged against the fleet.
     fleet_index = GraphIndex(graph)
     with QueryExecutor(
-        fleet_index, algorithm=ALGORITHM, isolation="fleet", workers=workers
+        fleet_index, algorithm=ALGORITHM, workers=workers
     ) as executor:
         fleet_stats = executor.worker_pool.stats()
         started = time.perf_counter()

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Chaos smoke: SIGKILL one process worker mid-batch, lose nothing.
+"""Chaos smoke: SIGKILL one fleet worker mid-batch, lose nothing.
 
 The durability layer's acceptance check, runnable anywhere (CI job,
-cron, laptop): a batch of progressive queries runs through
-:class:`repro.service.durability.ProcessWorkerPool` with a checkpoint
-cadence and a one-shot chaos hook that makes the first worker to write
-two checkpoints ``kill -9`` itself.  The run fails loudly unless
+cron, laptop): a batch of progressive queries runs through a
+one-worker :class:`repro.service.fleet.FleetPool` with a checkpoint
+cadence and a one-shot chaos hook that makes the worker ``kill -9``
+itself after its second checkpoint.  The run fails loudly unless
 
 * the batch completes — every query delivers an outcome (none lost,
   none wedged);
@@ -30,7 +30,7 @@ CHECKPOINT_EVERY = 100
 
 def main() -> int:
     from repro.graph import generators
-    from repro.service import GraphIndex, ProcessWorkerPool, WorkerPolicy
+    from repro.service import FleetPool, GraphIndex, WorkerPolicy
 
     graph = generators.random_graph(
         400, 1200, num_query_labels=8, label_frequency=8, seed=7
@@ -53,16 +53,13 @@ def main() -> int:
     )
     failures = []
     with tempfile.TemporaryDirectory() as checkpoint_dir:
-        pool = ProcessWorkerPool(
-            index, checkpoint_dir=checkpoint_dir, policy=policy
-        )
-        try:
+        with FleetPool(
+            index, workers=1, checkpoint_dir=checkpoint_dir, policy=policy
+        ) as pool:
             outcomes = [
                 pool.execute(labels, algorithm="pruneddp++")
                 for labels in queries
             ]
-        finally:
-            pool.shutdown()
 
     if len(outcomes) != NUM_QUERIES:
         failures.append(

@@ -61,8 +61,8 @@ from .service import (
     CancellationToken,
     Checkpointer,
     CircuitBreaker,
+    FleetPool,
     GraphIndex,
-    ProcessWorkerPool,
     QueryExecutor,
     QueryOutcome,
     QueryTrace,
@@ -135,7 +135,7 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "Checkpointer",
-    "ProcessWorkerPool",
+    "FleetPool",
     "WorkerPolicy",
     "checkpointed_execute",
     "resume_query",

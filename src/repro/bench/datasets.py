@@ -17,6 +17,7 @@ Datasets are built lazily and memoized per ``(name, scale)``.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Dict, List, Tuple
 
 from ..graph.graph import Graph
@@ -89,7 +90,7 @@ def clear_cache() -> None:
 
 def _build(name: str, scale: str) -> Graph:
     params = _SCALES[scale][name]
-    seed = hash((name, scale)) & 0xFFFF
+    seed = zlib.crc32(repr((name, scale)).encode()) & 0xFFFF
     if name == "dblp":
         graph = generators.dblp_like(seed=seed, num_query_labels=0, **params)
     elif name == "imdb":

@@ -136,16 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-start from a precompute store directory; "
                             "successful answers are persisted back "
                             "(falls back to cold serving if unusable)")
-    batch.add_argument("--isolation", default="thread",
-                       choices=["thread", "process", "fleet"],
-                       help="run each solve in a worker thread (default), a "
-                            "supervised subprocess forked per query "
-                            "(process), or a persistent pre-forked worker "
-                            "attached to a shared-memory snapshot (fleet: "
-                            "process isolation plus multi-core throughput)")
     batch.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="with --isolation=fleet: persistent worker "
-                            "processes to pre-fork (default: up to 4)")
+                       help="solve in a fleet of N persistent worker "
+                            "processes sharing one shared-memory copy of "
+                            "the graph (default: solve on the executor's "
+                            "threads)")
     batch.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="write engine checkpoints here; interrupted or "
                             "crashed queries resume from their latest "
@@ -156,11 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 2000; a 2s wall-clock trigger always "
                             "runs alongside)")
     batch.add_argument("--max-rss-mb", type=float, default=None,
-                       help="with --isolation=process: memory watchdog — a "
-                            "worker over this RSS is checkpointed and killed")
+                       help="with --workers: memory watchdog — a worker over "
+                            "this RSS mid-query is checkpointed and killed, "
+                            "an idle one is replaced before its next query")
     batch.add_argument("--worker-timeout", type=float, default=None,
-                       help="with --isolation=process: hard wall-clock kill "
-                            "deadline per worker in seconds")
+                       help="with --workers: hard wall-clock kill deadline "
+                            "per query in seconds")
 
     serve = sub.add_parser(
         "serve",
@@ -186,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-workers", type=int, default=None,
                        help="executor thread count (default: cpu-bound)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="serve from a shared-memory worker fleet of N "
-                            "persistent processes (isolation='fleet'): true "
-                            "multi-core throughput, no PROGRESS streaming")
+                       help="solve in a fleet of N persistent worker "
+                            "processes sharing one shared-memory copy of "
+                            "the graph: multi-core throughput, no PROGRESS "
+                            "streaming")
     serve.add_argument("--max-inflight", type=int, default=4,
                        help="concurrent queries allowed per connection")
     serve.add_argument("--admission", type=int, default=None, metavar="STATES",
@@ -518,6 +515,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         WorkerPolicy,
     )
 
+    if args.workers is None and (
+        args.max_rss_mb is not None or args.worker_timeout is not None
+    ):
+        raise ReproError(
+            "--max-rss-mb and --worker-timeout supervise worker processes; "
+            "add --workers N"
+        )
     graph = load_graph(args.graph)
     queries = _read_query_file(args.queries)
     budget = Budget(
@@ -593,10 +597,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             trace_sink=sink,
             retry_policy=retry_policy,
             admission=admission,
-            isolation=args.isolation,
             checkpoint_dir=args.checkpoint_dir,
             worker_policy=worker_policy,
-            workers=args.workers if args.isolation == "fleet" else None,
+            workers=args.workers,
         ) as executor:
             outcomes = executor.run_batch(
                 queries, deadline=args.deadline, cancel_token=token
@@ -636,11 +639,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"{trace.wall_seconds * 1e3:8.1f} ms  {detail}"
             )
     qps = len(outcomes) / total if total > 0 else float("inf")
+    if executor.worker_pool is not None:
+        mode = f"{executor.worker_pool.workers} fleet workers"
+    else:
+        mode = f"{executor.max_workers} thread workers"
     print(
         f"batch: {len(outcomes)} queries ({ok} ok, {len(outcomes) - ok} "
-        f"failed) in {total:.3f}s = {qps:.1f} q/s "
-        f"[{args.algorithm}, {executor.max_workers} "
-        f"{args.isolation} workers]"
+        f"failed) in {total:.3f}s = {qps:.1f} q/s [{args.algorithm}, {mode}]"
     )
     if degraded or rejected or retried:
         print(
@@ -718,10 +723,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "trace_sink": args.traces,
         "admission": admission,
         "checkpoint_dir": args.checkpoint_dir,
+        "workers": args.workers,
     }
-    if args.workers is not None:
-        executor_kwargs["isolation"] = "fleet"
-        executor_kwargs["workers"] = args.workers
 
     async def _run() -> int:
         server = GSTServer(

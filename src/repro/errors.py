@@ -141,13 +141,14 @@ class CertificationError(ReproError):
 
 
 class WorkerCrashedError(ReproError):
-    """A process-isolated worker died before delivering its outcome.
+    """A worker process died before delivering its outcome.
 
     Raised (or captured into a :class:`~repro.service.index.QueryOutcome`)
-    by the :class:`~repro.service.durability.ProcessWorkerPool` when a
-    subprocess solving a query is killed — OOM-killer, ``kill -9``, a
-    segfault, the pool's own memory watchdog, or a hard-deadline kill of
-    a hung worker.  The query itself may be perfectly fine, so the error
+    by the :class:`~repro.service.fleet.FleetPool` when a worker
+    solving a query is killed — OOM-killer, ``kill -9``, a segfault,
+    the fleet's own memory watchdog, or a hard-deadline kill of a hung
+    worker — or when a replacement worker cannot attach the shared
+    graph.  The query itself may be perfectly fine, so the error
     is *retryable*: the service resumes it from its latest engine
     checkpoint (or re-runs it cold) instead of failing the batch.
     """

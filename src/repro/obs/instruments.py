@@ -213,7 +213,8 @@ def queries_resumed(registry: Optional[MetricsRegistry] = None) -> Counter:
 def worker_restarts(registry: Optional[MetricsRegistry] = None) -> Counter:
     return _reg(registry).counter(
         "gst_worker_restarts_total",
-        "Process-pool worker respawns, summed over finished queries.",
+        "Worker crashes charged to a query's restart budget, summed "
+        "over finished queries.",
     )
 
 
@@ -364,8 +365,8 @@ def record_query_trace(
 ) -> None:
     """Fold one finished ``QueryTrace`` into the registry.
 
-    Called exactly once per executor query (thread or process
-    isolation), after the outcome is resolved — the single point that
+    Called exactly once per executor query (in-thread or on the
+    fleet), after the outcome is resolved — the single point that
     keeps registry totals equal to sums over traces.
     """
     registry = _reg(registry)

@@ -173,17 +173,16 @@ class GSTServer:
         it back from :attr:`metrics_port`).  Closed again by
         :meth:`drain`.
     executor:
-        Bring your own configured :class:`~repro.service.QueryExecutor`
-        using thread or fleet isolation.  Thread isolation streams
-        PROGRESS frames (in-process callbacks); fleet isolation
-        (``isolation="fleet", workers=N``) trades mid-search progress
-        streaming for true multi-core throughput — a progress callback
-        cannot cross a process boundary, so fleet-served queries emit
-        only their final RESULT frame.  The server shuts down only
-        executors it created itself.
+        Bring your own configured :class:`~repro.service.QueryExecutor`.
+        An in-thread executor streams PROGRESS frames (in-process
+        callbacks); one with a worker fleet (``workers=N``) trades
+        mid-search progress streaming for multi-core throughput — a
+        progress callback cannot cross a process boundary, so
+        fleet-served queries emit only their final RESULT frame.  The
+        server shuts down only executors it created itself.
     executor_kwargs:
         Forwarded to the internally-built executor (``max_workers``,
-        ``trace_sink``, ``admission``, ``retry_policy``,
+        ``workers``, ``trace_sink``, ``admission``, ``retry_policy``,
         ``breaker_policy``, ``checkpoint_dir``, ...).
     """
 
@@ -227,13 +226,6 @@ class GSTServer:
                 **executor_kwargs,
             )
             self._owns_executor = True
-        if self.executor.isolation not in ("thread", "fleet"):
-            raise ValueError(
-                "GSTServer requires isolation='thread' (in-process, with "
-                "PROGRESS streaming) or isolation='fleet' (multi-core "
-                "shared-memory workers, final answers only); one-shot "
-                "process isolation is too expensive per connection"
-            )
         self.stats = ServerStats()
         self._frames = instruments.server_frames()
         self._inflight_gauge = instruments.server_inflight()

@@ -21,15 +21,15 @@ This package is the production-serving layer over the paper's solvers:
   :class:`CircuitBreaker` load shedding;
 * the durability layer (:mod:`repro.service.durability`) — engine
   :class:`Checkpointer` (crash-safe checkpoint/resume of a progressive
-  search's full frontier), :class:`ProcessWorkerPool` process-isolated
-  execution with a memory watchdog and crash containment
-  (``QueryExecutor(..., isolation="process", checkpoint_dir=...)``),
-  and :func:`resume_query` to push an interrupted query to optimality;
+  search's full frontier, ``QueryExecutor(..., checkpoint_dir=...)``),
+  :class:`WorkerPolicy`, and :func:`resume_query` to push an
+  interrupted query to optimality;
 * the fleet layer (:mod:`repro.service.fleet`) — :class:`FleetPool`
   persistent pre-forked workers attached to one shared-memory CSR
-  snapshot (``QueryExecutor(..., isolation="fleet", workers=N)``):
-  process isolation with true multi-core throughput, the graph mapped
-  once instead of unpickled per spawn.
+  snapshot (``QueryExecutor(..., workers=N)``): the one way to run
+  solves in other processes, with a memory watchdog, hard deadlines,
+  and respawn-and-resume from checkpoints, on several cores from one
+  copy of the graph.
 
 Typical use::
 
@@ -46,7 +46,6 @@ Typical use::
 from ..core.budget import Budget, CancellationToken
 from .durability import (
     Checkpointer,
-    ProcessWorkerPool,
     WorkerPolicy,
     checkpointed_execute,
     read_checkpoint,
@@ -91,7 +90,6 @@ __all__ = [
     "Checkpointer",
     "FleetPool",
     "FleetWorker",
-    "ProcessWorkerPool",
     "WorkerPolicy",
     "checkpointed_execute",
     "read_checkpoint",

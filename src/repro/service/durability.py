@@ -1,8 +1,8 @@
-"""Crash-safe progressive search: checkpoints, process workers, watchdog.
+"""Crash-safe progressive search: engine checkpoints and resume.
 
 The paper's progressive framework keeps a feasible incumbent and a
 sound lower bound live at every moment of a search.  This module makes
-that anytime state *durable* and the workers holding it *killable*:
+that anytime state *durable*:
 
 * **Engine checkpoints** — :class:`Checkpointer` drives
   :meth:`SearchEngine.checkpoint <repro.core.engine.SearchEngine.checkpoint>`
@@ -13,43 +13,36 @@ that anytime state *durable* and the workers holding it *killable*:
   graph; corruption, version skew, and fingerprint mismatches raise the
   typed :class:`~repro.errors.StoreError` subclasses and resume paths
   fall back to a cold solve.
-* **Process-isolated execution** — :class:`ProcessWorkerPool` runs each
-  solve in a forked subprocess with a supervisor loop in the parent:
-  a hard kill deadline contains hangs, worker death surfaces as typed
-  :class:`~repro.errors.WorkerCrashedError` instead of wedging the
-  service, and crashed workers are respawned and resume their query
-  from its latest checkpoint.
-* **Memory watchdog** — the supervisor samples worker RSS from
-  ``/proc``; a worker over budget is sent SIGTERM (its engine
-  checkpoints on the resulting cooperative cancellation), then killed.
-  The crash is surfaced retryable, so the executor's
-  :class:`~repro.service.resilience.RetryPolicy` ladder resumes the
-  query at a degraded rung instead of re-OOMing the same configuration.
+* **Checkpoint-aware execution** — :func:`checkpointed_execute` is
+  ``index.execute`` that resumes from, writes, and cleans up its
+  query's checkpoint; :func:`resume_query` pushes an interrupted query
+  to proven optimality (the CLI's ``resume``).
+* **Worker policy** — :class:`WorkerPolicy` holds the checkpoint
+  cadence and the supervision knobs (memory watchdog, hard deadline,
+  restart budget) of the worker fleet in :mod:`repro.service.fleet`,
+  which runs solves in other processes and resumes a killed worker's
+  query from its latest checkpoint.
 
-Everything here is dependency-free (``/proc`` + ``multiprocessing``)
-and composes with the existing service stack: the executor injects
-:func:`checkpointed_execute` / :meth:`ProcessWorkerPool.execute` as the
-``execute`` callable of its :class:`~repro.service.resilience.ResiliencePipeline`.
+The executor injects :func:`checkpointed_execute` (in-thread) or
+:meth:`FleetPool.execute <repro.service.fleet.FleetPool.execute>` as
+the ``execute`` callable of its
+:class:`~repro.service.resilience.ResiliencePipeline`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import signal
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Tuple, Union
 
-from ..core.budget import Budget, CancellationToken
+from ..core.budget import Budget
 from ..errors import (
-    ReproError,
     StoreCorruptError,
     StoreError,
     StoreFingerprintError,
     StoreVersionError,
-    WorkerCrashedError,
 )
 from ..store.format import (
     iter_records,
@@ -60,12 +53,10 @@ from ..store.format import (
     write_record,
 )
 from .index import GraphIndex, QueryOutcome
-from .telemetry import QueryTrace
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpointer",
-    "ProcessWorkerPool",
     "WorkerPolicy",
     "checkpoint_path",
     "checkpointed_execute",
@@ -81,11 +72,6 @@ CHECKPOINT_SUFFIX = ".ckpt"
 # Default checkpoint cadence: whichever of the two triggers first.
 DEFAULT_EVERY_POPS = 2000
 DEFAULT_EVERY_SECONDS = 2.0
-
-try:
-    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-except (AttributeError, ValueError, OSError):  # pragma: no cover
-    _PAGE_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +261,7 @@ class Checkpointer:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint-aware execution (shared by the thread backend, the process
+# Checkpoint-aware execution (shared by the thread backend, the fleet
 # worker entry, and the CLI resume path)
 # ----------------------------------------------------------------------
 def _progressive_key(index: GraphIndex, algorithm: str, labels) -> Optional[str]:
@@ -437,15 +423,17 @@ def resume_query(
 
 
 # ----------------------------------------------------------------------
-# Process isolation
+# Worker policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerPolicy:
-    """Supervision knobs for :class:`ProcessWorkerPool`.
+    """Checkpoint cadence, plus the supervision knobs of
+    :class:`~repro.service.fleet.FleetPool`.
 
     ``max_rss_mb``
         Memory watchdog threshold: a worker whose resident set exceeds
-        it is checkpoint-then-killed (``None`` disables the watchdog).
+        it mid-query is checkpoint-then-killed, and an idle worker over
+        it is replaced before its next query (``None`` disables both).
     ``poll_interval``
         Seconds between supervisor samples (pipe, liveness, RSS).
     ``kill_grace_seconds``
@@ -456,7 +444,7 @@ class WorkerPolicy:
         for hangs the cooperative time limit cannot reach (``None``
         disables it).
     ``max_restarts``
-        How many times the pool respawns a *crashed* worker for the
+        How many times the fleet respawns a *crashed* worker for the
         same query (resuming from its latest checkpoint) before
         surfacing :class:`~repro.errors.WorkerCrashedError` to the
         retry ladder.  Watchdog and timeout kills are never internally
@@ -487,446 +475,3 @@ class WorkerPolicy:
             raise ValueError("kill_grace_seconds must be >= 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-
-
-def _rss_mb(pid: int) -> Optional[float]:
-    """Resident set size of ``pid`` in MiB via ``/proc`` (None if gone)."""
-    try:
-        with open(f"/proc/{pid}/statm", "r") as fh:
-            fields = fh.read().split()
-        return int(fields[1]) * _PAGE_SIZE / (1024.0 * 1024.0)
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-_CHAOS_MARKER = "chaos-killed.marker"
-
-
-def _install_chaos_hook(checkpoint_dir: str, after: int):
-    """One-shot self-SIGKILL after ``after`` checkpoint writes.
-
-    The marker file is claimed with ``O_EXCL`` so exactly one worker
-    per checkpoint directory dies, and its respawn (which finds the
-    marker) resumes unharmed — giving tests and the CI chaos job a
-    deterministic mid-search ``kill -9``.
-    """
-    marker = os.path.join(checkpoint_dir, _CHAOS_MARKER)
-
-    def on_write(checkpointer: Checkpointer) -> None:
-        if checkpointer.written < after:
-            return
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-        except FileExistsError:
-            return
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    return on_write
-
-
-def _worker_entry(
-    conn,
-    index: GraphIndex,
-    labels,
-    algorithm: str,
-    budget: Optional[Budget],
-    query_id,
-    use_result_cache: bool,
-    solver_kwargs: dict,
-    checkpoint_dir: Optional[str],
-    policy: WorkerPolicy,
-) -> None:
-    """Subprocess body: solve one query, send the outcome up the pipe.
-
-    SIGTERM from the supervisor becomes a cooperative cancellation —
-    the engine checkpoints and returns its anytime answer within a
-    bounded number of pops — so both graceful shutdown and the memory
-    watchdog's checkpoint-then-kill ride the existing token machinery.
-    """
-    token = CancellationToken()
-    signal.signal(
-        signal.SIGTERM,
-        lambda signum, frame: token.cancel("terminated by supervisor"),
-    )
-    # The parent's SIGINT handling owns batch interruption; workers
-    # must not die mid-write from a forwarded Ctrl-C.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    budget = (budget or Budget()).with_cancellation(token)
-    on_write = None
-    if (
-        policy.chaos_kill_after_checkpoints is not None
-        and checkpoint_dir is not None
-    ):
-        on_write = _install_chaos_hook(
-            checkpoint_dir, policy.chaos_kill_after_checkpoints
-        )
-    try:
-        if checkpoint_dir is not None:
-            outcome = checkpointed_execute(
-                index,
-                labels,
-                algorithm=algorithm,
-                budget=budget,
-                query_id=query_id,
-                checkpoint_dir=checkpoint_dir,
-                policy=policy,
-                on_write=on_write,
-                use_result_cache=use_result_cache,
-                **solver_kwargs,
-            )
-        else:
-            outcome = index.execute(
-                labels,
-                algorithm=algorithm,
-                budget=budget,
-                query_id=query_id,
-                use_result_cache=use_result_cache,
-                **solver_kwargs,
-            )
-    except BaseException as exc:  # pragma: no cover - belt and braces
-        outcome = _error_outcome(
-            labels, algorithm, query_id, ReproError(f"worker failed: {exc}")
-        )
-    try:
-        conn.send(outcome)
-    except Exception as exc:
-        # An unpicklable payload must not look like a crash: ship a
-        # reduced outcome carrying the serialization failure instead.
-        try:
-            conn.send(
-                _error_outcome(
-                    labels,
-                    algorithm,
-                    query_id,
-                    ReproError(f"worker could not serialize outcome: {exc}"),
-                )
-            )
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _error_outcome(labels, algorithm, query_id, error) -> QueryOutcome:
-    trace = QueryTrace(
-        query_id=query_id,
-        labels=tuple(labels),
-        algorithm=algorithm,
-        status="error",
-        error=str(error),
-    )
-    return QueryOutcome(
-        query_id=query_id,
-        labels=tuple(labels),
-        algorithm=algorithm,
-        result=None,
-        error=error,
-        trace=trace,
-    )
-
-
-class _Attempt:
-    """What one supervised subprocess run produced."""
-
-    __slots__ = ("kind", "outcome", "exitcode")
-
-    def __init__(self, kind: str, outcome=None, exitcode=None) -> None:
-        self.kind = kind  # "delivered" | "crashed" | "watchdog" | "timeout"
-        self.outcome = outcome
-        self.exitcode = exitcode
-
-
-class ProcessWorkerPool:
-    """Process-isolated query execution with supervision and resume.
-
-    One pool per executor; each :meth:`execute` call forks a fresh
-    worker (fork start method — the index is inherited, not pickled)
-    and supervises it: outcomes come back over a pipe, RSS is sampled
-    against :attr:`WorkerPolicy.max_rss_mb`, a hard timeout contains
-    hangs, and a worker that dies without delivering is respawned up to
-    ``max_restarts`` times, resuming from its latest checkpoint.  All
-    terminal containment surfaces as a failed
-    :class:`~repro.service.index.QueryOutcome` carrying a typed
-    :class:`~repro.errors.WorkerCrashedError` — retryable, so the
-    executor's ladder can degrade-and-resume.
-    """
-
-    def __init__(
-        self,
-        index: GraphIndex,
-        *,
-        checkpoint_dir: Optional[str] = None,
-        policy: Optional[WorkerPolicy] = None,
-    ) -> None:
-        import multiprocessing
-
-        self.index = GraphIndex.ensure(index)
-        self.checkpoint_dir = checkpoint_dir
-        if checkpoint_dir is not None:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-        self.policy = policy or WorkerPolicy()
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "process isolation requires the fork start method "
-                "(POSIX); use isolation='thread' on this platform"
-            )
-        self._ctx = multiprocessing.get_context("fork")
-        # Pre-compute everything a child might lazily derive under a
-        # lock: forking a multithreaded parent copies held locks, and a
-        # child deadlocking on one would burn its whole kill deadline.
-        self.index.snapshot.fingerprint
-        self._lock = threading.Lock()
-        self._live: set = set()
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        labels: Iterable[Hashable],
-        *,
-        algorithm: str = "pruneddp++",
-        budget: Optional[Budget] = None,
-        query_id=None,
-        use_result_cache: bool = True,
-        **solver_kwargs,
-    ) -> QueryOutcome:
-        """Run one query in a supervised subprocess (never raises).
-
-        Same contract as :meth:`GraphIndex.execute
-        <repro.service.index.GraphIndex.execute>`; the executor injects
-        this as the pipeline's ``execute`` callable.
-        """
-        labels = tuple(labels)
-        restarts = 0
-        watchdog_kills = 0
-        while True:
-            attempt = self._run_attempt(
-                labels, algorithm, budget, query_id, use_result_cache,
-                solver_kwargs,
-            )
-            if attempt.kind == "delivered":
-                outcome = attempt.outcome
-                outcome.trace.worker_restarts += restarts
-                outcome.trace.watchdog_kills += watchdog_kills
-                return outcome
-            if attempt.kind == "watchdog":
-                # Checkpoint-then-kill already happened (SIGTERM made
-                # the engine checkpoint); do NOT respawn the same
-                # configuration — it would exceed the budget again.
-                # Surfacing retryable lets the ladder resume degraded.
-                watchdog_kills += 1
-                return self._crashed_outcome(
-                    labels,
-                    algorithm,
-                    query_id,
-                    restarts,
-                    watchdog_kills,
-                    reason="memory watchdog",
-                    exitcode=attempt.exitcode,
-                )
-            if attempt.kind == "timeout":
-                return self._crashed_outcome(
-                    labels,
-                    algorithm,
-                    query_id,
-                    restarts,
-                    watchdog_kills,
-                    reason="hard kill deadline",
-                    exitcode=attempt.exitcode,
-                )
-            # Plain crash (kill -9, segfault, OOM-killer): respawn and
-            # resume from the latest checkpoint.
-            restarts += 1
-            if self._closed or restarts > self.policy.max_restarts:
-                return self._crashed_outcome(
-                    labels,
-                    algorithm,
-                    query_id,
-                    restarts,
-                    watchdog_kills,
-                    reason="crashed",
-                    exitcode=attempt.exitcode,
-                )
-
-    # ------------------------------------------------------------------
-    def _run_attempt(
-        self, labels, algorithm, budget, query_id, use_result_cache,
-        solver_kwargs,
-    ) -> _Attempt:
-        policy = self.policy
-        recv, send = self._ctx.Pipe(duplex=False)
-        # The parent's cancellation token cannot cross the fork (it is a
-        # threading.Event); the child builds its own, wired to SIGTERM,
-        # and the supervisor translates token → SIGTERM below.
-        child_budget = budget
-        if budget is not None and budget.cancel_token is not None:
-            child_budget = budget.replace(cancel_token=None)
-        proc = self._ctx.Process(
-            target=_worker_entry,
-            args=(
-                send,
-                self.index,
-                labels,
-                algorithm,
-                child_budget,
-                query_id,
-                use_result_cache,
-                solver_kwargs,
-                self.checkpoint_dir,
-                policy,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        send.close()
-        with self._lock:
-            self._live.add(proc)
-        hard_deadline = (
-            time.monotonic() + policy.hard_timeout_seconds
-            if policy.hard_timeout_seconds is not None
-            else None
-        )
-        term_deadline: Optional[float] = None
-        watchdog = False
-        cancelled = False
-        try:
-            while True:
-                try:
-                    has_data = recv.poll(policy.poll_interval)
-                except (OSError, EOFError):  # pragma: no cover - defensive
-                    has_data = False
-                if has_data:
-                    outcome = self._receive(recv)
-                    self._reap(proc)
-                    if watchdog:
-                        # The checkpoint-on-cancel answer is recorded on
-                        # disk; the delivery itself is superseded by the
-                        # watchdog verdict.
-                        return _Attempt("watchdog", exitcode=proc.exitcode)
-                    if outcome is None:
-                        return _Attempt("crashed", exitcode=proc.exitcode)
-                    return _Attempt("delivered", outcome=outcome)
-                if not proc.is_alive():
-                    # Dead without a poll hit: drain any final message
-                    # that raced the exit, then classify.
-                    outcome = None
-                    try:
-                        if recv.poll(0):
-                            outcome = self._receive(recv)
-                    except (OSError, EOFError):
-                        outcome = None
-                    proc.join()
-                    if watchdog:
-                        return _Attempt("watchdog", exitcode=proc.exitcode)
-                    if outcome is not None:
-                        return _Attempt("delivered", outcome=outcome)
-                    return _Attempt("crashed", exitcode=proc.exitcode)
-                now = time.monotonic()
-                if not cancelled and (
-                    self._closed
-                    or (budget is not None and budget.cancelled())
-                ):
-                    # Translate the parent-side token (or shutdown) into
-                    # SIGTERM: the child checkpoints and returns its
-                    # anytime answer within the grace window.
-                    cancelled = True
-                    self._terminate(proc)
-                    term_deadline = now + policy.kill_grace_seconds
-                if not watchdog and policy.max_rss_mb is not None:
-                    rss = _rss_mb(proc.pid)
-                    if rss is not None and rss > policy.max_rss_mb:
-                        # Checkpoint-then-kill: SIGTERM cancels the
-                        # child's token, the engine writes a final
-                        # checkpoint, then the grace deadline reaps it.
-                        watchdog = True
-                        self._terminate(proc)
-                        term_deadline = now + policy.kill_grace_seconds
-                if term_deadline is not None and now >= term_deadline:
-                    self._kill(proc)
-                    proc.join(1.0)
-                    if watchdog:
-                        return _Attempt("watchdog", exitcode=proc.exitcode)
-                    return _Attempt("crashed", exitcode=proc.exitcode)
-                if hard_deadline is not None and now >= hard_deadline:
-                    self._kill(proc)
-                    proc.join(1.0)
-                    return _Attempt("timeout", exitcode=proc.exitcode)
-        finally:
-            with self._lock:
-                self._live.discard(proc)
-            try:
-                recv.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            if proc.is_alive():
-                self._kill(proc)
-                proc.join(1.0)
-
-    @staticmethod
-    def _receive(conn):
-        try:
-            return conn.recv()
-        except (EOFError, OSError):
-            return None
-        except Exception:  # unpickling failure: treat as undelivered
-            return None
-
-    def _reap(self, proc) -> None:
-        proc.join(self.policy.kill_grace_seconds)
-        if proc.is_alive():  # pragma: no cover - defensive
-            self._kill(proc)
-            proc.join(1.0)
-
-    @staticmethod
-    def _terminate(proc) -> None:
-        try:
-            proc.terminate()
-        except (OSError, ValueError):  # pragma: no cover - defensive
-            pass
-
-    @staticmethod
-    def _kill(proc) -> None:
-        try:
-            proc.kill()
-        except (OSError, ValueError, AttributeError):  # pragma: no cover
-            pass
-
-    # ------------------------------------------------------------------
-    def _crashed_outcome(
-        self,
-        labels,
-        algorithm,
-        query_id,
-        restarts,
-        watchdog_kills,
-        *,
-        reason: str,
-        exitcode,
-    ) -> QueryOutcome:
-        error = WorkerCrashedError(
-            f"worker solving query {query_id!r} died ({reason}, "
-            f"exitcode={exitcode}) after {restarts} restart(s)",
-            exitcode=exitcode,
-            reason=reason,
-        )
-        outcome = _error_outcome(labels, algorithm, query_id, error)
-        outcome.trace.worker_restarts = restarts
-        outcome.trace.watchdog_kills = watchdog_kills
-        return outcome
-
-    # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop respawning and terminate any live workers.
-
-        Live workers get SIGTERM (checkpoint + anytime answer); with
-        ``wait=False`` they are killed outright.
-        """
-        self._closed = True
-        with self._lock:
-            live = list(self._live)
-        for proc in live:
-            if wait:
-                self._terminate(proc)
-            else:
-                self._kill(proc)

@@ -29,18 +29,15 @@ shared index, with
   :class:`~repro.service.telemetry.QueryTrace`; give the executor a
   :class:`~repro.service.telemetry.TraceSink` to stream them as JSONL.
 
-Workers are threads by default: per-label Dijkstras and DP searches
-release no GIL, so the win is cache amortization and overlap of
-waiting, not CPU parallelism.  With ``isolation="process"`` each solve
-instead runs in a supervised subprocess
-(:class:`~repro.service.durability.ProcessWorkerPool`): hangs, OOM
-kills, and hard crashes are contained to one query, and — when a
-``checkpoint_dir`` is set — the query resumes from its latest engine
-checkpoint instead of restarting cold.  ``isolation="fleet"``
-(``workers=N``) swaps the per-query fork for a persistent pre-forked
-:class:`~repro.service.fleet.FleetPool` attached zero-copy to one
-shared-memory CSR snapshot — true multi-core throughput at steady
-state, with the same respawn-and-resume guarantees per worker.
+Solves run on the executor's threads by default: per-label Dijkstras
+and DP searches release no GIL, so the win is cache amortization and
+overlap of waiting, not CPU parallelism.  With ``workers=N`` each
+solve instead runs in one of N persistent pre-forked processes
+(:class:`~repro.service.fleet.FleetPool`) attached zero-copy to one
+shared-memory CSR snapshot — multi-core throughput, and hangs, OOM
+kills, and hard crashes contained to one query.  When a
+``checkpoint_dir`` is set, a killed worker's query resumes from its
+latest engine checkpoint instead of restarting cold.
 """
 
 from __future__ import annotations
@@ -94,20 +91,12 @@ class QueryExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         certify_cache_hits: bool = False,
-        isolation: str = "thread",
         checkpoint_dir: Optional[str] = None,
         worker_policy=None,
         workers: Optional[int] = None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if isolation not in ("thread", "process", "fleet"):
-            raise ValueError(
-                "isolation must be 'thread', 'process', or 'fleet', "
-                f"got {isolation!r}"
-            )
-        if workers is not None and isolation != "fleet":
-            raise ValueError("workers= only applies to isolation='fleet'")
         self.index = GraphIndex.ensure(index)
         # A fleet of N processes needs at least N submitting threads in
         # front of it, or the warm workers can never all be busy.
@@ -140,21 +129,11 @@ class QueryExecutor:
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="gst-query"
         )
-        # Durability backends (repro.service.durability).  The worker
-        # pool forks lazily-warmed state, so it is built eagerly here —
-        # before any query thread could be holding an index lock.
-        self.isolation = isolation
+        # The fleet forks lazily-warmed state, so it is built eagerly
+        # here — before any query thread could be holding an index lock.
         self.checkpoint_dir = checkpoint_dir
         self.worker_pool = None
-        if isolation == "process":
-            from .durability import ProcessWorkerPool
-
-            self.worker_pool = ProcessWorkerPool(
-                self.index,
-                checkpoint_dir=checkpoint_dir,
-                policy=worker_policy,
-            )
-        elif isolation == "fleet":
+        if workers is not None:
             from .fleet import FleetPool
 
             self.worker_pool = FleetPool(
@@ -165,6 +144,11 @@ class QueryExecutor:
             )
         self._worker_policy = worker_policy
         self._closed = False
+
+    @property
+    def isolation(self) -> str:
+        """Where solves run: ``"fleet"`` with ``workers=N``, else ``"thread"``."""
+        return "thread" if self.worker_pool is None else "fleet"
 
     # ------------------------------------------------------------------
     def submit(
@@ -188,15 +172,16 @@ class QueryExecutor:
         ``on_progress`` receives every improved incumbent as a
         :class:`~repro.core.result.ProgressPoint` *on the worker
         thread* — it must be cheap and thread-safe.  Progress streaming
-        requires thread isolation (a callback cannot cross a process
-        boundary); served-from-cache answers emit no progress.
+        needs in-thread solves (a callback cannot cross a process
+        boundary, so an executor with ``workers=N`` rejects it);
+        served-from-cache answers emit no progress.
         """
         if self._closed:
             raise RuntimeError("executor is shut down")
         if on_progress is not None and self.isolation != "thread":
             raise ValueError(
-                "on_progress requires isolation='thread'; a progress "
-                "callback cannot cross a process boundary"
+                "on_progress needs in-thread solves (no workers=); a "
+                "progress callback cannot cross a process boundary"
             )
         effective = budget if budget is not None else self.budget
         if cancel_token is not None:
@@ -354,7 +339,7 @@ class QueryExecutor:
             # dropped and counted, never raised out of the worker.
             self.trace_sink.write_or_drop(outcome.trace)
         # The single registry recording point: every executor query —
-        # thread or process isolation, cache hit or real solve — folds
+        # in-thread or on the fleet, cache hit or real solve — folds
         # its trace in here, so registry totals equal sums over traces.
         instruments.record_query_trace(outcome.trace)
         return outcome
@@ -362,11 +347,12 @@ class QueryExecutor:
     def _execute_callable(self):
         """The solver dispatch every attempt runs through.
 
-        Process isolation routes attempts into the supervised worker
-        pool; a thread-backed executor with a ``checkpoint_dir`` wraps
-        the index in :func:`~repro.service.durability.checkpointed_execute`
-        (same durability guarantees, in-process); otherwise this is the
-        plain ``index.execute``.  Either way the resilience pipeline's
+        An executor with ``workers=N`` routes attempts into the
+        supervised fleet; an in-thread executor with a
+        ``checkpoint_dir`` wraps the index in
+        :func:`~repro.service.durability.checkpointed_execute` (same
+        durability guarantees, in-process); otherwise this is the plain
+        ``index.execute``.  Either way the resilience pipeline's
         admission/retry/breaker machinery composes on top unchanged.
         """
         if self.worker_pool is not None:
@@ -412,8 +398,9 @@ class QueryExecutor:
         Queries already executing are not interrupted either way; pass
         a :class:`~repro.core.budget.CancellationToken` to stop those
         cooperatively.  With ``wait=True`` the call blocks until every
-        started query has finished.  Process workers are asked to
-        checkpoint and exit (``wait=True``) or killed (``wait=False``).
+        started query has finished.  Fleet workers are drained —
+        in-flight queries checkpoint and deliver — before they exit
+        (``wait=True``), or are killed (``wait=False``).
 
         The attached trace sink is flushed after the pool stops (no
         buffered JSONL line is ever dropped by a drain) and closed iff

@@ -1,29 +1,42 @@
-"""Persistent shared-memory worker fleet.
+"""The worker fleet: solves in other processes, one shared graph copy.
 
-:class:`~repro.service.durability.ProcessWorkerPool` buys crash
-isolation by forking a fresh subprocess *per query* — each spawn pays
-the full cost of unsharing the parent's heap before it pops a single
-state.  The fleet keeps the isolation and drops the per-query cost:
+The frozen :class:`~repro.graph.csr.CSRGraph` is exported **once**
+into a :mod:`multiprocessing.shared_memory` segment
+(:mod:`repro.graph.shm`), and N **persistent pre-forked workers**
+attach that segment at birth (fingerprint-verified), rebuild their
+private :class:`~repro.service.index.GraphIndex` around the mapped
+buffers, and then serve query after query over a duplex pipe — attach
+cost is paid once per worker lifetime, not once per query.  This is
+the only way the service runs a solve outside the calling process.
 
-* the frozen :class:`~repro.graph.csr.CSRGraph` is exported **once**
-  into a :mod:`multiprocessing.shared_memory` segment
-  (:mod:`repro.graph.shm`), and
-* N **persistent pre-forked workers** attach that segment at birth
-  (fingerprint-verified), rebuild their private
-  :class:`~repro.service.index.GraphIndex` around the mapped buffers,
-  and then serve query after query over a duplex pipe — attach cost is
-  paid once per worker lifetime, not once per query.
+Each worker is supervised by the parent under a
+:class:`~repro.service.durability.WorkerPolicy`:
 
-Supervision carries over from the process pool wholesale: per-worker
-RSS watchdog sampled from ``/proc``, a hard wall-clock kill deadline,
-cooperative cancellation (the parent's token becomes ``SIGUSR1``,
-which cancels the worker's *current* query without killing the
-worker), and respawn-and-resume — a worker that dies mid-query is
-replaced by a fresh attach and the query resumes from its latest
-engine checkpoint.  All terminal containment surfaces as a failed
-:class:`~repro.service.index.QueryOutcome` carrying a typed
-:class:`~repro.errors.WorkerCrashedError`, exactly like the one-shot
-pool, so the executor's retry ladder composes unchanged.
+* a per-worker **memory watchdog** samples RSS from ``/proc``; a
+  worker over ``max_rss_mb`` mid-query is sent SIGTERM (its engine
+  checkpoints on the resulting cooperative cancellation), then killed;
+* a **hard wall-clock kill deadline** contains hangs the cooperative
+  time limit cannot reach;
+* **cooperative cancellation** — the parent's token becomes
+  ``SIGUSR1``, which cancels the worker's *current* query without
+  killing the worker;
+* **respawn-and-resume** — a worker that dies mid-query is replaced by
+  a fresh attach and the query resumes from its latest engine
+  checkpoint, up to ``max_restarts`` times.
+
+Before a job is sent, a slot whose worker is dead (a crash the
+previous query could not recover from, a watchdog or deadline kill) or
+whose idle RSS is already over ``max_rss_mb`` (the label cache grows
+across queries) gets a fresh worker.  That respawn is not charged to
+the new query's restart budget.  All terminal containment surfaces as
+a failed :class:`~repro.service.index.QueryOutcome` carrying a typed
+:class:`~repro.errors.WorkerCrashedError` — retryable, so the
+executor's retry ladder can resume the query degraded.
+
+Workers have no result cache of their own: the parent consults and
+fills :attr:`GraphIndex.result_cache
+<repro.service.index.GraphIndex.result_cache>`, so answers solved in
+a worker are persisted by ``save_results()`` like in-thread ones.
 
 Shutdown ordering is load-bearing: ``shutdown(wait=True)`` first
 **drains** — waits for every in-flight query (and therefore every
@@ -33,9 +46,9 @@ graceful drain into a race against the kernel.  ``wait=False`` is the
 abandon-ship path: workers are killed outright and the segment is
 force-unlinked.
 
-Wire-in: ``QueryExecutor(isolation="fleet", workers=N)`` routes every
-attempt through :meth:`FleetPool.execute`, and ``python -m repro serve
---workers N`` serves a whole TCP front-end from one fleet.
+Wire-in: ``QueryExecutor(workers=N)`` routes every attempt through
+:meth:`FleetPool.execute`, and ``python -m repro batch|serve
+--workers N`` run a whole batch or TCP front-end from one fleet.
 """
 
 from __future__ import annotations
@@ -56,16 +69,69 @@ from ..errors import (
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
 from ..obs import instruments
-from .durability import (
-    WorkerPolicy,
-    _error_outcome,
-    _install_chaos_hook,
-    _rss_mb,
-    checkpointed_execute,
-)
+from .durability import Checkpointer, WorkerPolicy, checkpointed_execute
 from .index import GraphIndex, QueryOutcome
+from .telemetry import QueryTrace
 
 __all__ = ["FleetPool", "FleetWorker"]
+
+try:
+    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):  # pragma: no cover
+    _PAGE_SIZE = 4096
+
+_CHAOS_MARKER = "chaos-killed.marker"
+
+
+def _rss_mb(pid: int) -> Optional[float]:
+    """Resident set size of ``pid`` in MiB via ``/proc`` (None if gone)."""
+    try:
+        with open(f"/proc/{pid}/statm", "r") as fh:
+            fields = fh.read().split()
+        return int(fields[1]) * _PAGE_SIZE / (1024.0 * 1024.0)
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _install_chaos_hook(checkpoint_dir: str, after: int):
+    """One-shot self-SIGKILL after ``after`` checkpoint writes.
+
+    The marker file is claimed with ``O_EXCL`` so exactly one worker
+    per checkpoint directory dies, and its respawn (which finds the
+    marker) resumes unharmed — giving tests and the CI chaos job a
+    deterministic mid-search ``kill -9``.
+    """
+    marker = os.path.join(checkpoint_dir, _CHAOS_MARKER)
+
+    def on_write(checkpointer: Checkpointer) -> None:
+        if checkpointer.written < after:
+            return
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(fd)
+        except FileExistsError:
+            return
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return on_write
+
+
+def _error_outcome(labels, algorithm, query_id, error) -> QueryOutcome:
+    trace = QueryTrace(
+        query_id=query_id,
+        labels=tuple(labels),
+        algorithm=algorithm,
+        status="error",
+        error=str(error),
+    )
+    return QueryOutcome(
+        query_id=query_id,
+        labels=tuple(labels),
+        algorithm=algorithm,
+        result=None,
+        error=error,
+        trace=trace,
+    )
 
 
 def _default_fleet_workers() -> int:
@@ -173,7 +239,6 @@ def _fleet_worker_entry(
                         checkpoint_dir=checkpoint_dir,
                         policy=policy,
                         on_write=on_write,
-                        use_result_cache=job.get("use_result_cache", True),
                         **job.get("solver_kwargs", {}),
                     )
                 else:
@@ -182,7 +247,6 @@ def _fleet_worker_entry(
                         algorithm=algorithm,
                         budget=budget,
                         query_id=query_id,
-                        use_result_cache=job.get("use_result_cache", True),
                         **job.get("solver_kwargs", {}),
                     )
             except BaseException as exc:  # pragma: no cover - belt+braces
@@ -307,7 +371,7 @@ class FleetPool:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "the worker fleet requires the fork start method (POSIX); "
-                "use isolation='thread' on this platform"
+                "run in-thread (no workers=) on this platform"
             )
         self._ctx = multiprocessing.get_context("fork")
         # Everything a child might lazily derive is computed pre-fork
@@ -343,7 +407,7 @@ class FleetPool:
         Raises :class:`~repro.errors.ShmAttachError` /
         :class:`~repro.errors.WorkerCrashedError` when the worker
         cannot come up — at construction that propagates to the caller;
-        mid-serving, :meth:`_respawn` converts it into a failed outcome.
+        mid-serving, :meth:`_refresh` returns it for a failed outcome.
         """
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
@@ -404,8 +468,19 @@ class FleetPool:
         slot.attach_seconds = float(msg.get("attach_seconds") or 0.0)
         instruments.fleet_attach_seconds().observe(slot.attach_seconds)
 
-    def _respawn(self, slot: FleetWorker) -> Optional[WorkerCrashedError]:
-        """Replace a dead worker in place; returns the error on failure."""
+    def _refresh(self, slot: FleetWorker) -> Optional[WorkerCrashedError]:
+        """Give ``slot`` a fresh worker if its current one is unfit.
+
+        Unfit means dead, or — with a watchdog configured — already
+        over ``max_rss_mb`` while idle, so the query about to be sent
+        would be killed and blamed for memory it never used.  Returns
+        the attach error if the replacement cannot come up.
+        """
+        if slot.alive():
+            limit = self.policy.max_rss_mb
+            rss = _rss_mb(slot.pid) if limit is not None else None
+            if rss is None or rss <= limit:
+                return None
         self._kill_slot(slot)
         slot.respawns += 1
         instruments.fleet_respawns_total().inc()
@@ -451,9 +526,23 @@ class FleetPool:
         the queue in front of this), then supervises that worker for
         the duration: watchdog, hard deadline, cancellation, and
         respawn-and-resume all per the pool's
-        :class:`~repro.service.durability.WorkerPolicy`.
+        :class:`~repro.service.durability.WorkerPolicy`.  The parent
+        index's result cache is consulted first (unless
+        ``use_result_cache=False``) and filled with every ``ok``
+        answer, as :meth:`GraphIndex.execute
+        <repro.service.index.GraphIndex.execute>` does in-thread.
         """
         labels = tuple(labels)
+        if use_result_cache:
+            cached = self.index.cached_outcome(
+                labels,
+                algorithm=algorithm,
+                budget=budget,
+                epsilon=solver_kwargs.get("epsilon"),
+                query_id=query_id,
+            )
+            if cached is not None:
+                return cached
         slot = self._acquire()
         if slot is None:
             return _error_outcome(
@@ -461,12 +550,17 @@ class FleetPool:
                 ReproError("fleet is shut down"),
             )
         try:
-            return self._execute_on(
-                slot, labels, algorithm, budget, query_id,
-                use_result_cache, solver_kwargs,
+            outcome = self._execute_on(
+                slot, labels, algorithm, budget, query_id, solver_kwargs
             )
         finally:
             self._release(slot)
+        result_cache = self.index.result_cache
+        if result_cache is not None and outcome.trace.status == "ok":
+            outcome.trace.result_cache = "miss"
+            if outcome.result is not None:
+                result_cache.put(labels, outcome.algorithm, outcome.result)
+        return outcome
 
     def _acquire(self) -> Optional[FleetWorker]:
         with self._cond:
@@ -485,8 +579,7 @@ class FleetPool:
             self._cond.notify_all()
 
     def _execute_on(
-        self, slot, labels, algorithm, budget, query_id,
-        use_result_cache, solver_kwargs,
+        self, slot, labels, algorithm, budget, query_id, solver_kwargs
     ) -> QueryOutcome:
         policy = self.policy
         # The parent's token cannot cross the process boundary (it is a
@@ -502,26 +595,21 @@ class FleetPool:
             "algorithm": algorithm,
             "budget": wire_budget,
             "query_id": query_id,
-            "use_result_cache": use_result_cache,
             "solver_kwargs": solver_kwargs,
         }
         restarts = 0
         while True:
-            sent = self._send_job(slot, job)
-            if not sent:
-                restarts += 1
-                if restarts > policy.max_restarts:
-                    return self._crashed_outcome(
-                        slot, labels, algorithm, query_id, restarts,
-                        reason="crashed", watchdog_kills=0,
-                    )
-                error = self._respawn(slot)
-                if error is not None:
-                    return self._attach_lost_outcome(
-                        labels, algorithm, query_id, restarts, error
-                    )
-                continue
-            attempt = self._supervise(slot, budget)
+            error = self._refresh(slot)
+            if error is not None:
+                return self._attach_lost_outcome(
+                    labels, algorithm, query_id, restarts, error
+                )
+            try:
+                slot.conn.send(job)
+            except (BrokenPipeError, OSError):  # died since the refresh
+                attempt = self._Attempt("crashed")
+            else:
+                attempt = self._supervise(slot, budget)
             if attempt.kind == "delivered":
                 outcome = attempt.outcome
                 outcome.trace.worker_restarts += restarts
@@ -532,24 +620,25 @@ class FleetPool:
                 ).inc()
                 return outcome
             if attempt.kind == "watchdog":
-                # Checkpoint-then-kill already happened; the slot is
-                # respawned for future queries, but this query is NOT
-                # internally retried — rerunning the same configuration
-                # would exceed the budget again.  Surfacing retryable
-                # lets the executor's ladder resume it degraded.
-                self._respawn(slot)
+                # Checkpoint-then-kill already happened; the next job
+                # on this slot gets a fresh worker, but this query is
+                # NOT internally retried — rerunning the same
+                # configuration would exceed the budget again.
+                # Surfacing retryable lets the executor's ladder resume
+                # it degraded.
+                self._kill_slot(slot)
                 return self._crashed_outcome(
                     slot, labels, algorithm, query_id, restarts,
                     reason="memory watchdog", watchdog_kills=1,
                 )
             if attempt.kind == "timeout":
-                self._respawn(slot)
                 return self._crashed_outcome(
                     slot, labels, algorithm, query_id, restarts,
                     reason="hard kill deadline", watchdog_kills=0,
                 )
-            # Plain crash: respawn (re-attach) and resend — the worker's
-            # checkpointed_execute resumes from the latest checkpoint.
+            # Plain crash: the refresh at the top of the loop respawns
+            # (re-attaches) and the resent job's checkpointed_execute
+            # resumes from the latest checkpoint.
             restarts += 1
             if self._closed or restarts > policy.max_restarts:
                 return self._crashed_outcome(
@@ -557,20 +646,6 @@ class FleetPool:
                     reason="crashed", watchdog_kills=0,
                     exitcode=attempt.exitcode,
                 )
-            error = self._respawn(slot)
-            if error is not None:
-                return self._attach_lost_outcome(
-                    labels, algorithm, query_id, restarts, error
-                )
-
-    def _send_job(self, slot: FleetWorker, job: dict) -> bool:
-        if slot.conn is None or not slot.alive():
-            return False
-        try:
-            slot.conn.send(job)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
 
     class _Attempt:
         __slots__ = ("kind", "outcome", "exitcode")

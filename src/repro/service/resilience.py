@@ -548,8 +548,8 @@ class ResiliencePipeline:
 
         ``execute`` overrides how each attempt actually runs (same
         signature and never-raises contract as ``index.execute``); the
-        process-isolation backend injects its worker dispatch here so
-        crashed workers flow through the same ladder as timeouts.
+        worker fleet injects its dispatch here so crashed workers flow
+        through the same ladder as timeouts.
         """
         labels = tuple(labels)
         if execute is None:

@@ -109,7 +109,7 @@ class QueryTrace:
     worker_restarts: int = 0
     watchdog_kills: int = 0
     # Fleet field (see repro.service.fleet): which persistent worker
-    # slot served this query (None outside fleet isolation).
+    # slot served this query (None for in-thread solves).
     fleet_worker: Optional[int] = None
 
     @property

@@ -63,3 +63,37 @@ class TestMakeWorkload:
         _, a = make_workload("imdb", scale="tiny", knum=3, kwf=8, num_queries=3)
         _, b = make_workload("imdb", scale="tiny", knum=3, kwf=8, num_queries=3)
         assert a.queries == b.queries
+
+    def test_independent_of_hash_seed(self):
+        # Python randomizes str hashes per process; the benchmark draw
+        # must not move with it.
+        import json
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import json\n"
+            "from repro.bench.workloads import make_workload\n"
+            "graph, queries = make_workload(\n"
+            "    'dblp', scale='tiny', knum=3, kwf=8, num_queries=3\n"
+            ")\n"
+            "print(json.dumps([graph.freeze().fingerprint,\n"
+            "                  [list(q) for q in queries]]))\n"
+        )
+        src = os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "src"
+        )
+        draws = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=120,
+            ).stdout
+            draws.append(json.loads(out))
+        assert draws[0] == draws[1]

@@ -422,9 +422,18 @@ class TestStatsAndMetrics:
 
 
 class TestConstruction:
-    def test_process_isolation_rejected(self, graph):
-        with pytest.raises(ValueError, match="thread"):
-            GSTServer(graph, isolation="process")
+    def test_fleet_serves_final_answers_only(self, graph):
+        # A callback cannot cross the process boundary, so a fleet
+        # server answers with the RESULT frame alone.
+        labels = ["q0", "q1", "q2"]
+        with ServerHarness(graph, workers=1) as harness:
+            assert harness.server.executor.isolation == "fleet"
+            with GSTClient("127.0.0.1", harness.port) as client:
+                updates = list(client.solve_stream(labels))
+        assert len(updates) == 1 and updates[0].final
+        assert updates[0].status == "ok"
+        expected = solve_gst(graph, labels)
+        assert updates[0].best_weight == pytest.approx(expected.weight)
 
     def test_executor_and_kwargs_are_exclusive(self, graph):
         from repro.service import QueryExecutor

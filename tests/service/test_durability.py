@@ -10,11 +10,13 @@ Three layers of guarantee, each tested against the real engine:
   bytes, version skew, and wrong-graph fingerprints each raise their
   typed :class:`~repro.errors.StoreError` subclass, and the execution
   path falls back to a cold solve instead of wedging.
-* **Crash containment** — a process worker SIGKILLed mid-search is
+* **Crash containment** — a fleet worker SIGKILLed mid-search is
   respawned, resumes from its latest checkpoint, and delivers a
   certified answer identical in weight to an uninterrupted run; memory
   watchdog and hard-timeout kills surface as retryable
-  :class:`~repro.errors.WorkerCrashedError`.
+  :class:`~repro.errors.WorkerCrashedError`, and a slot whose worker
+  died (or idles over the RSS limit) serves the next query on a fresh
+  worker without charging it a restart.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from repro.errors import (
 from repro.graph import generators
 from repro.service import (
     Checkpointer,
+    FleetPool,
     GraphIndex,
-    ProcessWorkerPool,
     QueryExecutor,
     WorkerPolicy,
     checkpointed_execute,
@@ -295,15 +297,12 @@ class TestCheckpointer:
 
 
 # ----------------------------------------------------------------------
-# Process isolation
+# Process isolation (the worker fleet)
 # ----------------------------------------------------------------------
 class TestProcessIsolation:
     def test_basic_delivery(self, index, reference, tmp_path):
-        pool = ProcessWorkerPool(index, checkpoint_dir=str(tmp_path))
-        try:
+        with FleetPool(index, workers=1, checkpoint_dir=str(tmp_path)) as pool:
             outcome = pool.execute(LABELS, algorithm="pruneddp++")
-        finally:
-            pool.shutdown()
         assert outcome.ok
         assert outcome.result.weight == pytest.approx(reference.weight)
         assert outcome.trace.worker_restarts == 0
@@ -312,7 +311,7 @@ class TestProcessIsolation:
         self, graph, index, reference, tmp_path
     ):
         # The acceptance criterion: SIGKILL a worker mid-search; the
-        # pool respawns it, the respawn resumes from the last
+        # fleet respawns it, the respawn resumes from the last
         # checkpoint, and the final answer is certified identical in
         # weight to the uninterrupted run.
         policy = WorkerPolicy(
@@ -320,13 +319,10 @@ class TestProcessIsolation:
             checkpoint_every_seconds=None,
             chaos_kill_after_checkpoints=2,
         )
-        pool = ProcessWorkerPool(
-            index, checkpoint_dir=str(tmp_path), policy=policy
-        )
-        try:
+        with FleetPool(
+            index, workers=1, checkpoint_dir=str(tmp_path), policy=policy
+        ) as pool:
             outcome = pool.execute(LABELS, algorithm="pruneddp++")
-        finally:
-            pool.shutdown()
         assert outcome.ok
         assert outcome.trace.worker_restarts >= 1
         assert outcome.trace.resumed_from is not None
@@ -336,25 +332,41 @@ class TestProcessIsolation:
         assert certificate.ok, certificate
 
     def test_restart_budget_exhausts_to_typed_error(self, index, tmp_path):
-        # A worker that dies before it can even checkpoint (cadence
-        # never fires) crashes identically on every respawn; the pool
-        # must give up after max_restarts with a typed error.
+        # With no restart budget, the first crash is final: the fleet
+        # gives up with a typed error instead of respawning for it.
         policy = WorkerPolicy(
             checkpoint_every_pops=1,
             checkpoint_every_seconds=None,
             chaos_kill_after_checkpoints=1,
             max_restarts=0,
         )
-        pool = ProcessWorkerPool(
-            index, checkpoint_dir=str(tmp_path), policy=policy
-        )
-        try:
+        with FleetPool(
+            index, workers=1, checkpoint_dir=str(tmp_path), policy=policy
+        ) as pool:
             outcome = pool.execute(LABELS, algorithm="pruneddp++")
-        finally:
-            pool.shutdown()
         assert not outcome.ok
         assert isinstance(outcome.error, WorkerCrashedError)
-        assert outcome.trace.worker_restarts == 1  # the one failed respawn
+        assert outcome.error.reason == "crashed"
+        assert outcome.trace.worker_restarts == 1  # the one over budget
+
+    def test_dead_slot_serves_the_next_query(self, index, tmp_path):
+        # A crash the restart budget cannot absorb leaves the slot's
+        # worker dead; the next query gets a fresh worker and is not
+        # charged a restart for the previous query's crash.
+        policy = WorkerPolicy(
+            checkpoint_every_pops=1,
+            checkpoint_every_seconds=None,
+            chaos_kill_after_checkpoints=1,
+            max_restarts=0,
+        )
+        with FleetPool(
+            index, workers=1, checkpoint_dir=str(tmp_path), policy=policy
+        ) as pool:
+            crashed = pool.execute(LABELS, algorithm="pruneddp++")
+            assert isinstance(crashed.error, WorkerCrashedError)
+            outcome = pool.execute(("q0", "q1"), algorithm="pruneddp++")
+        assert outcome.ok, outcome.error
+        assert outcome.trace.worker_restarts == 0
 
     def test_memory_watchdog_checkpoint_then_kill(self, index, tmp_path):
         policy = WorkerPolicy(
@@ -363,22 +375,42 @@ class TestProcessIsolation:
             checkpoint_every_pops=25,
             checkpoint_every_seconds=None,
         )
-        pool = ProcessWorkerPool(
-            index, checkpoint_dir=str(tmp_path), policy=policy
-        )
-        try:
+        with FleetPool(
+            index, workers=1, checkpoint_dir=str(tmp_path), policy=policy
+        ) as pool:
             outcome = pool.execute(LABELS, algorithm="pruneddp++")
-        finally:
-            pool.shutdown()
         assert not outcome.ok
         assert isinstance(outcome.error, WorkerCrashedError)
         assert outcome.error.reason == "memory watchdog"
         assert outcome.trace.watchdog_kills == 1
 
+    def test_idle_worker_over_rss_is_replaced_not_blamed(
+        self, index, monkeypatch
+    ):
+        # A long-lived worker's RSS grows with its label cache.  Once
+        # it idles over the limit, the next query must run on a fresh
+        # worker rather than be killed for memory it never used.
+        import repro.service.fleet as fleet_mod
+
+        policy = WorkerPolicy(max_rss_mb=10_000.0)
+        with FleetPool(index, workers=1, policy=policy) as pool:
+            grown = pool._slots[0].pid
+            monkeypatch.setattr(
+                fleet_mod,
+                "_rss_mb",
+                lambda pid: 20_000.0 if pid == grown else 50.0,
+            )
+            outcome = pool.execute(LABELS, algorithm="pruneddp++")
+            fresh = pool._slots[0].pid
+        assert outcome.ok, outcome.error
+        assert outcome.trace.watchdog_kills == 0
+        assert outcome.trace.worker_restarts == 0
+        assert fresh != grown
+
     def test_watchdog_crash_is_retryable_through_ladder(self, index, tmp_path):
         # WorkerCrashedError is retryable: the executor's retry ladder
         # turns a watchdog kill into a degraded-but-answered query.
-        from repro.service.durability import _error_outcome
+        from repro.service.fleet import _error_outcome
         from repro.service.resilience import retryable
 
         crashed = _error_outcome(
@@ -386,46 +418,46 @@ class TestProcessIsolation:
         )
         assert retryable(crashed)
 
-    def test_hard_timeout_contains_hang(self, index, tmp_path):
+    def test_hard_timeout_contains_hang(self, index, monkeypatch):
         import time as _t
 
+        import repro.core.solver as solver_mod
+
+        class Wedged(solver_mod.ALGORITHMS["basic"]):
+            def run_search(self, context, prepared=None):
+                _t.sleep(60)  # deaf to cancellation: only a kill ends it
+                return super().run_search(context, prepared)
+
+        # Patched before the fleet forks, so the worker inherits it.
+        monkeypatch.setitem(solver_mod.ALGORITHMS, "basic", Wedged)
         policy = WorkerPolicy(
             hard_timeout_seconds=0.3,
             poll_interval=0.02,
             checkpoint_every_pops=None,
             checkpoint_every_seconds=None,
         )
-        pool = ProcessWorkerPool(index, checkpoint_dir=None, policy=policy)
-        started = _t.monotonic()
-        try:
-            # A query this size takes ~1s in-process; the deadline must
-            # cut it off (or it finishes faster — then it delivered,
-            # which is also a pass for containment purposes).
+        with FleetPool(index, workers=1, policy=policy) as pool:
+            started = _t.monotonic()
             outcome = pool.execute(
                 LABELS, algorithm="basic", budget=Budget(time_limit=30.0)
             )
-        finally:
-            pool.shutdown()
-        elapsed = _t.monotonic() - started
+            elapsed = _t.monotonic() - started
         assert elapsed < 10.0
-        if not outcome.ok:
-            assert isinstance(outcome.error, WorkerCrashedError)
-            assert outcome.error.reason == "hard kill deadline"
+        assert not outcome.ok
+        assert isinstance(outcome.error, WorkerCrashedError)
+        assert outcome.error.reason == "hard kill deadline"
 
     def test_executor_process_isolation_batch(self, index, reference, tmp_path):
         with QueryExecutor(
             index,
             max_workers=2,
-            isolation="process",
+            workers=1,
             checkpoint_dir=str(tmp_path),
         ) as executor:
+            assert executor.isolation == "fleet"
             outcomes = executor.run_batch([LABELS, ("q0", "q1")])
         assert all(o.ok for o in outcomes)
         assert outcomes[0].result.weight == pytest.approx(reference.weight)
-
-    def test_executor_rejects_unknown_isolation(self, index):
-        with pytest.raises(ValueError):
-            QueryExecutor(index, isolation="fiber")
 
 
 # ----------------------------------------------------------------------

@@ -275,8 +275,8 @@ class TestProgressThreading:
                 outcomes[query_id].result.weight
             )
 
-    def test_progress_rejected_under_process_isolation(self, index):
-        executor = QueryExecutor(index, isolation="process")
+    def test_progress_rejected_under_fleet(self, index):
+        executor = QueryExecutor(index, workers=1)
         try:
             with pytest.raises(ValueError, match="process boundary"):
                 executor.submit(["q0", "q1"], on_progress=lambda p: None)

@@ -8,6 +8,8 @@ What these pin down:
   the in-thread executor;
 * respawn-and-resume — a SIGKILLed worker is replaced and the query
   resumes from its checkpoint instead of restarting cold;
+* the parent's result cache — answers solved in a worker are written
+  back, served as hits, and persisted by ``save_results()``;
 * the shutdown/unlink contract — ``shutdown(wait=True)`` drains
   in-flight work before removing the segment, and a segment yanked
   out from under a live query surfaces a *typed* error
@@ -34,6 +36,7 @@ from repro.service import (
     QueryExecutor,
     WorkerPolicy,
 )
+from repro.store import build_store
 
 
 @pytest.fixture(scope="module")
@@ -112,16 +115,36 @@ class TestBatchEquivalence:
             ["q0", "q1"], ["q2", "q3"], ["q0", "q4"], ["q1", "q5"],
             ["q2", "q5"], ["q3", "q4"], ["q0", "q2", "q4"], ["q1", "q3"],
         ]
-        with QueryExecutor(small_index, isolation="thread") as executor:
+        with QueryExecutor(small_index) as executor:
+            assert executor.isolation == "thread"
             baseline = executor.run_batch(queries)
-        with QueryExecutor(
-            small_index, isolation="fleet", workers=4
-        ) as executor:
+        with QueryExecutor(small_index, workers=4) as executor:
             assert executor.isolation == "fleet"
             fleet = executor.run_batch(queries)
         for base, served in zip(baseline, fleet):
             assert canonical(served) == canonical(base)
             assert served.trace.fleet_worker in range(4)
+
+
+class TestResultCache:
+    def test_fleet_answers_reach_the_result_cache(self, tmp_path):
+        graph = generators.random_graph(
+            300, 900, num_query_labels=6, label_frequency=10, seed=7
+        )
+        store_dir = str(tmp_path / "store")
+        build_store(graph, store_dir, top_k=2)
+        index = GraphIndex(graph)
+        index.attach_store(store_dir)
+        labels = ["q0", "q1", "q2"]
+        with QueryExecutor(index, workers=1) as executor:
+            first = executor.submit(labels).result()
+            second = executor.submit(labels).result()
+            direct = executor.worker_pool.execute(labels)
+        assert first.ok and first.trace.result_cache == "miss"
+        assert direct.trace.result_cache == "hit"
+        assert second.ok and second.trace.result_cache == "hit"
+        assert second.result.weight == first.result.weight
+        assert index.save_results() > 0
 
 
 class TestRespawnAndResume:

@@ -280,6 +280,71 @@ class TestBatch:
             assert code == 2, flags
             assert "error:" in capsys.readouterr().err
 
+    def test_worker_flags_need_workers(
+        self, stored_graph, query_file, capsys
+    ):
+        # Without a fleet there is no worker process to supervise, so
+        # the flags would silently do nothing.
+        stem, _ = stored_graph
+        for flags in (
+            ["--max-rss-mb", "1"],
+            ["--worker-timeout", "0.001"],
+            ["--max-rss-mb", "1", "--worker-timeout", "0.001"],
+        ):
+            code = main(
+                ["batch", "--graph", stem, "--queries", query_file, *flags]
+            )
+            assert code == 2, flags
+            err = capsys.readouterr().err
+            assert "error:" in err and "--workers" in err, flags
+
+    def test_batch_reports_fleet_size(self, stored_graph, query_file, capsys):
+        stem, _ = stored_graph
+        code = main([
+            "batch", "--graph", stem, "--queries", query_file,
+            "--workers", "1", "--max-workers", "6", "--quiet",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[pruneddp++, 1 fleet workers]" in out
+        code = main([
+            "batch", "--graph", stem, "--queries", query_file,
+            "--max-workers", "3", "--quiet",
+        ])
+        assert code == 0
+        assert "[pruneddp++, 3 thread workers]" in capsys.readouterr().out
+
+    def test_batch_fleet_store_round_trip(
+        self, stored_graph, query_file, tmp_path, capsys
+    ):
+        # Answers solved in fleet workers are persisted to the store,
+        # and a second run serves every one from the result cache.
+        import json
+
+        stem, _ = stored_graph
+        store = str(tmp_path / "store")
+        assert main(["precompute", "--graph", stem, "--out", store]) == 0
+        capsys.readouterr()
+        runs = []
+        for run in range(2):
+            traces = str(tmp_path / f"run{run}.jsonl")
+            code = main([
+                "batch", "--graph", stem, "--queries", query_file,
+                "--workers", "2", "--store", store, "--traces", traces,
+                "--quiet",
+            ])
+            assert code == 0
+            runs.append(capsys.readouterr().out)
+        assert "persisted 2 answers" in runs[0]
+        assert "store: 2 result-cache hits" in runs[1]
+        with open(traces, encoding="utf-8") as fh:
+            ok = [
+                trace for trace in map(json.loads, fh)
+                if trace["status"] == "ok"
+            ]
+        assert len(ok) == 2
+        assert all(trace["result_cache"] == "hit" for trace in ok)
+
     def test_batch_deadline_zero_skips_everything(
         self, stored_graph, query_file, capsys
     ):
@@ -496,15 +561,15 @@ class TestResume:
         assert main(["resume", "--graph", hard_graph]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_batch_process_isolation(
+    def test_batch_fleet_workers(
         self, hard_graph, hard_queries, tmp_path, capsys
     ):
         ckpts = str(tmp_path / "ckpts")
         code = main([
             "batch", "--graph", hard_graph, "--queries", hard_queries,
-            "--isolation", "process", "--checkpoint-dir", ckpts,
+            "--workers", "1", "--checkpoint-dir", ckpts,
             "--checkpoint-every", "100", "--quiet",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 ok" in out and "process workers" in out
+        assert "1 ok" in out and "1 fleet workers" in out
