@@ -2,29 +2,25 @@
 """The resilience layer: every mechanism that keeps a batch alive.
 
 Serves a workload through a :class:`repro.service.QueryExecutor` wired
-with all four resilience mechanisms, demonstrating each in turn:
+with all three resilience mechanisms, demonstrating each in turn:
 
 1. admission control — an oversized query is rejected *before* any
    search runs, with the estimated cost on the typed error;
 2. cooperative cancellation — a batch is cancelled mid-flight; running
    queries return their incumbent (bounded-gap) answers, queued ones
    stop without popping a single state;
-3. retry with degradation — a solver booby-trapped to crash is rescued
-   one rung down the ``pruneddp++ → pruneddp → basic`` ladder;
-4. circuit breaking — the crashing solver trips its breaker, later
-   queries shed straight past it, and a half-open probe heals it once
-   the "outage" ends.
+3. retry with degradation — queries on a solver booby-trapped to crash
+   are rescued one rung down the ``pruneddp++ → pruneddp → basic``
+   ladder, with the ladder's first epsilon bounding their gap.
 
 Run:  python examples/resilient_batch_demo.py
 """
 
 import threading
-import time
 
 import repro.core.solver as solver_mod
 from repro import (
     AdmissionPolicy,
-    BreakerPolicy,
     Budget,
     CancellationToken,
     GraphIndex,
@@ -80,43 +76,26 @@ def main() -> None:
         print(f"  incumbent kept: weight={o.result.weight:.1f} "
               f"ratio<={o.result.ratio:.2f} (bounded-gap, still valid)")
 
-    # --- 3 + 4. retry ladder and circuit breaking ---------------------
-    banner("retry ladder + circuit breaker")
+    # --- 3. retry with degradation ------------------------------------
+    banner("retry with degradation")
     real = solver_mod.ALGORITHMS["pruneddp++"]
-    outage = {"on": True}
 
-    class Unreliable(real):
+    class Crashing(real):
         def run_search(self, context, prepared=None):
-            if outage["on"]:
-                raise RuntimeError("simulated backend outage")
-            return super().run_search(context, prepared)
+            raise RuntimeError("simulated solver crash")
 
-    solver_mod.ALGORITHMS["pruneddp++"] = Unreliable
+    solver_mod.ALGORITHMS["pruneddp++"] = Crashing
     try:
-        ex = QueryExecutor(
-            index,
-            max_workers=1,
-            retry_policy=RetryPolicy(max_retries=2),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=2, cooldown_seconds=0.1
-            ),
-        )
-        with ex:
-            for i in range(3):
-                o = ex.run_batch([["q0", f"q{i + 1}"]])[0]
-                print(f"  query {i}: {o.trace.status} via {o.algorithm} "
-                      f"(attempts={o.trace.attempts} "
-                      f"degraded={o.trace.degraded} "
-                      f"breaker_skips={o.trace.breaker_skips})")
-            print(f"  breakers: { {k: v['state'] for k, v in ex.breaker_snapshot().items()} }")
-            outage["on"] = False
-            time.sleep(0.12)  # cooldown elapses -> half-open probe allowed
-            o = ex.run_batch([["q2", "q3"]])[0]
-            print(f"  after outage: {o.trace.status} via {o.algorithm} "
-                  f"(degraded={o.trace.degraded})")
-            print(f"  breakers: { {k: v['state'] for k, v in ex.breaker_snapshot().items()} }")
+        with QueryExecutor(
+            index, max_workers=1, retry_policy=RetryPolicy(max_retries=2)
+        ) as ex:
+            outcomes = ex.run_batch([["q0", f"q{i + 1}"] for i in range(3)])
     finally:
         solver_mod.ALGORITHMS["pruneddp++"] = real
+    for o in outcomes:
+        print(f"  {list(o.labels)!r:20s} {o.trace.status} via {o.algorithm} "
+              f"(attempts={o.trace.attempts} degraded={o.trace.degraded} "
+              f"ratio<={o.result.ratio:.2f})")
 
     # --- everything composes with plain budgets -----------------------
     banner("all together")
@@ -125,7 +104,6 @@ def main() -> None:
         max_workers=4,
         admission=AdmissionPolicy(max_estimated_states=10**9),
         retry_policy=RetryPolicy(max_retries=1),
-        breaker_policy=BreakerPolicy(),
         budget=Budget(epsilon=0.1),
     ) as ex:
         outcomes = ex.run_batch(

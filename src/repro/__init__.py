@@ -29,7 +29,6 @@ from .errors import (
     LimitExceededError,
     QueryRejectedError,
     QueryCancelledError,
-    CircuitOpenError,
     ProtocolError,
     RemoteQueryError,
     StoreError,
@@ -57,10 +56,8 @@ from .core import (
 from .service import (
     AdmissionController,
     AdmissionPolicy,
-    BreakerPolicy,
     CancellationToken,
     Checkpointer,
-    CircuitBreaker,
     FleetPool,
     GraphIndex,
     QueryExecutor,
@@ -117,7 +114,6 @@ __all__ = [
     "LimitExceededError",
     "QueryRejectedError",
     "QueryCancelledError",
-    "CircuitOpenError",
     "ProtocolError",
     "RemoteQueryError",
     "StoreError",
@@ -132,8 +128,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "RetryPolicy",
-    "BreakerPolicy",
-    "CircuitBreaker",
     "Checkpointer",
     "FleetPool",
     "WorkerPolicy",

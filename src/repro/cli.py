@@ -121,12 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="whole-batch wall-clock allowance in seconds")
     batch.add_argument("--traces", default=None,
                        help="write per-query JSONL traces to this file")
-    batch.add_argument("--retries", type=int, default=0,
-                       help="re-run timed-out/crashed queries up to N times")
+    batch.add_argument("--retries", type=int, default=0, metavar="N",
+                       help="re-run a query up to N times when an attempt "
+                            "fails with an unexpected error or a dead fleet "
+                            "worker (a time limit is no failure: the query "
+                            "returns its anytime answer)")
     batch.add_argument("--degrade", action="store_true",
-                       help="with --retries: each retry drops one rung down "
-                            "the pruneddp++>pruneddp>basic ladder with a "
-                            "growing epsilon (bounded-gap degraded answers)")
+                       help="each retry drops one rung down the "
+                            "pruneddp++>pruneddp>basic ladder with a "
+                            "growing epsilon (bounded-gap degraded answers); "
+                            "without --retries, allows 1 retry")
     batch.add_argument("--admission", type=int, default=None, metavar="STATES",
                        help="reject queries whose estimated DP state space "
                             "exceeds STATES (admission control)")

@@ -164,8 +164,8 @@ class Budget:
         """Seconds until the deadline (``None`` when no deadline set).
 
         Clamped at 0.0: an already-passed deadline reports *zero*
-        seconds left, never a negative number — callers multiply this
-        into time allowances (admission headroom, effective time
+        seconds left, never a negative number — callers turn this into
+        time allowances (admission's deadline check, effective time
         limits) where a negative value would silently corrupt the
         arithmetic instead of meaning "no time left".
         """

@@ -5,10 +5,9 @@ applications can catch a single type at their boundary.  The subclasses
 distinguish the failure modes a Group Steiner Tree (GST) workload can
 hit: malformed graphs, malformed or unsatisfiable queries,
 resource-limit interruptions, for the query service's resilience
-layer — admission rejections, cooperative cancellations, and open
-circuit breakers — and, for the persistent precompute store
-(:mod:`repro.store`), artifact corruption / version / fingerprint
-failures.
+layer — admission rejections and cooperative cancellations — and, for
+the persistent precompute store (:mod:`repro.store`), artifact
+corruption / version / fingerprint failures.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "LimitExceededError",
     "QueryRejectedError",
     "QueryCancelledError",
-    "CircuitOpenError",
     "CertificationError",
     "WorkerCrashedError",
     "ProtocolError",
@@ -116,16 +114,6 @@ class QueryCancelledError(ReproError):
     """
 
 
-class CircuitOpenError(ReproError):
-    """Every eligible algorithm's circuit breaker is open.
-
-    The executor's per-algorithm breakers shed a systematically failing
-    configuration down the degradation ladder; when the whole ladder is
-    open the query is failed fast with this error instead of burning a
-    worker on a doomed attempt.
-    """
-
-
 class CertificationError(ReproError):
     """An answer failed independent re-validation (:mod:`repro.verify`).
 
@@ -183,8 +171,8 @@ class RemoteQueryError(ReproError):
 
     The client libraries raise this when an ``ERROR`` frame comes back
     instead of a ``RESULT``.  ``code`` is the server's stable error
-    code (``"infeasible"``, ``"rejected"``, ``"circuit_open"``,
-    ``"cancelled"``, ``"overloaded"``, ``"draining"``, ``"protocol"``,
+    code (``"infeasible"``, ``"rejected"``, ``"cancelled"``,
+    ``"limit"``, ``"overloaded"``, ``"draining"``, ``"protocol"``,
     ``"bad_request"``, ``"internal"``); ``details`` carries whatever
     extra fields the frame had (e.g. an admission cost estimate).
     """

@@ -19,7 +19,7 @@ not counted: these are serving-stack metrics.)
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -37,14 +37,9 @@ __all__ = [
     "record_snapshot_build",
     "record_warm_loads",
     "record_result_cache_event",
-    "set_breaker_state",
     "register_all",
     "inventory",
-    "BREAKER_STATE_VALUES",
 ]
-
-#: Numeric encoding of circuit-breaker states for the gauge.
-BREAKER_STATE_VALUES: Dict[str, int] = {"closed": 0, "half_open": 1, "open": 2}
 
 
 def _reg(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
@@ -170,21 +165,6 @@ def admission_rejects(registry: Optional[MetricsRegistry] = None) -> Counter:
     return _reg(registry).counter(
         "gst_admission_rejects_total",
         "Queries refused by the admission controller.",
-    )
-
-
-def breaker_sheds(registry: Optional[MetricsRegistry] = None) -> Counter:
-    return _reg(registry).counter(
-        "gst_breaker_sheds_total",
-        "Attempts skipped because a circuit breaker was open.",
-    )
-
-
-def breaker_state(registry: Optional[MetricsRegistry] = None) -> Gauge:
-    return _reg(registry).gauge(
-        "gst_breaker_state",
-        "Circuit breaker state per algorithm (0=closed 1=half_open 2=open).",
-        ("algorithm",),
     )
 
 
@@ -314,8 +294,6 @@ _ACCESSORS = (
     executor_retries,
     executor_degraded,
     admission_rejects,
-    breaker_sheds,
-    breaker_state,
     traces_dropped,
     checkpoints_written,
     queries_resumed,
@@ -411,8 +389,6 @@ def record_query_trace(
         executor_degraded(registry).inc()
     if status == "rejected":
         admission_rejects(registry).inc()
-    if trace.breaker_skips:
-        breaker_sheds(registry).inc(len(trace.breaker_skips))
 
     if trace.checkpoints:
         checkpoints_written(registry).inc(trace.checkpoints)
@@ -447,11 +423,3 @@ def record_result_cache_event(
 ) -> None:
     if amount:
         result_cache_events(registry).labels(event=event).inc(amount)
-
-
-def set_breaker_state(
-    algorithm: str, state: str, registry: Optional[MetricsRegistry] = None
-) -> None:
-    breaker_state(registry).labels(algorithm=algorithm).set(
-        BREAKER_STATE_VALUES.get(state, -1)
-    )

@@ -222,7 +222,7 @@ class _GaugeChild:
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (queue depth, breaker state)."""
+    """A value that can go up and down (queue depth, in-flight queries)."""
 
     kind = "gauge"
 

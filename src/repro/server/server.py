@@ -24,12 +24,11 @@ is scheduled *after* the engine's final progress report, so a query's
 Resilience wiring
 -----------------
 The executor's whole pipeline applies unchanged: admission rejections
-come back as ``ERROR code="rejected"`` (with the cost estimate), open
-circuit breakers as ``code="circuit_open"``, infeasible queries as
-``code="infeasible"``.  A client disconnect fires the per-query
-:class:`~repro.core.budget.CancellationToken` of everything it had in
-flight, so the engine stops within its bounded pop interval instead of
-burning a worker for an audience that left.  Per-connection concurrency
+come back as ``ERROR code="rejected"`` (with the cost estimate),
+infeasible queries as ``code="infeasible"``.  A client disconnect fires
+the per-query :class:`~repro.core.budget.CancellationToken` of
+everything it had in flight, so the engine stops within its bounded pop
+interval instead of burning a worker for an audience that left.  Per-connection concurrency
 is capped at ``max_inflight`` (``ERROR code="overloaded"`` beyond it).
 
 Shutdown is a graceful *drain*: stop accepting connections, refuse new
@@ -48,7 +47,6 @@ from typing import Any, Dict, Optional, Set, Union
 
 from ..core.budget import Budget, CancellationToken
 from ..errors import (
-    CircuitOpenError,
     InfeasibleQueryError,
     LimitExceededError,
     ProtocolError,
@@ -183,7 +181,7 @@ class GSTServer:
     executor_kwargs:
         Forwarded to the internally-built executor (``max_workers``,
         ``workers``, ``trace_sink``, ``admission``, ``retry_policy``,
-        ``breaker_policy``, ``checkpoint_dir``, ...).
+        ``checkpoint_dir``, ...).
     """
 
     def __init__(
@@ -566,8 +564,6 @@ class GSTServer:
                     "estimated_seconds": error.estimated_seconds,
                 },
             )
-        if isinstance(error, CircuitOpenError):
-            return "circuit_open", message
         if isinstance(error, QueryCancelledError):
             return "cancelled", message
         if isinstance(error, LimitExceededError):

@@ -16,9 +16,8 @@ This package is the production-serving layer over the paper's solvers:
 * the resilience layer (:mod:`repro.service.resilience`) —
   :class:`~repro.core.budget.CancellationToken` cooperative
   cancellation, :class:`AdmissionController` pre-flight cost gating,
-  :class:`RetryPolicy` retry-with-degradation down the
-  ``pruneddp++ → pruneddp → basic`` ladder, and per-algorithm
-  :class:`CircuitBreaker` load shedding;
+  and :class:`RetryPolicy` retry-with-degradation down the
+  ``pruneddp++ → pruneddp → basic`` ladder;
 * the durability layer (:mod:`repro.service.durability`) — engine
   :class:`Checkpointer` (crash-safe checkpoint/resume of a progressive
   search's full frontier, ``QueryExecutor(..., checkpoint_dir=...)``),
@@ -57,12 +56,10 @@ from .index import DEFAULT_MAX_CACHED_LABELS, GraphIndex, QueryOutcome
 from .executor import QueryExecutor
 from .resilience import (
     DEGRADATION_LADDER,
+    EPSILON_LADDER,
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    BreakerBoard,
-    BreakerPolicy,
-    CircuitBreaker,
     ResiliencePipeline,
     RetryPolicy,
 )
@@ -79,12 +76,10 @@ __all__ = [
     "STAGES",
     "DEFAULT_MAX_CACHED_LABELS",
     "DEGRADATION_LADDER",
+    "EPSILON_LADDER",
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionPolicy",
-    "BreakerBoard",
-    "BreakerPolicy",
-    "CircuitBreaker",
     "ResiliencePipeline",
     "RetryPolicy",
     "Checkpointer",

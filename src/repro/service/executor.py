@@ -17,10 +17,9 @@ shared index, with
   :class:`~repro.core.budget.CancellationToken` to ``run_batch`` /
   ``submit`` (or attach one to the budget) and every in-flight query
   stops within a bounded number of state pops;
-* **resilience** — optional admission control, a retry/degradation
-  ladder, and per-algorithm circuit breakers
-  (see :mod:`repro.service.resilience`), composed into one pipeline
-  every query runs through;
+* **resilience** — optional admission control and a retry/degradation
+  ladder (see :mod:`repro.service.resilience`), composed into one
+  pipeline every query runs through;
 * **cache-hit certification** — with ``certify_cache_hits=True`` every
   answer served from the persistent result cache is re-validated
   against the live graph by :mod:`repro.verify`; a failing entry is
@@ -46,7 +45,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -62,8 +60,6 @@ from .index import GraphIndex, QueryOutcome
 from .resilience import (
     AdmissionController,
     AdmissionPolicy,
-    BreakerBoard,
-    BreakerPolicy,
     ResiliencePipeline,
     RetryPolicy,
 )
@@ -89,7 +85,6 @@ class QueryExecutor:
         trace_sink: Optional[Union[TraceSink, str]] = None,
         admission: Optional[Union[AdmissionController, AdmissionPolicy]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
         certify_cache_hits: bool = False,
         checkpoint_dir: Optional[str] = None,
         worker_policy=None,
@@ -118,13 +113,8 @@ class QueryExecutor:
         self.certify_cache_hits = certify_cache_hits
         if isinstance(admission, AdmissionPolicy):
             admission = AdmissionController(self.index, admission)
-        self.breakers: Optional[BreakerBoard] = (
-            BreakerBoard(breaker_policy) if breaker_policy is not None else None
-        )
         self._pipeline = ResiliencePipeline(
-            admission=admission,
-            retry_policy=retry_policy,
-            breakers=self.breakers,
+            admission=admission, retry_policy=retry_policy
         )
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="gst-query"
@@ -277,11 +267,6 @@ class QueryExecutor:
         ]
 
     # ------------------------------------------------------------------
-    def breaker_snapshot(self) -> Dict[str, dict]:
-        """Per-algorithm circuit-breaker states (empty without breakers)."""
-        return self.breakers.snapshot() if self.breakers is not None else {}
-
-    # ------------------------------------------------------------------
     def _run_one(
         self,
         labels,
@@ -292,10 +277,10 @@ class QueryExecutor:
     ) -> QueryOutcome:
         # Result cache first, *before* admission control: a stored
         # answer whose proven epsilon satisfies this request costs
-        # nothing to serve, so it must not be rejected, retried, or
-        # counted against any breaker.  execute() is told to skip its
-        # own lookup (the miss was already counted here); it still
-        # writes successful outcomes back.
+        # nothing to serve, so it must not be rejected or retried.
+        # execute() is told to skip its own lookup (the miss was
+        # already counted here); it still writes successful outcomes
+        # back.
         outcome: Optional[QueryOutcome] = None
         if self.index.result_cache is not None:
             outcome = self.index.cached_outcome(
@@ -353,7 +338,7 @@ class QueryExecutor:
         :func:`~repro.service.durability.checkpointed_execute` (same
         durability guarantees, in-process); otherwise this is the plain
         ``index.execute``.  Either way the resilience pipeline's
-        admission/retry/breaker machinery composes on top unchanged.
+        admission and retry machinery composes on top unchanged.
         """
         if self.worker_pool is not None:
             return self.worker_pool.execute

@@ -56,9 +56,8 @@ class QueryTrace:
     (1 when the first try sufficed), ``retries`` holds one record per
     *failed* earlier attempt, ``degraded`` flags that the final answer
     came from a lower ladder rung (or looser epsilon) than requested,
-    ``breaker_skips`` lists algorithms skipped because their circuit
-    breaker was open, and ``admission`` carries the admission
-    controller's cost estimate and decision.
+    and ``admission`` carries the admission controller's cost estimate
+    and decision.
     """
 
     query_id: Optional[Union[int, str]]
@@ -95,7 +94,6 @@ class QueryTrace:
     retries: List[Dict[str, Any]] = field(default_factory=list)
     degraded: bool = False
     cancelled: bool = False
-    breaker_skips: List[str] = field(default_factory=list)
     admission: Optional[Dict[str, Any]] = None
     # Durability fields (see repro.service.durability): ``checkpoints``
     # counts engine checkpoints written while this query ran,
@@ -156,7 +154,6 @@ class QueryTrace:
             ],
             "degraded": self.degraded,
             "cancelled": self.cancelled,
-            "breaker_skips": list(self.breaker_skips),
             "admission": self.admission,
             "checkpoints": self.checkpoints,
             "resumed_from": self.resumed_from,

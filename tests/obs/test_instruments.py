@@ -162,12 +162,3 @@ def test_register_all_materializes_full_inventory():
     from repro.obs import parse_exposition
 
     parse_exposition(registry.render_exposition())
-
-
-def test_breaker_state_encoding():
-    registry = MetricsRegistry()
-    instruments.set_breaker_state("basic", "open", registry)
-    gauge = instruments.breaker_state(registry)
-    assert gauge.value(algorithm="basic") == 2
-    instruments.set_breaker_state("basic", "closed", registry)
-    assert gauge.value(algorithm="basic") == 0

@@ -267,31 +267,17 @@ class TestExpiredDeadlineRegression:
         record = self._expired_budget().to_dict()
         assert record["deadline_remaining"] == 0.0
 
-    def test_expired_deadline_entering_admission(self, graph):
-        from repro.service import AdmissionPolicy
-        from repro.service.resilience import AdmissionController
-
-        budget = self._expired_budget()
-        controller = AdmissionController(
-            GraphIndex(graph), AdmissionPolicy(action="clamp")
-        )
-        decision = controller.assess(["q0", "q1"], budget)
-        # No time left: the query cannot be admitted unclamped, and the
-        # clamped budget must carry a *zero* time limit, not a negative
-        # one (Budget would reject it) nor a negative allowance string.
-        assert decision.action == "clamp"
-        assert decision.budget is not None
-        assert decision.budget.time_limit == 0.0
-        assert "-" not in (decision.reason or "").split("allowance")[-1]
-
     def test_expired_deadline_rejecting_admission(self, graph):
         from repro.errors import QueryRejectedError
-        from repro.service import AdmissionPolicy
         from repro.service.resilience import AdmissionController
 
-        controller = AdmissionController(
-            GraphIndex(graph), AdmissionPolicy(action="reject")
-        )
+        controller = AdmissionController(GraphIndex(graph))
+        decision = controller.assess(["q0", "q1"], self._expired_budget())
+        # No time left: the default policy rejects on the deadline, and
+        # the reason reports a zero allowance, never a negative one.
+        assert decision.action == "reject"
+        assert "deadline" in decision.reason
+        assert "-" not in decision.reason.split("allowance")[-1]
         with pytest.raises(QueryRejectedError):
             controller.admit(["q0", "q1"], self._expired_budget())
 

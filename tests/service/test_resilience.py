@@ -2,15 +2,13 @@
 
 The batch isolation contract, strengthened: under injected hangs,
 crashes and hostile load, ``run_batch`` never raises; cancelled queries
-stop within a bounded number of state pops; degraded outcomes carry a
-feasible tree whose recorded gap respects the rung's epsilon; breakers
-trip after the configured threshold and close again after a successful
-half-open probe — all of it visible in ``QueryTrace`` fields.
+stop within a bounded number of state pops; admission rejects what the
+policy or the deadline cannot afford; degraded outcomes carry a
+feasible tree whose recorded gap respects the rung's epsilon — all of
+it visible in ``QueryTrace`` fields.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -18,17 +16,15 @@ import repro.core.solver as solver_mod
 from repro.core import BasicSolver
 from repro.core.budget import Budget, CancellationToken
 from repro.errors import (
-    CircuitOpenError,
     LimitExceededError,
     QueryCancelledError,
     QueryRejectedError,
 )
 from repro.graph import generators
 from repro.service import (
+    EPSILON_LADDER,
     AdmissionController,
     AdmissionPolicy,
-    BreakerPolicy,
-    CircuitBreaker,
     GraphIndex,
     QueryExecutor,
     RetryPolicy,
@@ -156,24 +152,21 @@ class TestAdmission:
         assert info.value.estimated_states > 1
 
     def test_deadline_aware_rejection(self, index):
-        # One estimated-second per state and a microscopic deadline:
-        # nothing real fits.
-        controller = AdmissionController(
-            index, AdmissionPolicy(states_per_second=1.0)
+        # The default policy still checks the estimate, priced at the
+        # controller's calibration constant, against the deadline: half
+        # the estimated time cannot fit, a minute easily does.
+        controller = AdmissionController(index)
+        labels = ["q0", "q1", "q2"]
+        seconds = (
+            controller.estimate_states(labels)
+            / AdmissionController.STATES_PER_SECOND
         )
-        budget = Budget().with_deadline(0.001)
-        decision = controller.assess(["q0", "q1", "q2"], budget)
-        assert decision.action == "reject"
-        assert "deadline" in decision.reason
-
-    def test_clamp_action_downbudgets_instead(self, index):
-        controller = AdmissionController(
-            index, AdmissionPolicy(max_estimated_states=5, action="clamp")
-        )
-        decision = controller.assess(["q0", "q1"], Budget())
-        assert decision.action == "clamp"
-        assert decision.budget.max_states == 5
-        assert decision.budget.on_limit == "return"
+        tight = controller.assess(labels, Budget().with_deadline(seconds / 2))
+        assert tight.action == "reject"
+        assert "deadline" in tight.reason
+        assert tight.estimated_seconds == seconds
+        roomy = controller.assess(labels, Budget().with_deadline(60.0))
+        assert roomy.action == "admit" and roomy.reason is None
 
     def test_rejected_query_is_isolated_in_batch(self, index):
         with QueryExecutor(
@@ -192,9 +185,7 @@ class TestAdmission:
         with pytest.raises(ValueError):
             AdmissionPolicy(max_k=0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(states_per_second=0.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(action="panic")
+            AdmissionPolicy(max_estimated_states=0)
 
 
 # ----------------------------------------------------------------------
@@ -235,14 +226,14 @@ class TestRetryLadder:
         assert broken_top_rung["n"] == 1
 
     def test_degraded_gap_respects_rung_epsilon(self, index, broken_top_rung):
-        policy = RetryPolicy(max_retries=2, epsilon_ladder=(0.25,))
+        policy = RetryPolicy(max_retries=2)
         with QueryExecutor(index, retry_policy=policy) as executor:
             outcome = executor.run_batch([["q0", "q1", "q2"]])[0]
         assert outcome.ok and outcome.trace.degraded
         assert outcome.result.tree is not None
         # The degraded answer's recorded guarantee honors the rung's
         # epsilon: the gap never exceeds what the rung asked for.
-        assert outcome.result.ratio <= 1.25 + 1e-9
+        assert outcome.result.ratio <= 1 + EPSILON_LADDER[0] + 1e-9
 
     def test_limit_exceeded_is_retried(self, index, monkeypatch):
         real = solver_mod.ALGORITHMS["pruneddp++"]
@@ -298,179 +289,15 @@ class TestRetryLadder:
         assert not outcome.trace.degraded
 
     def test_rung_epsilon_only_grows(self):
-        policy = RetryPolicy(epsilon_ladder=(0.1, 0.25))
+        policy = RetryPolicy()
         base = Budget(epsilon=0.5)
         _, first = policy.rung("pruneddp++", 1, base)
         assert first.epsilon == 0.5  # never shrinks below the caller's
-
-
-# ----------------------------------------------------------------------
-# Circuit breaking
-# ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=3, cooldown_seconds=10.0),
-            clock=clock,
-        )
-        assert breaker.state == "closed"
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_consecutive_failures(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=2))
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never two in a row
-
-    def test_half_open_probe_lifecycle(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_seconds=5.0),
-            clock=clock,
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now = 5.0  # cooldown elapsed
-        assert breaker.state == "half_open"
-        assert breaker.allow()       # the single probe slot
-        assert not breaker.allow()   # concurrent second probe refused
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_seconds=5.0),
-            clock=clock,
-        )
-        breaker.record_failure()
-        clock.now = 5.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe failed
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock.now = 9.0  # cooldown restarted at t=5
-        assert breaker.state == "open"
-        clock.now = 10.0
-        assert breaker.state == "half_open"
-
-
-class TestBreakerIntegration:
-    def test_open_breaker_sheds_to_ladder_without_calling_solver(
-        self, index, broken_top_rung
-    ):
-        executor = QueryExecutor(
-            index,
-            max_workers=1,
-            retry_policy=RetryPolicy(max_retries=1),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=2, cooldown_seconds=60.0
-            ),
-        )
-        with executor:
-            # Two queries, each failing once on the top rung: trips it.
-            executor.run_batch([["q0", "q1"]])
-            executor.run_batch([["q2", "q3"]])
-            assert executor.breaker_snapshot()["pruneddp++"]["state"] == "open"
-            calls_before = broken_top_rung["n"]
-            outcome = executor.run_batch([["q4", "q5"]])[0]
-        assert outcome.ok
-        assert outcome.algorithm == "pruneddp"
-        assert outcome.trace.breaker_skips == ["pruneddp++"]
-        assert outcome.trace.degraded
-        # Load was shed: the broken configuration never ran again.
-        assert broken_top_rung["n"] == calls_before
-
-    def test_breaker_recovers_through_half_open(self, index, monkeypatch):
-        real = solver_mod.ALGORITHMS["pruneddp++"]
-        behavior = {"fail": True, "calls": 0}
-
-        class Flaky(real):
-            def run_search(self, context, prepared=None):
-                behavior["calls"] += 1
-                if behavior["fail"]:
-                    raise BoomError("transient outage")
-                return super().run_search(context, prepared)
-
-        monkeypatch.setitem(solver_mod.ALGORITHMS, "pruneddp++", Flaky)
-        executor = QueryExecutor(
-            index,
-            max_workers=1,
-            retry_policy=RetryPolicy(max_retries=1),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=1, cooldown_seconds=0.05
-            ),
-        )
-        with executor:
-            executor.run_batch([["q0", "q1"]])  # trips the breaker
-            assert executor.breaker_snapshot()["pruneddp++"]["state"] == "open"
-            behavior["fail"] = False  # the outage ends
-            time.sleep(0.06)          # cooldown elapses -> half-open
-            outcome = executor.run_batch([["q2", "q3"]])[0]
-            assert outcome.ok
-            assert outcome.algorithm == "pruneddp++"  # probe ran the real rung
-            assert not outcome.trace.degraded
-            assert executor.breaker_snapshot()["pruneddp++"]["state"] == "closed"
-
-    def test_all_rungs_open_fails_fast_with_typed_error(
-        self, index, monkeypatch
-    ):
-        for name in ("pruneddp++", "pruneddp", "basic"):
-            real = solver_mod.ALGORITHMS[name]
-
-            class AlwaysBoom(real):
-                def run_search(self, context, prepared=None):
-                    raise BoomError("systemic outage")
-
-            monkeypatch.setitem(solver_mod.ALGORITHMS, name, AlwaysBoom)
-        executor = QueryExecutor(
-            index,
-            max_workers=1,
-            retry_policy=RetryPolicy(max_retries=2),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=1, cooldown_seconds=60.0
-            ),
-        )
-        with executor:
-            first = executor.run_batch([["q0", "q1"]])[0]  # trips all three
-            assert not first.ok
-            snapshot = executor.breaker_snapshot()
-            assert {snapshot[n]["state"] for n in snapshot} == {"open"}
-            outcome = executor.run_batch([["q2", "q3"]])[0]
-        assert isinstance(outcome.error, CircuitOpenError)
-        assert outcome.trace.status == "error"
-        assert outcome.trace.attempts == 0
-        assert set(outcome.trace.breaker_skips) == {
-            "pruneddp++", "pruneddp", "basic"
-        }
-
-    def test_breaker_not_blamed_for_infeasible_queries(self, index):
-        executor = QueryExecutor(
-            index,
-            breaker_policy=BreakerPolicy(failure_threshold=1),
-        )
-        with executor:
-            executor.run_batch([["ghost"]] * 3)
-            outcome = executor.run_batch([["q0", "q1"]])[0]
-        assert outcome.ok  # infeasible queries never tripped anything
-        snapshot = executor.breaker_snapshot()
-        assert snapshot["pruneddp++"]["state"] == "closed"
+        # Past the ladder's end, retries stay at its bottom rung and
+        # loosest epsilon.
+        algorithm, late = policy.rung("pruneddp++", 9, Budget())
+        assert algorithm == "basic"
+        assert late.epsilon == EPSILON_LADDER[-1]
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +311,6 @@ class TestTraceSerialization:
             index,
             admission=AdmissionPolicy(max_estimated_states=10**12),
             retry_policy=RetryPolicy(max_retries=2),
-            breaker_policy=BreakerPolicy(failure_threshold=5),
         ) as executor:
             outcome = executor.run_batch([["q0", "q1"]])[0]
         record = json.loads(outcome.trace.to_json())

@@ -356,6 +356,62 @@ class TestBatch:
         assert code == 2  # nothing succeeded
         assert "skipped" in capsys.readouterr().out
 
+    def test_batch_admission_rejects_over_ceiling(
+        self, stored_graph, query_file, tmp_path, capsys
+    ):
+        import json
+
+        stem, _ = stored_graph
+        traces = str(tmp_path / "traces.jsonl")
+        code = main([
+            "batch", "--graph", stem, "--queries", query_file,
+            "--admission", "1", "--traces", traces,
+        ])
+        assert code == 2  # nothing was admitted
+        with open(traces, encoding="utf-8") as handle:
+            records = {r["query_id"]: r for r in map(json.loads, handle)}
+        for query_id in (0, 1):  # the feasible queries
+            assert records[query_id]["status"] == "rejected"
+            assert records[query_id]["admission"]["action"] == "reject"
+            assert records[query_id]["attempts"] == 0
+        rejected = sum(r["status"] == "rejected" for r in records.values())
+        out = capsys.readouterr().out
+        assert f"0 retried, 0 degraded, {rejected} rejected" in out
+
+    def test_batch_retries_degrade_down_the_ladder(
+        self, stored_graph, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        import repro.core.solver as solver_mod
+
+        real = solver_mod.ALGORITHMS["pruneddp++"]
+
+        class Exploding(real):
+            def run_search(self, context, prepared=None):
+                raise RuntimeError("injected mid-search crash")
+
+        monkeypatch.setitem(solver_mod.ALGORITHMS, "pruneddp++", Exploding)
+        stem, _ = stored_graph
+        path = tmp_path / "one.txt"
+        path.write_text("q0,q1\n", encoding="utf-8")
+        traces = str(tmp_path / "traces.jsonl")
+        code = main([
+            "batch", "--graph", stem, "--queries", str(path),
+            "--retries", "1", "--degrade", "--traces", traces,
+        ])
+        assert code == 0
+        with open(traces, encoding="utf-8") as handle:
+            (record,) = map(json.loads, handle)
+        assert record["status"] == "ok"
+        assert record["attempts"] == 2
+        assert record["degraded"] is True
+        assert record["requested_algorithm"] == "pruneddp++"
+        assert record["algorithm"] == "pruneddp"
+        out = capsys.readouterr().out
+        assert "degraded->pruneddp" in out
+        assert "1 retried, 1 degraded, 0 rejected" in out
+
 
 class TestVerify:
     def test_verify_agreeing_instance(self, stored_graph, capsys):

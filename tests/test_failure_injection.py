@@ -5,9 +5,9 @@ happy path: exceptions raised by *user callbacks* must propagate (not
 be swallowed into wrong answers), hostile strings must not corrupt
 renderings, and adversarial numeric inputs must be rejected at the
 boundary rather than produce garbage later.  The final class injects
-faults *underneath the executor* — solvers that hang, crash mid-pop,
-or fail persistently — and checks that the resilience layer turns each
-into a clean, attributed outcome.
+faults *underneath the executor* — solvers that hang or crash
+mid-pop — and checks that the resilience layer turns each into a
+clean, attributed outcome.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from repro.core.budget import CancellationToken
 from repro.core.engine import SearchEngine
 from repro.errors import QueryCancelledError
 from repro.graph import generators
-from repro.service import (
-    BreakerPolicy,
-    GraphIndex,
-    QueryExecutor,
-    RetryPolicy,
-)
+from repro.service import GraphIndex, QueryExecutor, RetryPolicy
 
 
 class CallbackBoom(Exception):
@@ -210,47 +205,6 @@ class TestExecutorFaultInjection:
         assert outcome.trace.degraded
         assert outcome.trace.attempts == 2
         assert "injected crash at pop" in outcome.trace.retries[0]["error"]
-
-    def test_persistent_failure_trips_breaker_then_recovers(
-        self, index, monkeypatch
-    ):
-        real = solver_mod.ALGORITHMS["pruneddp++"]
-        behavior = {"healthy": False, "calls": 0}
-
-        class Unreliable(real):
-            def run_search(self, context, prepared=None):
-                behavior["calls"] += 1
-                if not behavior["healthy"]:
-                    raise RuntimeError("backend down")
-                return super().run_search(context, prepared)
-
-        monkeypatch.setitem(solver_mod.ALGORITHMS, "pruneddp++", Unreliable)
-        executor = QueryExecutor(
-            index,
-            max_workers=1,
-            retry_policy=RetryPolicy(max_retries=1),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=2, cooldown_seconds=0.05
-            ),
-        )
-        with executor:
-            # Every query is rescued by the ladder while failures mount.
-            for labels in (["q0", "q1"], ["q2", "q3"]):
-                rescued = executor.run_batch([labels])[0]
-                assert rescued.ok and rescued.algorithm == "pruneddp"
-            assert executor.breaker_snapshot()["pruneddp++"]["state"] == "open"
-            # Open breaker: load is shed without touching the backend.
-            calls_before = behavior["calls"]
-            shed = executor.run_batch([["q4", "q5"]])[0]
-            assert shed.ok
-            assert behavior["calls"] == calls_before
-            assert shed.trace.breaker_skips == ["pruneddp++"]
-            # The outage ends; the half-open probe heals the breaker.
-            behavior["healthy"] = True
-            time.sleep(0.06)
-            probe = executor.run_batch([["q0", "q2"]])[0]
-            assert probe.ok and probe.algorithm == "pruneddp++"
-            assert executor.breaker_snapshot()["pruneddp++"]["state"] == "closed"
 
 
 class TestDirectedSerialization:
