@@ -274,9 +274,7 @@ class PrunedDPPlusPlusSolver(PrunedDPSolver):
 
     def _prepare(self, context: QueryContext):
         needs_tables = self.use_tour1 or self.use_tour2
-        routes = (
-            RouteTables.build(self.graph, context.groups) if needs_tables else None
-        )
+        routes = RouteTables.build(context) if needs_tables else None
         bounds = LowerBounds(
             context,
             routes=routes,

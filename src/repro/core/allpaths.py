@@ -8,15 +8,28 @@ node of ``X̄`` — where movement happens in the *label-enhanced graph*
 (all virtual nodes attached simultaneously, so consecutive legs are
 virtual-to-virtual shortest paths).
 
+The legs ``dist(ṽ_a, ṽ_b)`` come from the query context's arrays, not
+from new Dijkstras.  Let ``D0[a][b] = min_{v ∈ V_b} dist(v, ṽ_a)``, the
+plain group-to-group distance in ``G``.  Cut a shortest ``ṽ_a → ṽ_b``
+route of the enhanced graph at every virtual node it visits: each piece
+is a plain path in ``G`` between two groups, so it costs at least its
+``D0`` entry, and every ``D0`` entry is the length of a real path.  So
+the enhanced-graph distances are the min-plus closure of ``D0``, which
+Floyd–Warshall over the ``k`` virtual nodes computes in
+``O(k·Σ|V_p| + k^3)``.  The ``O(k(m + n log n))`` virtual-node
+Dijkstras of Theorem 3 are the ones
+:meth:`~repro.core.context.QueryContext.build` has already run (or read
+from the label cache).
+
 The paper drives the recurrence
 
     W(ṽ_i, ṽ_j, X̄) = min_{p ∈ X̄ \\ {j}} W(ṽ_i, ṽ_p, X̄ \\ {j}) + dist(ṽ_p, ṽ_j)
 
 with best-first search; we evaluate the identical recurrence by subset
 size (Held-Karp order), which computes exactly the same closed table in
-``O(2^k k^3)`` after the ``O(k(m + n log n))`` virtual-node Dijkstras —
-the complexity Theorem 3 states.  A property test checks the table
-against brute-force route enumeration.
+``O(2^k k^3)``.  Tests check the distances against Dijkstra on the
+materialized enhanced graph and the table against brute-force route
+enumeration.
 
 The derived open-tour table ``W(ṽ_i, X̄) = min_j W(ṽ_i, ṽ_j, X̄)`` is
 precomputed too (used by the second tour bound π_t2).
@@ -28,8 +41,7 @@ import time
 from typing import Dict, List, Sequence
 
 from ..errors import QueryError
-from ..graph.graph import Graph
-from ..graph.shortest_paths import label_enhanced_distances
+from .context import QueryContext
 from .state import iter_bits, popcount
 
 __all__ = ["RouteTables", "MAX_ALLPATHS_LABELS"]
@@ -39,6 +51,35 @@ INF = float("inf")
 # 2^k * k^2 floats; k=14 is ~3.2M entries (~tens of MB as Python lists),
 # the practical ceiling for the pure-Python table.
 MAX_ALLPATHS_LABELS = 14
+
+
+def _virtual_distances(
+    dist: Sequence[Sequence[float]], groups: Sequence[Sequence[int]]
+) -> List[List[float]]:
+    """``dist(ṽ_a, ṽ_b)`` in the label-enhanced graph (see the module doc)."""
+    k = len(groups)
+    # Groups are non-empty (GSTQuery.groups), so the diagonal is 0.
+    table = [
+        [min(map(row.__getitem__, members)) for members in groups] for row in dist
+    ]
+    for a in range(k):
+        for b in range(a):
+            # The two directions sum one path's weights in opposite
+            # orders, so they can differ in the last ulp.
+            table[a][b] = table[b][a] = min(table[a][b], table[b][a])
+    # Row and column m are fixed while m is the pivot, so the closure
+    # keeps the table exactly symmetric.
+    for m in range(k):
+        via = table[m]
+        for row in table:
+            to_m = row[m]
+            if to_m == INF:
+                continue
+            for b in range(k):
+                candidate = to_m + via[b]
+                if candidate < row[b]:
+                    row[b] = candidate
+    return table
 
 
 class RouteTables:
@@ -67,8 +108,9 @@ class RouteTables:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, groups: Sequence[Sequence[int]]) -> "RouteTables":
-        """Compute the full table set for the query's label groups."""
+    def build(cls, context: QueryContext) -> "RouteTables":
+        """Compute the full table set from the query context's distances."""
+        groups = context.groups
         k = len(groups)
         if k > MAX_ALLPATHS_LABELS:
             raise QueryError(
@@ -76,7 +118,7 @@ class RouteTables:
                 f"labels, got {k}"
             )
         started = time.perf_counter()
-        virtual_distance = label_enhanced_distances(graph, groups)
+        virtual_distance = _virtual_distances(context.dist, groups)
 
         # Masks grouped by popcount, ascending, so every sub-state of the
         # recurrence is already final when read (Held-Karp order).

@@ -9,7 +9,6 @@ from .union_find import UnionFind
 from .shortest_paths import (
     dijkstra,
     multi_source_dijkstra,
-    label_enhanced_distances,
     reconstruct_path,
     path_edges_to_source,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "UnionFind",
     "dijkstra",
     "multi_source_dijkstra",
-    "label_enhanced_distances",
     "reconstruct_path",
     "path_edges_to_source",
     "kruskal_mst",

@@ -1,4 +1,4 @@
-"""Dijkstra shortest paths, including the paper's virtual-node variants.
+"""Dijkstra shortest paths, including the paper's virtual-node variant.
 
 The paper's preprocessing (Section 3.1) attaches, for each query label
 ``p``, a virtual node ``ṽ_p`` connected with zero-weight edges to every
@@ -6,15 +6,6 @@ node of the group ``V_p``, then runs single-source Dijkstra from ``ṽ_p``.
 That is exactly a *multi-source* Dijkstra from ``V_p`` with all source
 distances zero, which is what :func:`multi_source_dijkstra` computes —
 no materialized virtual node needed.
-
-Section 4.1 additionally needs distances between virtual nodes in the
-*label-enhanced graph* where **all** virtual edges are present
-simultaneously (so a route may "teleport" for free between two nodes
-sharing a label).  :func:`label_enhanced_distances` computes those
-pairwise virtual-node distances without materializing the enhanced
-graph either: a virtual node ``ṽ_q`` is reached at cost
-``min_{u in V_q} dist(u)``, and leaving it re-seeds every node of
-``V_q`` at that cost.
 
 Kernels
 -------
@@ -44,8 +35,6 @@ __all__ = [
     "multi_source_dijkstra_csr",
     "reconstruct_path",
     "path_edges_to_source",
-    "label_enhanced_distances",
-    "label_enhanced_distances_csr",
 ]
 
 INF = float("inf")
@@ -258,156 +247,3 @@ def path_edges_to_source(
         current = nxt
     return edges
 
-
-def label_enhanced_distances(
-    graph: Graph,
-    groups: Sequence[Sequence[int]],
-) -> List[List[float]]:
-    """All-pairs distances between virtual label nodes, Section 4.1 style.
-
-    ``groups[i]`` is the node set ``V_{p_i}`` of the i-th query label.
-    Returns a ``k × k`` matrix ``D`` with ``D[i][j] = dist(ṽ_i, ṽ_j)`` in
-    the *label-enhanced* graph (every virtual node present at once, each
-    attached with zero-weight edges).
-
-    Implementation: one Dijkstra per source label over the original
-    graph, augmented with "teleport" relaxations — whenever a node of
-    group ``q`` is settled at distance ``d``, the virtual node ``ṽ_q``
-    is reached at ``d``, and all other members of ``V_q`` are relaxed to
-    ``d``.  This matches Dijkstra on the enhanced graph exactly.
-
-    Freezes the graph and runs :func:`label_enhanced_distances_csr`.
-    """
-    return label_enhanced_distances_csr(graph.freeze(), groups)
-
-
-def label_enhanced_distances_csr(
-    csr: CSRGraph,
-    groups: Sequence[Sequence[int]],
-) -> List[List[float]]:
-    """Label-enhanced virtual-node distances over the frozen snapshot.
-
-    The teleport-augmented Dijkstra described in
-    :func:`label_enhanced_distances`; on integer snapshots the bucket
-    queue replaces the heap (teleports are zero-weight relaxations, i.e.
-    same-bucket appends that the running bucket scan picks up).
-    """
-    k = len(groups)
-    n = csr.num_nodes
-    for members in groups:
-        _check_sources(members, n)
-
-    membership: List[Sequence[int]] = [()] * n
-    for gi, members in enumerate(groups):
-        for node in members:
-            current = membership[node]
-            membership[node] = (*current, gi) if current else (gi,)
-
-    int_adjacency = csr.int_adjacency
-    result: List[List[float]] = []
-    for src in range(k):
-        if int_adjacency is not None:
-            group_dist = _led_dial(csr, groups, membership, src)
-        else:
-            group_dist = _led_heap(csr, groups, membership, src)
-        result.append(group_dist)
-    for i in range(k):
-        for j in range(i + 1, k):
-            best = min(result[i][j], result[j][i])
-            result[i][j] = best
-            result[j][i] = best
-    return result
-
-
-def _led_heap(
-    csr: CSRGraph,
-    groups: Sequence[Sequence[int]],
-    membership: Sequence[Sequence[int]],
-    src: int,
-) -> List[float]:
-    n = csr.num_nodes
-    k = len(groups)
-    adjacency = csr.adjacency
-    dist: List[float] = [INF] * n
-    group_dist: List[float] = [INF] * k
-    group_expanded = [False] * k
-    group_dist[src] = 0.0
-
-    heap: List[Tuple[float, int]] = []
-    for node in groups[src]:
-        if dist[node] > 0.0:
-            dist[node] = 0.0
-            heappush(heap, (0.0, node))
-
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        for gi in membership[u]:
-            if d < group_dist[gi]:
-                group_dist[gi] = d
-            if not group_expanded[gi]:
-                group_expanded[gi] = True
-                for other in groups[gi]:
-                    if d < dist[other]:
-                        dist[other] = d
-                        heappush(heap, (d, other))
-        for v, weight in adjacency[u]:
-            nd = d + weight
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return group_dist
-
-
-def _led_dial(
-    csr: CSRGraph,
-    groups: Sequence[Sequence[int]],
-    membership: Sequence[Sequence[int]],
-    src: int,
-) -> List[float]:
-    n = csr.num_nodes
-    k = len(groups)
-    adjacency = csr.int_adjacency
-    dist: List[float] = [INF] * n  # ints while searching
-    group_dist: List[float] = [INF] * k
-    group_expanded = [False] * k
-    group_dist[src] = 0
-
-    seeds: List[int] = []
-    for node in groups[src]:
-        if dist[node] != 0:
-            dist[node] = 0
-            seeds.append(node)
-
-    buckets: List[List[int]] = [seeds]
-    num_buckets = 1
-    d = 0
-    while d < num_buckets:
-        bucket = buckets[d]
-        for u in bucket:
-            if dist[u] != d:
-                continue
-            for gi in membership[u]:
-                if d < group_dist[gi]:
-                    group_dist[gi] = d
-                if not group_expanded[gi]:
-                    group_expanded[gi] = True
-                    # Teleport = zero-weight relaxation: append to the
-                    # bucket being scanned; the iterator sees it.
-                    for other in groups[gi]:
-                        if d < dist[other]:
-                            dist[other] = d
-                            bucket.append(other)
-            for v, w in adjacency[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    while nd >= num_buckets:
-                        buckets.append([])
-                        num_buckets += 1
-                    buckets[nd].append(v)
-        buckets[d] = ()
-        d += 1
-    inf = INF
-    return [x if x is inf else float(x) for x in group_dist]

@@ -24,7 +24,7 @@ INF = float("inf")
 def make_bounds(graph, labels, **kwargs):
     query = GSTQuery(labels)
     ctx = QueryContext.build(graph, query)
-    routes = RouteTables.build(graph, ctx.groups)
+    routes = RouteTables.build(ctx)
     return ctx, LowerBounds(ctx, routes, **kwargs)
 
 
@@ -71,7 +71,7 @@ class TestAdmissibility:
         labels = [f"q{i}" for i in range(k)]
         query = GSTQuery(labels)
         ctx = QueryContext.build(g, query)
-        routes = RouteTables.build(g, ctx.groups)
+        routes = RouteTables.build(ctx)
         variants = [
             LowerBounds(ctx, routes, use_one_label=True, use_tour1=False, use_tour2=False),
             LowerBounds(ctx, routes, use_one_label=False, use_tour1=True, use_tour2=False),
@@ -91,7 +91,7 @@ class TestAdmissibility:
         labels = ["q0", "q1", "q2"]
         query = GSTQuery(labels)
         ctx = QueryContext.build(g, query)
-        routes = RouteTables.build(g, ctx.groups)
+        routes = RouteTables.build(ctx)
         combined = LowerBounds(ctx, routes)
         only_one = LowerBounds(
             ctx, routes, use_one_label=True, use_tour1=False, use_tour2=False
@@ -132,7 +132,7 @@ class TestConsistency:
         labels = ["q0", "q1", "q2"]
         query = GSTQuery(labels)
         ctx = QueryContext.build(g, query)
-        routes = RouteTables.build(g, ctx.groups)
+        routes = RouteTables.build(ctx)
         bounds = LowerBounds(
             ctx, routes, use_one_label=True, use_tour1=True, use_tour2=False
         )

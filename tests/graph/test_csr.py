@@ -18,11 +18,9 @@ from repro.errors import GraphError, NodeRangeError
 from repro.graph.csr import CSRGraph, MAX_DIAL_WEIGHT
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
-    _led_heap,
     _msd_heap,
     dijkstra,
     dijkstra_csr,
-    label_enhanced_distances_csr,
     multi_source_dijkstra,
     multi_source_dijkstra_csr,
 )
@@ -160,18 +158,6 @@ class TestDialLane:
         dist, parent = dijkstra_csr(csr, 0)
         assert dist == [0.0, 0.0, 1.0, 1.0, 3.0]
         assert dist == _msd_heap(csr, [0], None)[0]
-
-    def test_label_enhanced_dial_matches_heap(self):
-        graph = path_graph(
-            [1.0, 2.0, 1.0, 1.0],
-            labels=[(0, "a"), (4, "a"), (2, "b"), (3, "c")],
-        )
-        csr = graph.freeze()
-        assert csr.int_adjacency is not None
-        groups = [[0, 4], [2], [3]]
-        membership = [(0,), (), (1,), (2,), (0,)]
-        expected = [_led_heap(csr, groups, membership, src) for src in range(3)]
-        assert label_enhanced_distances_csr(csr, groups) == expected
 
     def test_targets_early_exit_matches(self):
         csr = path_graph([1.0, 1.0, 1.0, 1.0]).freeze()

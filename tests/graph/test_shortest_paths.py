@@ -16,7 +16,6 @@ from repro import Graph
 from repro.graph import generators
 from repro.graph.shortest_paths import (
     dijkstra,
-    label_enhanced_distances,
     multi_source_dijkstra,
     path_edges_to_source,
     reconstruct_path,
@@ -115,52 +114,3 @@ class TestMultiSource:
             sum(star_graph.edge_weight(u, v) for u, v in zip(path, path[1:]))
         )
 
-
-class TestLabelEnhancedDistances:
-    def test_matches_explicit_enhanced_graph(self, integer_weighted):
-        """Teleport Dijkstra == Dijkstra on the materialized enhanced graph."""
-        for seed in range(6):
-            generated = generators.random_graph(
-                24, 48, num_query_labels=4, label_frequency=3, seed=seed
-            )
-            for g in heap_and_dial(generated, integer_weighted):
-                groups = [list(g.nodes_with_label(f"q{i}")) for i in range(4)]
-                got = label_enhanced_distances(g, groups)
-
-                nxg = to_networkx(g)
-                for i, members in enumerate(groups):
-                    for node in members:
-                        nxg.add_edge(("virt", i), node, weight=0.0)
-                for i in range(4):
-                    expected = nx.single_source_dijkstra_path_length(
-                        nxg, ("virt", i)
-                    )
-                    for j in range(4):
-                        assert got[i][j] == pytest.approx(
-                            expected.get(("virt", j), INF)
-                        ), (seed, i, j)
-
-    def test_symmetry_and_zero_diagonal(self):
-        g = generators.random_graph(20, 35, num_query_labels=3, seed=1)
-        groups = [list(g.nodes_with_label(f"q{i}")) for i in range(3)]
-        d = label_enhanced_distances(g, groups)
-        for i in range(3):
-            assert d[i][i] == 0.0
-            for j in range(3):
-                assert d[i][j] == d[j][i]
-
-    def test_overlapping_groups_distance_zero(self):
-        g = Graph()
-        v = g.add_node(labels=["a", "b"])
-        w = g.add_node(labels=["c"])
-        g.add_edge(v, w, 5.0)
-        d = label_enhanced_distances(g, [[v], [v], [w]])
-        assert d[0][1] == 0.0
-        assert d[0][2] == 5.0
-
-    def test_disconnected_groups_inf(self):
-        g = Graph()
-        a = g.add_node(labels=["a"])
-        b = g.add_node(labels=["b"])
-        d = label_enhanced_distances(g, [[a], [b]])
-        assert d[0][1] == INF

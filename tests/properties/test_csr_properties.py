@@ -19,12 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
-from repro.graph.shortest_paths import (
-    _led_heap,
-    _msd_heap,
-    label_enhanced_distances_csr,
-    multi_source_dijkstra_csr,
-)
+from repro.graph.shortest_paths import _msd_heap, multi_source_dijkstra_csr
 from repro.verify.differential import generate_instance
 
 # ----------------------------------------------------------------------
@@ -116,15 +111,6 @@ def dial_snapshot(seed, integer_weighted, **kwargs):
     return graph, labels, csr
 
 
-def heap_label_enhanced(csr, groups):
-    """Per-source label-enhanced rows from the heap kernel."""
-    membership = [[] for _ in range(csr.num_nodes)]
-    for gi, members in enumerate(groups):
-        for node in members:
-            membership[node].append(gi)
-    return [_led_heap(csr, groups, membership, src) for src in range(len(groups))]
-
-
 def test_dijkstra_kernels_agree_on_random_graphs(integer_weighted):
     for seed in AGREEMENT_SEEDS:
         graph, _labels, csr = dial_snapshot(
@@ -136,22 +122,17 @@ def test_dijkstra_kernels_agree_on_random_graphs(integer_weighted):
             assert dial_dist == heap_dist, f"seed {seed}, source {source}"
 
 
-def test_multi_source_and_label_enhanced_agree(integer_weighted):
+def test_multi_source_kernels_agree(integer_weighted):
     for seed in AGREEMENT_SEEDS:
         graph, labels, csr = dial_snapshot(
             seed, integer_weighted, max_nodes=30, max_labels=5
         )
         groups = [list(graph.nodes_with_label(label)) for label in labels]
         groups = [members for members in groups if members]
-        if not groups:
-            continue
         for members in groups:
             dial_dist, _ = multi_source_dijkstra_csr(csr, members)
             heap_dist, _ = _msd_heap(csr, members, None)
             assert dial_dist == heap_dist, f"seed {seed}"
-        assert label_enhanced_distances_csr(csr, groups) == (
-            heap_label_enhanced(csr, groups)
-        ), f"seed {seed}"
 
 
 def test_targets_early_exit_agrees_on_requested_nodes(integer_weighted):

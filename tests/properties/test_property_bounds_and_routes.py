@@ -48,8 +48,7 @@ def labelled_graphs(draw, max_nodes=9, num_labels=3):
 def test_route_tables_match_permutation_oracle(case):
     graph, labels = case
     query = GSTQuery(labels)
-    groups = query.groups(graph)
-    tables = RouteTables.build(graph, groups)
+    tables = RouteTables.build(QueryContext.build(graph, query))
     dist = tables.virtual_distance
     k = len(labels)
     full = (1 << k) - 1
@@ -70,7 +69,7 @@ def test_combined_bound_admissible_everywhere(case):
     graph, labels = case
     query = GSTQuery(labels)
     ctx = QueryContext.build(graph, query)
-    tables = RouteTables.build(graph, ctx.groups)
+    tables = RouteTables.build(ctx)
     bounds = LowerBounds(ctx, tables)
     full = ctx.full_mask
     for v in graph.nodes():
@@ -90,8 +89,7 @@ def test_virtual_distance_metric_properties(case):
     """Label-enhanced virtual distances form a pseudometric."""
     graph, labels = case
     query = GSTQuery(labels)
-    groups = query.groups(graph)
-    tables = RouteTables.build(graph, groups)
+    tables = RouteTables.build(QueryContext.build(graph, query))
     d = tables.virtual_distance
     k = len(labels)
     for i in range(k):
