@@ -18,6 +18,10 @@ implemented, each obtained by relaxing a constraint of that tree:
 which the engines repair with the paper's path-max propagation (the
 bound cache below is monotonically *raised* as propagated values
 arrive, which keeps every cached value admissible — Section 4.2).
+
+``π₁``'s terms live in :attr:`LowerBounds.missing_rows`: per covered
+mask, the ``dist`` rows of the missing labels.  The engine reads them to
+prune a successor on ``cost + π₁`` before it asks for the full bound.
 """
 
 from __future__ import annotations
@@ -31,6 +35,27 @@ from .state import iter_bits
 __all__ = ["LowerBounds"]
 
 INF = float("inf")
+
+
+class _MissingRows(dict):
+    """Covered mask -> tuple of the missing labels' ``dist`` rows.
+
+    Filled on first use of a mask (at most 2^k entries), so subscripting
+    is one dict lookup on the engine's hot path.
+    """
+
+    __slots__ = ("dist", "full_mask")
+
+    def __init__(self, context: QueryContext) -> None:
+        super().__init__()
+        self.dist = context.dist
+        self.full_mask = context.full_mask
+
+    def __missing__(self, covered_mask: int) -> tuple:
+        missing = self.full_mask & ~covered_mask
+        rows = tuple(self.dist[i] for i in iter_bits(missing))
+        self[covered_mask] = rows
+        return rows
 
 
 class LowerBounds:
@@ -50,6 +75,7 @@ class LowerBounds:
         "use_tour2",
         "_cache",
         "_bits",
+        "missing_rows",
         "full_mask",
         "key_bits",
         "evaluations",
@@ -85,6 +111,7 @@ class LowerBounds:
         # mask -> tuple of set bit positions; at most 2^k entries, each
         # tiny, and it removes a generator per cache miss.
         self._bits: Dict[int, tuple] = {}
+        self.missing_rows = _MissingRows(context)
         self.full_mask = context.full_mask
         self.key_bits = context.k
         self.evaluations = 0
@@ -109,7 +136,7 @@ class LowerBounds:
             self.hits += 1
             return cached
         self.misses += 1
-        value = self._evaluate(node, missing)
+        value = self._evaluate(node, covered_mask)
         self._insert(key, value)
         return value
 
@@ -140,9 +167,10 @@ class LowerBounds:
         return current
 
     # ------------------------------------------------------------------
-    def _evaluate(self, node: int, missing: int) -> float:
+    def _evaluate(self, node: int, covered_mask: int) -> float:
         self.evaluations += 1
         dist = self.context.dist
+        missing = self.full_mask & ~covered_mask
         bits = self._bits.get(missing)
         if bits is None:
             bits = tuple(iter_bits(missing))
@@ -150,8 +178,8 @@ class LowerBounds:
 
         best = 0.0
         if self.use_one_label:
-            for i in bits:
-                d = dist[i][node]
+            for row in self.missing_rows[covered_mask]:
+                d = row[node]
                 if d > best:
                     best = d
 

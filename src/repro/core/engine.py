@@ -133,7 +133,7 @@ class SearchEngine:
         self._full = context.full_mask
         # Feasible-build memos: materialized shortest-path pieces per
         # (label, node), and signatures of feasible-tree unions already
-        # refined (see ``_build_feasible_csr``).
+        # refined (see ``_build_feasible_memoized``).
         self._path_pieces: Dict[int, Optional[tuple]] = {}
         self._union_seen: set = set()
         self._best = INF
@@ -163,9 +163,17 @@ class SearchEngine:
           views (no method call, no defensive copy);
         * the ``update`` procedure is a closure over local bindings
           instead of a bound method;
+        * when π₁ is part of π, ``update`` prunes a successor on
+          ``cost + π₁ >= best`` (k reads of the bounds' per-mask
+          ``missing_rows``) before it evaluates the tour bounds or
+          touches the bound memo.  π >= π₁ in the same float form, so
+          the pruning decisions are those of the full test; only the
+          successors that pass it store a path-max raise;
+        * the settled store starts every node on one shared empty
+          mapping instead of allocating n dicts per query;
         * feasible-tree construction memoizes shortest-path pieces and
           skips re-refining a union of edges it has already refined
-          (:meth:`_build_feasible_csr`) — an *exact* dedup, so the
+          (:meth:`_build_feasible_memoized`) — an *exact* dedup, so the
           incumbent trajectory is unchanged.  The top-r collector
           (``on_feasible``) bypasses the memo so every candidate still
           materializes;
@@ -204,6 +212,11 @@ class SearchEngine:
         bounds = self.bounds
         raise_bound = bounds.raise_to if bounds is not None else None
         has_bounds = bounds is not None
+        # None when π₁ is not part of π (the tour-only ablations): those
+        # run no pre-test.
+        missing_rows = (
+            bounds.missing_rows if has_bounds and bounds.use_one_label else None
+        )
         adjacency = context.snapshot.adjacency
         stats = self.stats
         eps = _COST_EPS
@@ -228,12 +241,24 @@ class SearchEngine:
             # 28-36) over packed keys; reads ``self._best`` fresh so
             # mid-expansion incumbent drops tighten pruning immediately.
             nonlocal pushes, pruned
-            settled = store_cost[node].get(mask)
-            if settled is not None:
-                if cost >= settled - eps:
+            # Most successors land on a node with no settled state, whose
+            # bucket is the store's shared read-only mapping: ``in`` is
+            # the cheapest test there.
+            bucket = store_cost[node]
+            if mask in bucket:
+                if cost >= bucket[mask] - eps:
                     return
                 store.reopen(node, mask)
                 stats.reopened += 1
+            if missing_rows is not None:
+                # π₁ pre-test: π >= π₁, so ``cost + π₁ >= best`` prunes
+                # exactly the successors the full test below would, for
+                # k array reads and without touching the bound memo.
+                best = self._best
+                for row in missing_rows[mask]:
+                    if cost + row[node] >= best:
+                        pruned += 1
+                        return
             if raise_bound is not None:
                 f_value = cost + raise_bound(node, mask, parent_f - cost)
             else:
@@ -313,7 +338,7 @@ class SearchEngine:
                     if on_feasible is not None:
                         self._build_feasible(node, mask)
                     elif cost < self._best:
-                        self._build_feasible_csr(node, mask, cost)
+                        self._build_feasible_memoized(node, mask)
 
                 parent_f = f_value if has_bounds else cost
 
@@ -550,7 +575,7 @@ class SearchEngine:
             if self.debug_certify:
                 self._certify_incumbent()
 
-    def _build_feasible_csr(self, node: int, mask: int, cost: float) -> None:
+    def _build_feasible_memoized(self, node: int, mask: int) -> None:
         """Memoized feasible construction for the search loop.
 
         Same output as :meth:`_build_feasible` with two exact

@@ -19,11 +19,16 @@ complement of X settled at v" (PrunedDP's complementary-pair merge).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["StateStore", "iter_bits", "popcount", "pack_state", "unpack_state"]
 
 Backpointer = Tuple  # ('seed', i) | ('grow', u, w) | ('merge', m1, m2)
+
+# The bucket of every node that has no settled state yet: one shared,
+# read-only empty mapping, so no caller can write into all of them.
+_EMPTY: Mapping[int, float] = MappingProxyType({})
 
 # Default width of the mask field in a packed state key.  32 bits is far
 # above any real query (MAX_ALLPATHS_LABELS is 14 and the paper's k
@@ -71,12 +76,14 @@ class StateStore:
     __slots__ = ("_cost", "_backpointer", "_size", "_peak", "key_bits")
 
     def __init__(self, num_nodes: int, key_bits: int = DEFAULT_KEY_BITS) -> None:
-        # Per-node dicts keep the merge scan ("all settled masks at v")
-        # allocation-free and O(#masks at v).  Backpointers are keyed by
-        # packed ``node << key_bits | mask`` ints; engines that share the
-        # store's ``key_bits`` can address ``_backpointer`` without
-        # building tuples.
-        self._cost: List[Dict[int, float]] = [dict() for _ in range(num_nodes)]
+        # Per-node buckets keep the merge scan ("all settled masks at v")
+        # allocation-free and O(#masks at v).  Every node starts on the
+        # shared ``_EMPTY`` mapping and gets its own dict from ``settle``,
+        # so a query pays for the nodes it settles, not for all n.
+        # Backpointers are keyed by packed ``node << key_bits | mask``
+        # ints; engines that share the store's ``key_bits`` can address
+        # ``_backpointer`` without building tuples.
+        self._cost: List[Mapping[int, float]] = [_EMPTY] * num_nodes
         self._backpointer: Dict[int, Backpointer] = {}
         self._size = 0
         self._peak = 0
@@ -89,6 +96,8 @@ class StateStore:
         """Record ``(node, mask)`` as settled with its derivation."""
         bucket = self._cost[node]
         if mask not in bucket:
+            if bucket is _EMPTY:
+                bucket = self._cost[node] = {}
             self._size += 1
             if self._size > self._peak:
                 self._peak = self._size
@@ -97,7 +106,9 @@ class StateStore:
 
     def reopen(self, node: int, mask: int) -> None:
         """Remove a settled state (safety net for inconsistent bounds)."""
-        if self._cost[node].pop(mask, None) is not None:
+        bucket = self._cost[node]
+        if mask in bucket:
+            del bucket[mask]
             self._size -= 1
         self._backpointer.pop((node << self.key_bits) | mask, None)
 
@@ -114,8 +125,12 @@ class StateStore:
     def cost_or_none(self, node: int, mask: int) -> Optional[float]:
         return self._cost[node].get(mask)
 
-    def masks_at(self, node: int) -> Dict[int, float]:
-        """All settled ``mask -> cost`` entries at ``node`` (live view)."""
+    def masks_at(self, node: int) -> Mapping[int, float]:
+        """All settled ``mask -> cost`` entries at ``node`` (live view).
+
+        A node with no settled state returns the shared read-only empty
+        mapping.
+        """
         return self._cost[node]
 
     def backpointer(self, node: int, mask: int) -> Backpointer:

@@ -41,7 +41,9 @@ class SteinerTree:
         if not node_set:
             raise ValueError("a SteinerTree must contain at least one node")
         self.nodes: FrozenSet[int] = frozenset(node_set)
-        self.weight: float = sum(w for _, _, w in self.edges)
+        # A 0.0 start keeps an edgeless tree's weight a float, as the
+        # wire decodes every weight.
+        self.weight: float = sum((w for _, _, w in self.edges), 0.0)
 
     # ------------------------------------------------------------------
     # Constructors

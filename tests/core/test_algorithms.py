@@ -24,8 +24,10 @@ from repro.core import (
     PrunedDPPlusSolver,
     PrunedDPSolver,
     brute_force_gst,
+    dpbf_optimal_weight,
 )
 from repro.graph import generators
+from repro.verify import certify_result, generate_instance
 
 ALL_PROGRESSIVE = [
     BasicSolver,
@@ -134,6 +136,19 @@ class TestCrossAlgorithmAgreement:
             for solver_cls in ALL_PROGRESSIVE:
                 result = solver_cls(g, labels).solve()
                 assert result.stats.reopened == 0
+
+    def test_safety_net_reopens_and_stays_exact(self):
+        """The counter is not always 0: this instance reopens a state.
+
+        Default PrunedDP++ reaches one settled state again by a strictly
+        cheaper derivation here; the reopen keeps the answer exact.
+        """
+        graph, labels = generate_instance(275, max_nodes=60, max_labels=6)
+        result = PrunedDPPlusPlusSolver(graph, labels).solve()
+        assert result.stats.reopened >= 1
+        assert result.optimal
+        assert result.weight == pytest.approx(dpbf_optimal_weight(graph, labels))
+        certify_result(graph, result, labels=labels).raise_if_failed()
 
 
 class TestPruningEffectiveness:

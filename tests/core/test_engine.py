@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro import Graph, GSTQuery
+from repro import Graph, GSTQuery, solve_gst
 from repro.core import (
     BasicSolver,
     PrunedDPPlusPlusSolver,
+    PrunedDPPlusSolver,
     PrunedDPSolver,
 )
 from repro.core.context import QueryContext
 from repro.core.engine import SearchEngine
 from repro.graph import generators
 from repro.service import GraphIndex
+from repro.verify import generate_instance
 
 
 def engine_for(graph, labels, **kwargs):
@@ -170,6 +174,21 @@ class TestSeedStates:
         assert result.stats.states_pushed == 1
         assert result.optimal
 
+    def test_zero_weight_answer_is_a_float(self):
+        # One node carries every label, so the answer is an edgeless
+        # tree.  Clients decode every weight as a float; an int 0 here
+        # would serialize differently in-process and over the wire.
+        g = Graph()
+        v = g.add_node(labels=["a", "b"])
+        w = g.add_node(labels=["a"])
+        g.add_edge(v, w, 1.0)
+        for algorithm in ("basic", "pruneddp", "pruneddp+", "pruneddp++", "dpbf"):
+            result = solve_gst(g, ["a", "b"], algorithm=algorithm)
+            assert result.optimal
+            assert result.tree.nodes == frozenset({v})
+            assert json.dumps(result.weight) == "0.0", algorithm
+            assert json.dumps(result.lower_bound) == "0.0", algorithm
+
 
 class TestImplicitFreeze:
     def test_direct_solve_never_serves_a_stale_snapshot(self):
@@ -195,3 +214,111 @@ class TestImplicitFreeze:
         assert served.ok
         assert served.result.weight == second.weight
         assert served.result.tree.edges == second.tree.edges
+
+
+BOUND_CONFIGS = {
+    "PrunedDP+": (PrunedDPPlusSolver, {}),
+    "PrunedDP++": (PrunedDPPlusPlusSolver, {}),
+    "one-label only": (
+        PrunedDPPlusPlusSolver,
+        dict(use_one_label=True, use_tour1=False, use_tour2=False),
+    ),
+    "tour1 only": (
+        PrunedDPPlusPlusSolver,
+        dict(use_one_label=False, use_tour1=True, use_tour2=False),
+    ),
+    "tour2 only": (
+        PrunedDPPlusPlusSolver,
+        dict(use_one_label=False, use_tour1=False, use_tour2=True),
+    ),
+}
+
+
+BOUND_INSTANCES = {
+    "gen48": lambda: generate_instance(48, max_nodes=60, max_labels=6),
+    "gen275": lambda: generate_instance(275, max_nodes=60, max_labels=6),
+    "powerlaw": lambda: (
+        generators.powerlaw(400, num_query_labels=8, label_frequency=4, seed=1),
+        ["q0", "q1", "q2", "q3"],
+    ),
+    "dblp": lambda: (
+        generators.dblp_like(
+            200, 150, num_query_labels=8, label_frequency=4, seed=0
+        ),
+        ["q0", "q1", "q2", "q3"],
+    ),
+}
+
+
+def staged_solve(solver):
+    """Solve through the stages so the caller keeps the LowerBounds."""
+    context = solver.build_context()
+    prepared = solver.prepare(context)
+    return solver.run_search(context, prepared), prepared[0]
+
+
+# (weight, states_popped, states_pushed, states_pruned, reopened) per
+# instance and bound configuration, as the full test ``cost + π >= best``
+# alone decides them.  The engine's ``cost + π₁`` pre-test must prune
+# exactly the same successors, so none of these may move.
+GOLDEN_COUNTERS = {
+    "gen48": {
+        "PrunedDP+": (54.40411456032836, 690, 690, 937, 0),
+        "PrunedDP++": (54.40411456032836, 252, 252, 685, 0),
+        "one-label only": (54.40411456032836, 690, 690, 937, 0),
+        "tour1 only": (54.40411456032836, 398, 398, 913, 0),
+        "tour2 only": (54.40411456032836, 295, 295, 722, 4),
+    },
+    "gen275": {
+        "PrunedDP+": (36.02403360094371, 297, 297, 548, 0),
+        "PrunedDP++": (36.02403360094371, 103, 103, 276, 1),
+        "one-label only": (36.02403360094371, 297, 297, 548, 0),
+        "tour1 only": (36.02403360094371, 141, 141, 368, 0),
+        "tour2 only": (36.02403360094371, 112, 112, 289, 1),
+    },
+    "powerlaw": {
+        "PrunedDP+": (9.983705171271296, 397, 447, 2486, 0),
+        "PrunedDP++": (9.983705171271296, 60, 86, 810, 0),
+        "one-label only": (9.983705171271296, 397, 447, 2486, 0),
+        "tour1 only": (9.983705171271296, 83, 121, 1048, 0),
+        "tour2 only": (9.983705171271296, 62, 88, 852, 0),
+    },
+    "dblp": {
+        "PrunedDP+": (7.0, 333, 337, 1506, 0),
+        "PrunedDP++": (7.0, 62, 64, 385, 0),
+        "one-label only": (7.0, 333, 337, 1506, 0),
+        "tour1 only": (7.0, 96, 99, 579, 0),
+        "tour2 only": (7.0, 70, 72, 447, 0),
+    },
+}
+
+
+class TestOneLabelPretest:
+    """``update`` prunes on ``cost + π₁`` before the bound memo."""
+
+    def test_pruned_successors_skip_the_full_bound(self):
+        graph, labels = BOUND_INSTANCES["powerlaw"]()
+        result, bounds = staged_solve(PrunedDPPlusPlusSolver(graph, labels))
+        assert result.optimal
+        pruned = result.stats.states_pruned
+        assert pruned == 810
+        # Without the pre-test nearly every pruned successor cost one
+        # full evaluation of max(π₁, π_t1, π_t2) (742 here).
+        assert bounds.evaluations <= pruned // 2
+
+    @pytest.mark.parametrize("config", sorted(BOUND_CONFIGS))
+    @pytest.mark.parametrize("instance", sorted(GOLDEN_COUNTERS))
+    def test_search_decisions_unchanged(self, instance, config):
+        graph, labels = BOUND_INSTANCES[instance]()
+        solver_cls, flags = BOUND_CONFIGS[config]
+        result = solver_cls(graph, labels, **flags).solve()
+        weight, popped, pushed, pruned, reopened = GOLDEN_COUNTERS[instance][config]
+        assert result.optimal
+        assert result.weight == pytest.approx(weight, rel=1e-12)
+        stats = result.stats
+        assert (
+            stats.states_popped,
+            stats.states_pushed,
+            stats.states_pruned,
+            stats.reopened,
+        ) == (popped, pushed, pruned, reopened)

@@ -58,6 +58,52 @@ class TestStateStore:
             StateStore(1).cost(0, 1)
 
 
+class TestSharedEmptyBucket:
+    """Nodes with no settled state share one read-only empty mapping."""
+
+    def test_settle_gives_only_its_node_a_bucket(self):
+        store = StateStore(4)
+        shared = store.masks_at(1)
+        store.settle(0, 0b11, 2.0, ("seed", 0))
+        assert dict(store.masks_at(0)) == {0b11: 2.0}
+        for node in (1, 2, 3):
+            assert len(store.masks_at(node)) == 0
+            assert not store.contains(node, 0b11)
+        assert len(shared) == 0
+
+    def test_unsettled_bucket_is_read_only(self):
+        # A caller writing through masks_at() must not be able to settle
+        # a mask at every unsettled node at once.
+        store = StateStore(3)
+        with pytest.raises(TypeError):
+            store.masks_at(2)[0b01] = 1.0
+        assert len(store.masks_at(1)) == 0
+
+    def test_reopen_of_never_settled_state_is_a_noop(self):
+        store = StateStore(3)
+        store.settle(0, 0b01, 1.0, ("seed", 0))
+        store.reopen(1, 0b01)  # node never settled
+        store.reopen(0, 0b10)  # node settled, mask not
+        assert len(store) == 1
+        assert store.contains(0, 0b01)
+        assert len(store.masks_at(1)) == 0
+
+    def test_items_follow_node_then_insertion_order(self):
+        # Engine checkpoints serialize items() and rely on this order
+        # for byte-stability.
+        store = StateStore(5)
+        store.settle(3, 0b10, 1.0, ("seed", 1))
+        store.settle(1, 0b11, 2.0, ("merge", 0b01, 0b10))
+        store.settle(3, 0b01, 0.5, ("seed", 0))
+        store.settle(1, 0b01, 0.0, ("seed", 0))
+        assert [(node, mask) for node, mask, _, _ in store.items()] == [
+            (1, 0b11),
+            (1, 0b01),
+            (3, 0b10),
+            (3, 0b01),
+        ]
+
+
 class TestTreeReconstruction:
     def test_seed_state_has_no_edges(self):
         store = StateStore(1)
