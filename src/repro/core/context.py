@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import InfeasibleQueryError
+from ..errors import GraphError, InfeasibleQueryError
 from ..graph.graph import Graph
 from ..graph.shortest_paths import multi_source_dijkstra
 from .query import GSTQuery
@@ -161,18 +161,25 @@ class QueryContext:
         Walks the multi-source Dijkstra parent pointers; the path ends at
         a node carrying the label (distance 0 from the virtual node).
         Returns ``[]`` when ``node`` itself carries the label.  Raises
-        ``ValueError`` if the label is unreachable from ``node``.
+        ``ValueError`` if the label is unreachable from ``node``, and
+        ``GraphError`` if a parent hop is not an edge of the graph.
         """
         if self.dist[label_index][node] == INF:
             raise ValueError(
                 f"label index {label_index} unreachable from node {node}"
             )
         parents = self.parent[label_index]
+        # Parent pointers hold this graph's own node ids, so each hop
+        # reads its weight with one dict lookup and no id validation.
+        weight_of = self.graph._edge_weight
         edges: List[Tuple[int, int, float]] = []
         current = node
         while parents[current] != -1:
             nxt = parents[current]
-            edges.append((current, nxt, self.graph.edge_weight(current, nxt)))
+            weight = weight_of(current, nxt)
+            if weight is None:
+                raise GraphError(f"no edge between {current} and {nxt}")
+            edges.append((current, nxt, weight))
             current = nxt
         return edges
 

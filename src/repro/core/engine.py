@@ -53,6 +53,7 @@ from .bounds import LowerBounds
 from .context import QueryContext
 from .feasible import (
     build_feasible_tree,
+    kept_core_weight,
     prune_redundant_leaves,
     steiner_tree_from_edges,
 )
@@ -64,6 +65,10 @@ __all__ = ["SearchEngine"]
 
 INF = float("inf")
 _COST_EPS = 1e-12
+# A kept core skips its union's refinement only when it reaches the
+# incumbent by this relative margin, which covers its summation order
+# differing from ``SteinerTree``'s sorted sum.
+_CORE_MARGIN = 1.0 + 1e-9
 _LIMIT_CHECK_INTERVAL = 256
 
 
@@ -133,7 +138,7 @@ class SearchEngine:
         self._full = context.full_mask
         # Feasible-build memos: materialized shortest-path pieces per
         # (label, node), and signatures of feasible-tree unions already
-        # refined (see ``_build_feasible_memoized``).
+        # evaluated (see ``_build_feasible_memoized``).
         self._path_pieces: Dict[int, Optional[tuple]] = {}
         self._union_seen: set = set()
         self._best = INF
@@ -171,12 +176,14 @@ class SearchEngine:
           successors that pass it store a path-max raise;
         * the settled store starts every node on one shared empty
           mapping instead of allocating n dicts per query;
-        * feasible-tree construction memoizes shortest-path pieces and
-          skips re-refining a union of edges it has already refined
-          (:meth:`_build_feasible_memoized`) — an *exact* dedup, so the
-          incumbent trajectory is unchanged.  The top-r collector
-          (``on_feasible``) bypasses the memo so every candidate still
-          materializes;
+        * feasible-tree construction memoizes shortest-path pieces,
+          skips a union of edges it has already seen, and skips the MST
+          and leaf prune for a union tree whose kept core already
+          weighs at least the incumbent
+          (:meth:`_build_feasible_memoized`).  Both skips are *exact*,
+          so the incumbent trajectory is unchanged.  The top-r
+          collector (``on_feasible``) bypasses them so every candidate
+          still materializes;
         * peak-size tracking is sampled at the limit-check interval
           rather than per push.
         """
@@ -578,17 +585,25 @@ class SearchEngine:
     def _build_feasible_memoized(self, node: int, mask: int) -> None:
         """Memoized feasible construction for the search loop.
 
-        Same output as :meth:`_build_feasible` with two exact
+        Same incumbent as :meth:`_build_feasible` with three exact
         accelerations:
 
         * the shortest-path edge walk from ``v`` toward each missing
           group depends only on ``(label, v)`` and is cached across
           pops (the parent trees are fixed for the whole query);
-        * the union of state edges + path pieces is signatured; a union
-          already refined earlier in the run would produce the *same*
-          tree, whose weight was already compared against an incumbent
-          that has only decreased since — so duplicates skip the
-          MST/prune refinement with zero effect on the trajectory.
+        * the union of state edges + path pieces is deduped once into
+          ``{(u, v): w}`` pairs, whose key set is its signature.  A
+          union already evaluated earlier in the run would produce the
+          *same* tree, whose weight was already compared against an
+          incumbent that has only decreased since — so duplicates skip
+          the MST/prune refinement with zero effect on the trajectory;
+        * a new union that weighs at least the incumbent and is a tree
+          is refined only if its kept core
+          (:func:`~repro.core.feasible.kept_core_weight`) is lighter
+          than the incumbent.  Every refinement of the union contains
+          the core, so a skipped union could not have produced a new
+          best (``docs/algorithms.md``, Algorithm 1).  Skipped unions
+          still count in ``stats.feasible_built``.
         """
         started = time.perf_counter()
         state_edges = self._store.tree_edges(node, mask)
@@ -618,13 +633,28 @@ class SearchEngine:
                 return
             union.extend(piece)
 
-        signature = frozenset(
-            (u, v) if u < v else (v, u) for u, v, _ in union
-        )
+        # One weight per pair: the graph keeps one edge per pair, and
+        # state trees and path pieces both read it.
+        pairs: Dict[Tuple[int, int], float] = {
+            ((u, v) if u < v else (v, u)): w for u, v, w in union
+        }
+        signature = frozenset(pairs)
         if signature in self._union_seen:
             self.stats.feasible_seconds += time.perf_counter() - started
             return
         self._union_seen.add(signature)
+
+        best = self._best
+        if best < INF and sum(pairs.values()) >= best:
+            # The union is connected: the state tree and every path piece
+            # contain ``node``.  If it is a tree, every refinement of it
+            # keeps its kept core, so a core at least ``best`` means the
+            # refined tree could not beat the incumbent.
+            core = kept_core_weight(context, pairs)
+            if core is not None and core >= best * _CORE_MARGIN:
+                self.stats.feasible_built += 1
+                self.stats.feasible_seconds += time.perf_counter() - started
+                return
 
         tree = steiner_tree_from_edges(union, anchor=node)
         tree = prune_redundant_leaves(context, tree)

@@ -12,6 +12,10 @@ We additionally prune leaf branches that cover no needed label — a
 strictly-improving post-pass that keeps the feasible tree (and therefore
 the paper's upper-bound curves) tight.  The result is always a valid
 covering tree, so its weight is a sound upper bound on ``f*(P)``.
+
+:func:`kept_core_weight` bounds that refinement from below without
+running it, so the search can skip unions that cannot beat its
+incumbent.
 """
 
 from __future__ import annotations
@@ -154,3 +158,61 @@ def prune_redundant_leaves(
         # exactly one, by the degree bookkeeping).
         return SteinerTree.single_node(kept_nodes[0])
     return SteinerTree(kept_edges)
+
+
+def kept_core_weight(
+    context: QueryContext, pairs: Dict[Tuple[int, int], float]
+) -> Optional[float]:
+    """Lower bound on the refined tree of a union, or ``None``.
+
+    ``pairs`` maps each pair ``(u, v)``, ``u < v``, of a connected union
+    with at least one edge to its weight.  Returns ``None`` when the
+    union is not a tree.  Otherwise returns the weight of its *kept
+    core*: the subtree spanning the *unique carriers*, the nodes that
+    alone carry some query label within the union.
+
+    :func:`prune_redundant_leaves` never strips the last carrier of a
+    label, and the MST of a tree is the tree itself.  So whatever order
+    the prune strips leaves in, ``prune_redundant_leaves(context,
+    steiner_tree_from_edges(union, anchor))`` is a connected subtree of
+    the union that holds every unique carrier, and weighs at least this.
+    """
+    degree: Dict[int, int] = {}
+    # XOR of each node's live neighbours: a leaf's one neighbour is its
+    # entry, without adjacency lists.
+    link: Dict[int, int] = {}
+    for u, v in pairs:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+        link[u] = link.get(u, 0) ^ v
+        link[v] = link.get(v, 0) ^ u
+    if len(degree) != len(pairs) + 1:
+        return None  # connected with a cycle
+    node_masks = context.node_masks
+    seen = shared = 0
+    for node in degree:
+        mask = node_masks[node]
+        shared |= seen & mask
+        seen |= mask
+    unique = seen & ~shared  # labels with exactly one carrier
+    carriers = 0
+    frontier: List[int] = []
+    for node, d in degree.items():
+        if node_masks[node] & unique:
+            carriers += 1
+        elif d == 1:
+            frontier.append(node)
+    if carriers < 2:
+        return 0.0  # the core is one node, or none
+    # Strip leaves that are not unique carriers.  The core always keeps
+    # the >= 2 carriers and the paths between them, so no node left in
+    # it drops to degree 0.
+    while frontier:
+        leaf = frontier.pop()
+        degree[leaf] = 0
+        other = link[leaf]
+        link[other] ^= leaf
+        degree[other] -= 1
+        if degree[other] == 1 and not node_masks[other] & unique:
+            frontier.append(other)
+    return sum(w for (u, v), w in pairs.items() if degree[u] and degree[v])

@@ -83,6 +83,10 @@ class SearchStats:
     incumbent_improvements: int = 0
     merges_performed: int = 0
     edges_grown: int = 0
+    # Feasible unions evaluated (Algorithm 1 lines 10-15): refined into
+    # a tree, or rejected because their kept core already weighs at
+    # least the incumbent.  A union seen before is not counted again,
+    # except under a top-r collector, which refines every one.
     feasible_built: int = 0
     reopened: int = 0
     peak_queue_size: int = 0

@@ -1,7 +1,8 @@
 """Disjoint-set (union-find) structure with path compression + union by rank.
 
 Used by Kruskal's MST (feasible-tree construction runs one MST per popped
-DP state, so this is on a warm path) and by the connectivity validator.
+DP state whose union may beat the incumbent) and by the connectivity
+validator.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro import Graph, GSTQuery, InfeasibleQueryError
+from repro import Graph, GraphError, GSTQuery, InfeasibleQueryError
 from repro.core.context import QueryContext
 from repro.graph import generators
 
@@ -100,6 +100,14 @@ class TestShortestPathEdges:
         with pytest.raises(ValueError):
             ctx.shortest_path_edges(1, 0)
 
+    def test_parent_hop_without_edge_raises(self, path_graph):
+        ctx = build(path_graph, ["x", "y"])
+        parents = list(ctx.parent[1])
+        parents[0] = 2  # nodes 0 and 2 are not adjacent
+        ctx.parent[1] = parents
+        with pytest.raises(GraphError):
+            ctx.shortest_path_edges(1, 0)
+
     def test_path_weight_equals_distance_everywhere(self):
         g = generators.random_graph(
             30, 60, num_query_labels=2, label_frequency=3, seed=9
@@ -110,6 +118,7 @@ class TestShortestPathEdges:
                 edges = ctx.shortest_path_edges(i, node)
                 total = sum(w for _, _, w in edges)
                 assert total == pytest.approx(ctx.dist[i][node])
+                assert all(w == g.edge_weight(u, v) for u, v, w in edges)
                 # The far end carries the label.
                 end = edges[-1][1] if edges else node
                 assert g.has_label(end, f"q{i}")

@@ -13,6 +13,7 @@ from repro.core import (
     PrunedDPPlusSolver,
     PrunedDPSolver,
 )
+from repro.core import engine as engine_module
 from repro.core.context import QueryContext
 from repro.core.engine import SearchEngine
 from repro.graph import generators
@@ -257,39 +258,71 @@ def staged_solve(solver):
     return solver.run_search(context, prepared), prepared[0]
 
 
-# (weight, states_popped, states_pushed, states_pruned, reopened) per
-# instance and bound configuration, as the full test ``cost + π >= best``
-# alone decides them.  The engine's ``cost + π₁`` pre-test must prune
-# exactly the same successors, so none of these may move.
+# Every configuration of the search: the two unbounded solvers, which
+# build a feasible tree at almost every pop, and the bound configurations.
+SEARCH_CONFIGS = {
+    "Basic": (BasicSolver, {}),
+    "PrunedDP": (PrunedDPSolver, {}),
+    **BOUND_CONFIGS,
+}
+
+
+# (weight, states_popped, states_pushed, states_pruned, reopened,
+# incumbent_improvements, feasible_built) per instance and configuration,
+# as the full bound test ``cost + π >= best`` and a refinement of every
+# distinct feasible union decide them.  The engine's ``cost + π₁``
+# pre-test must prune exactly the same successors, and its kept-core
+# skip may drop only refinements that could not beat the incumbent, so
+# none of these may move.
 GOLDEN_COUNTERS = {
     "gen48": {
-        "PrunedDP+": (54.40411456032836, 690, 690, 937, 0),
-        "PrunedDP++": (54.40411456032836, 252, 252, 685, 0),
-        "one-label only": (54.40411456032836, 690, 690, 937, 0),
-        "tour1 only": (54.40411456032836, 398, 398, 913, 0),
-        "tour2 only": (54.40411456032836, 295, 295, 722, 4),
+        "Basic": (54.40411456032836, 2560, 2560, 7674, 0, 3, 265),
+        "PrunedDP": (54.40411456032836, 1127, 1127, 412, 0, 3, 110),
+        "PrunedDP+": (54.40411456032836, 690, 690, 937, 0, 2, 77),
+        "PrunedDP++": (54.40411456032836, 252, 252, 685, 0, 3, 29),
+        "one-label only": (54.40411456032836, 690, 690, 937, 0, 2, 77),
+        "tour1 only": (54.40411456032836, 398, 398, 913, 0, 2, 35),
+        "tour2 only": (54.40411456032836, 295, 295, 722, 4, 3, 32),
     },
     "gen275": {
-        "PrunedDP+": (36.02403360094371, 297, 297, 548, 0),
-        "PrunedDP++": (36.02403360094371, 103, 103, 276, 1),
-        "one-label only": (36.02403360094371, 297, 297, 548, 0),
-        "tour1 only": (36.02403360094371, 141, 141, 368, 0),
-        "tour2 only": (36.02403360094371, 112, 112, 289, 1),
+        "Basic": (36.02403360094371, 1381, 1392, 3632, 0, 3, 373),
+        "PrunedDP": (36.02403360094371, 570, 571, 261, 0, 3, 150),
+        "PrunedDP+": (36.02403360094371, 297, 297, 548, 0, 3, 66),
+        "PrunedDP++": (36.02403360094371, 103, 103, 276, 1, 1, 31),
+        "one-label only": (36.02403360094371, 297, 297, 548, 0, 3, 66),
+        "tour1 only": (36.02403360094371, 141, 141, 368, 0, 1, 36),
+        "tour2 only": (36.02403360094371, 112, 112, 289, 1, 1, 33),
     },
     "powerlaw": {
-        "PrunedDP+": (9.983705171271296, 397, 447, 2486, 0),
-        "PrunedDP++": (9.983705171271296, 60, 86, 810, 0),
-        "one-label only": (9.983705171271296, 397, 447, 2486, 0),
-        "tour1 only": (9.983705171271296, 83, 121, 1048, 0),
-        "tour2 only": (9.983705171271296, 62, 88, 852, 0),
+        "Basic": (9.983705171271296, 4108, 4110, 11859, 0, 4, 1728),
+        "PrunedDP": (9.983705171271296, 2042, 2042, 1317, 0, 4, 702),
+        "PrunedDP+": (9.983705171271296, 397, 447, 2486, 0, 3, 170),
+        "PrunedDP++": (9.983705171271296, 60, 86, 810, 0, 3, 30),
+        "one-label only": (9.983705171271296, 397, 447, 2486, 0, 3, 170),
+        "tour1 only": (9.983705171271296, 83, 121, 1048, 0, 3, 40),
+        "tour2 only": (9.983705171271296, 62, 88, 852, 0, 3, 30),
     },
     "dblp": {
-        "PrunedDP+": (7.0, 333, 337, 1506, 0),
-        "PrunedDP++": (7.0, 62, 64, 385, 0),
-        "one-label only": (7.0, 333, 337, 1506, 0),
-        "tour1 only": (7.0, 96, 99, 579, 0),
-        "tour2 only": (7.0, 70, 72, 447, 0),
+        "Basic": (7.0, 3332, 3332, 8535, 0, 4, 1560),
+        "PrunedDP": (7.0, 1595, 1595, 896, 0, 4, 669),
+        "PrunedDP+": (7.0, 333, 337, 1506, 0, 2, 189),
+        "PrunedDP++": (7.0, 62, 64, 385, 0, 1, 36),
+        "one-label only": (7.0, 333, 337, 1506, 0, 2, 189),
+        "tour1 only": (7.0, 96, 99, 579, 0, 2, 58),
+        "tour2 only": (7.0, 70, 72, 447, 0, 1, 41),
     },
+}
+
+# The optimal tree's edge pairs per instance; every configuration
+# returns this tree.
+GOLDEN_TREES = {
+    "gen48": (
+        (2, 25), (2, 43), (7, 8), (7, 9), (8, 32), (8, 43), (9, 33),
+        (25, 27), (27, 41), (31, 42), (31, 43), (36, 41),
+    ),
+    "gen275": ((1, 48), (5, 47), (28, 47), (28, 48), (48, 55)),
+    "powerlaw": ((0, 1), (0, 31), (0, 338), (1, 2), (2, 26), (2, 185)),
+    "dblp": ((5, 81), (5, 96), (5, 285), (96, 223), (158, 223)),
 }
 
 
@@ -306,19 +339,49 @@ class TestOneLabelPretest:
         # full evaluation of max(π₁, π_t1, π_t2) (742 here).
         assert bounds.evaluations <= pruned // 2
 
-    @pytest.mark.parametrize("config", sorted(BOUND_CONFIGS))
+    @pytest.mark.parametrize("config", sorted(SEARCH_CONFIGS))
     @pytest.mark.parametrize("instance", sorted(GOLDEN_COUNTERS))
     def test_search_decisions_unchanged(self, instance, config):
         graph, labels = BOUND_INSTANCES[instance]()
-        solver_cls, flags = BOUND_CONFIGS[config]
+        solver_cls, flags = SEARCH_CONFIGS[config]
         result = solver_cls(graph, labels, **flags).solve()
-        weight, popped, pushed, pruned, reopened = GOLDEN_COUNTERS[instance][config]
+        weight, *counters = GOLDEN_COUNTERS[instance][config]
         assert result.optimal
         assert result.weight == pytest.approx(weight, rel=1e-12)
         stats = result.stats
-        assert (
+        assert [
             stats.states_popped,
             stats.states_pushed,
             stats.states_pruned,
             stats.reopened,
-        ) == (popped, pushed, pruned, reopened)
+            stats.incumbent_improvements,
+            stats.feasible_built,
+        ] == counters
+        assert (
+            tuple((u, v) for u, v, _ in result.tree.edges)
+            == GOLDEN_TREES[instance]
+        )
+
+
+class TestKeptCoreSkip:
+    """Unions whose kept core reaches the incumbent skip the refinement."""
+
+    @pytest.mark.parametrize("config", ["Basic", "PrunedDP++"])
+    @pytest.mark.parametrize("instance", ["dblp", "powerlaw"])
+    def test_most_unions_skip_the_refinement(
+        self, monkeypatch, instance, config
+    ):
+        refinements = []
+        refine = engine_module.steiner_tree_from_edges
+
+        def counting(edges, anchor):
+            refinements.append(anchor)
+            return refine(edges, anchor=anchor)
+
+        monkeypatch.setattr(engine_module, "steiner_tree_from_edges", counting)
+        graph, labels = BOUND_INSTANCES[instance]()
+        solver_cls, flags = SEARCH_CONFIGS[config]
+        result = solver_cls(graph, labels, **flags).solve()
+        assert result.optimal
+        # Refining every distinct union made these equal.
+        assert len(refinements) <= result.stats.feasible_built // 5

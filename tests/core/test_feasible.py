@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from repro import Graph, GSTQuery
 from repro.core.context import QueryContext
 from repro.core.feasible import (
     build_feasible_tree,
+    kept_core_weight,
     prune_redundant_leaves,
     steiner_tree_from_edges,
 )
@@ -150,3 +155,149 @@ class TestPruneRedundantLeaves:
         pruned = prune_redundant_leaves(ctx, tree)
         assert pruned.nodes == frozenset({0})
         assert pruned.weight == 0.0
+
+
+def union_context(num_nodes, edges, node_labels, labels):
+    """Context over a graph made of exactly ``edges``; labels by node."""
+    g = Graph()
+    for node in range(num_nodes):
+        g.add_node(labels=node_labels.get(node, ()))
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return ctx_for(g, labels)
+
+
+def pair_weights(edges):
+    return {(min(u, v), max(u, v)): w for u, v, w in edges}
+
+
+def random_tree(rng, n, legs):
+    """Edges of a random tree on nodes ``0..n-1``, grown as ``legs`` paths.
+
+    Each path starts at a node already placed.  Weights are dyadic, so
+    every sum is exact in any order.
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    placed = 1
+    for leg in range(legs):
+        length = (n - placed) // (legs - leg)
+        anchor = order[rng.randrange(placed)]
+        for node in order[placed:placed + length]:
+            u, v = (anchor, node) if rng.random() < 0.5 else (node, anchor)
+            edges.append((u, v, rng.randint(1, 64) / 4))
+            anchor = node
+        placed += length
+    return edges
+
+
+class TestKeptCoreWeight:
+    def test_bound_below_either_prune_outcome(self):
+        """Leaves c and d carry the only two copies of z, so the prune
+        keeps whichever of them it reaches second:
+
+              a(x) -1- h -2- b(y)
+                      / \\
+                     3   5
+                    /     \\
+                 c(z)     d(z)
+
+        Keeping c gives 1 + 2 + 3 = 6; keeping d gives 1 + 2 + 5 = 8.
+        The unique carriers are a and b, so the kept core is the path
+        a-h-b, weight 3.
+        """
+        a, h, b, c, d = range(5)
+        edges = [(a, h, 1.0), (h, b, 2.0), (h, c, 3.0), (h, d, 5.0)]
+        ctx = union_context(
+            5, edges, {a: ["x"], b: ["y"], c: ["z"], d: ["z"]},
+            ["x", "y", "z"],
+        )
+        keep_c, keep_d = 6.0, 8.0
+        core = kept_core_weight(ctx, pair_weights(edges))
+        assert core == 3.0
+        assert core <= keep_c and core <= keep_d
+        for anchor in (a, h, b, c, d):
+            refined = prune_redundant_leaves(
+                ctx, steiner_tree_from_edges(edges, anchor=anchor)
+            )
+            assert refined.weight in (keep_c, keep_d)
+
+    def test_random_trees_bound_the_refinement(self):
+        rng = random.Random(20161)
+        exact_cases = 0
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            k = rng.randint(1, 5)
+            labels = [f"q{i}" for i in range(k)]
+            # Half the trees grow as a few long legs, so they have few
+            # leaves; the others attach each node to a random earlier one.
+            legs = n - 1
+            if rng.random() < 0.5:
+                legs = rng.randint(1, min(k + 1, n - 1))
+            edges = random_tree(rng, n, legs)
+            leaves = [
+                node for node, d in SteinerTree(edges).degree_map().items()
+                if d == 1
+            ]
+            node_labels = {}
+            free = labels[:]
+            rng.shuffle(free)
+            for leaf in leaves:
+                if free and rng.random() < 0.9:
+                    node_labels[leaf] = [free.pop()]
+            for node in range(n):
+                if rng.random() < 0.1:
+                    node_labels.setdefault(node, []).extend(
+                        rng.sample(labels, rng.randint(1, k))
+                    )
+            for label in free:  # the union covers every query label
+                node_labels.setdefault(rng.randrange(n), []).append(label)
+            ctx = union_context(n, edges, node_labels, labels)
+
+            core = kept_core_weight(ctx, pair_weights(edges))
+            refined = prune_redundant_leaves(
+                ctx, steiner_tree_from_edges(edges, anchor=rng.randrange(n))
+            )
+            assert core is not None
+            assert core <= refined.weight
+
+            masks = ctx.node_masks
+            carriers = [sum(m >> bit & 1 for m in masks) for bit in range(k)]
+
+            def unique_carrier(node):
+                return any(
+                    masks[node] >> bit & 1 and carriers[bit] == 1
+                    for bit in range(k)
+                )
+
+            # Oracle: the core is the union of the tree paths between
+            # every two unique carriers.
+            tree = nx.Graph()
+            tree.add_weighted_edges_from(edges)
+            spanned = set()
+            terminals = [node for node in range(n) if unique_carrier(node)]
+            for s, t in itertools.combinations(terminals, 2):
+                path = nx.shortest_path(tree, s, t)
+                spanned.update(frozenset(e) for e in zip(path, path[1:]))
+            assert core == sum(tree.edges[tuple(e)]["weight"] for e in spanned)
+
+            # Every leaf a unique carrier: the prune strips nothing and
+            # the core is the whole tree.
+            if all(unique_carrier(leaf) for leaf in leaves):
+                exact_cases += 1
+                assert core == refined.weight
+        assert exact_cases >= 30
+
+    def test_cycle_is_not_a_tree(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
+        ctx = union_context(4, edges, {0: ["x"], 3: ["y"]}, ["x", "y"])
+        assert kept_core_weight(ctx, pair_weights(edges)) is None
+
+    def test_fewer_than_two_unique_carriers_bound_zero(self):
+        edges = [(0, 1, 4.0), (1, 2, 4.0)]
+        # Node 1 alone carries both labels; 0 and 2 share a third.
+        ctx = union_context(
+            3, edges, {1: ["x", "y"], 0: ["z"], 2: ["z"]}, ["x", "y", "z"]
+        )
+        assert kept_core_weight(ctx, pair_weights(edges)) == 0.0
