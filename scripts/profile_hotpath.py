@@ -3,9 +3,10 @@
 
 Runs cProfile over a batch of solves on the DBLP-like generator and
 prints the top functions by cumulative time.  Every solve runs on the
-graph's frozen CSR snapshot (packed state keys, flat adjacency, Dial
-preprocessing, memoized feasible construction); the snapshot is built
-once up front and its build time is printed separately.
+graph's frozen CSR snapshot (packed state keys, flat adjacency,
+bucket-queue Dijkstra preprocessing, memoized feasible construction);
+the snapshot is built once up front, and its build time and bucket
+width are printed separately.
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --solves 5 --top 40
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
     freeze_seconds = time.perf_counter() - freeze_started
     print(f"freeze(): {freeze_seconds * 1e3:.1f} ms "
           f"({snapshot.num_nodes} nodes, {snapshot.num_edges} edges, "
-          f"dial lane {'on' if snapshot.int_adjacency is not None else 'off'})")
+          f"bucket_width {snapshot.bucket_width:g})")
 
     profiler = cProfile.Profile()
     started = time.perf_counter()

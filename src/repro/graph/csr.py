@@ -11,18 +11,16 @@ locks.  :class:`CSRGraph` is that view:
   numpy backends can adopt wholesale and which :attr:`fingerprint`
   hashes byte-for-byte,
 * per-node immutable ``(neighbor, weight)`` tuple views
-  (:attr:`adjacency`) that the pure-Python heap kernels iterate — in
+  (:attr:`adjacency`) that the pure-Python kernels iterate — in
   CPython, tuple iteration beats per-element flat-array indexing, so
   the flat buffers are the interchange format and the tuple views are
   the interpreter-shaped mirror of the same data,
 * per-label group arrays (:meth:`members`) so kernels stop re-querying
   the mutable graph's group dict, and
-* an integer-weight fast lane: when every edge weight is a small
-  non-negative integer (checked once at build time), ``int_adjacency``
-  holds ``(neighbor, int_weight)`` views and the kernels switch from a
-  binary heap to Dial's bucket queue — exact integer distances, no
-  tuple-per-push allocation, measured ~2.5x faster on the DBLP-like
-  family whose weights are all 1.0/2.0.
+* the :attr:`bucket_width` Δ of the Dijkstra kernel's bucket queue,
+  computed once from the arc weights: the lightest positive weight,
+  raised to ``max_weight / BUCKET_SPAN`` when the weights span more
+  than ``BUCKET_SPAN``-fold, and 1.0 when no arc is positive.
 
 A ``CSRGraph`` is never mutated after construction, so it is safe to
 share across threads without locking; :meth:`Graph.freeze`
@@ -36,14 +34,23 @@ import time
 from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
-__all__ = ["CSRGraph", "MAX_DIAL_WEIGHT"]
+__all__ = ["CSRGraph", "BUCKET_SPAN"]
 
-# Dial's bucket queue allocates one bucket per distinct integer
-# distance up to the largest settled distance (<= max_weight * n).
-# Restrict the fast lane to small weights so the bucket list stays
-# O(n) in practice; larger integer weights fall back to the heap
-# kernel, which is always correct.
-MAX_DIAL_WEIGHT = 64
+# The Dijkstra kernel keeps one bucket per Δ of distance up to the
+# largest settled one (<= max_weight * (n - 1)).  Capping the heaviest
+# arc at BUCKET_SPAN buckets keeps that list O(n) whatever the weights'
+# range; arcs lighter than Δ then cost re-queues, never wrong answers.
+BUCKET_SPAN = 64
+
+
+def _bucket_width(weights) -> float:
+    """Δ for ``weights`` (see the module docstring)."""
+    lightest = min(weights, default=0.0)
+    if lightest == 0.0:
+        lightest = min((w for w in weights if w > 0.0), default=0.0)
+    if lightest == 0.0:
+        return 1.0
+    return max(lightest, max(weights) / BUCKET_SPAN)
 
 
 class CSRGraph:
@@ -56,9 +63,7 @@ class CSRGraph:
         "indices",
         "weights",
         "adjacency",
-        "int_adjacency",
-        "integer_weights",
-        "max_int_weight",
+        "bucket_width",
         "build_seconds",
         "_label_members",
         "_fingerprint",
@@ -72,8 +77,6 @@ class CSRGraph:
         indices: array,
         weights: array,
         adjacency: Tuple[Tuple[Tuple[int, float], ...], ...],
-        int_adjacency: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]],
-        max_int_weight: int,
         label_members: Dict[Hashable, Tuple[int, ...]],
         build_seconds: float,
     ) -> None:
@@ -83,9 +86,7 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self.adjacency = adjacency
-        self.int_adjacency = int_adjacency
-        self.integer_weights = int_adjacency is not None
-        self.max_int_weight = max_int_weight
+        self.bucket_width = _bucket_width(weights)
         self.build_seconds = build_seconds
         self._label_members = label_members
         self._fingerprint: Optional[str] = None
@@ -102,27 +103,13 @@ class CSRGraph:
         indices = array("q")
         weights = array("d")
         adjacency: List[Tuple[Tuple[int, float], ...]] = []
-        integral = True
-        max_w = 0.0
         for u in range(n):
             row = tuple(raw[u])
             adjacency.append(row)
             for v, w in row:
                 indices.append(v)
                 weights.append(w)
-                if integral and not w.is_integer():
-                    integral = False
-                if w > max_w:
-                    max_w = w
             indptr.append(len(indices))
-
-        int_adjacency: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
-        max_int_weight = 0
-        if integral and max_w <= MAX_DIAL_WEIGHT:
-            max_int_weight = int(max_w)
-            int_adjacency = tuple(
-                tuple((v, int(w)) for v, w in row) for row in adjacency
-            )
 
         label_members: Dict[Hashable, Tuple[int, ...]] = {
             label: tuple(graph.nodes_with_label(label))
@@ -136,8 +123,6 @@ class CSRGraph:
             indices=indices,
             weights=weights,
             adjacency=tuple(adjacency),
-            int_adjacency=int_adjacency,
-            max_int_weight=max_int_weight,
             label_members=label_members,
             build_seconds=time.perf_counter() - started,
         )
@@ -230,14 +215,12 @@ class CSRGraph:
             "num_nodes": self.num_nodes,
             "num_edges": self.num_edges,
             "num_labels": self.num_labels,
-            "integer_weights": self.integer_weights,
-            "max_int_weight": self.max_int_weight if self.integer_weights else None,
+            "bucket_width": self.bucket_width,
             "build_seconds": self.build_seconds,
         }
 
     def __repr__(self) -> str:
-        kind = "int" if self.integer_weights else "float"
         return (
             f"CSRGraph(n={self.num_nodes}, m={self.num_edges}, "
-            f"labels={self.num_labels}, weights={kind})"
+            f"labels={self.num_labels}, bucket_width={self.bucket_width:g})"
         )

@@ -281,7 +281,7 @@ class SharedCSR:
         :class:`~repro.errors.StoreFingerprintError` before a single
         adjacency tuple is built.
         """
-        from .csr import MAX_DIAL_WEIGHT, CSRGraph
+        from .csr import CSRGraph
 
         self._require_open()
         meta = self._meta
@@ -325,36 +325,20 @@ class SharedCSR:
                 "graph; refusing to load"
             )
 
-        adjacency = []
-        integral = True
-        max_w = 0.0
-        for u in range(n):
-            row = tuple(
+        adjacency = tuple(
+            tuple(
                 (indices[i], weights[i])
                 for i in range(indptr[u], indptr[u + 1])
             )
-            adjacency.append(row)
-            for _, w in row:
-                if integral and not w.is_integer():
-                    integral = False
-                if w > max_w:
-                    max_w = w
-        int_adjacency = None
-        max_int_weight = 0
-        if integral and max_w <= MAX_DIAL_WEIGHT:
-            max_int_weight = int(max_w)
-            int_adjacency = tuple(
-                tuple((v, int(w)) for v, w in row) for row in adjacency
-            )
+            for u in range(n)
+        )
         csr = CSRGraph(
             num_nodes=n,
             num_edges=meta["num_edges"],
             indptr=indptr,
             indices=indices,
             weights=weights,
-            adjacency=tuple(adjacency),
-            int_adjacency=int_adjacency,
-            max_int_weight=max_int_weight,
+            adjacency=adjacency,
             label_members=label_members,
             build_seconds=0.0,
         )

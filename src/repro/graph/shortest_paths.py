@@ -7,21 +7,30 @@ That is exactly a *multi-source* Dijkstra from ``V_p`` with all source
 distances zero, which is what :func:`multi_source_dijkstra` computes —
 no materialized virtual node needed.
 
-Kernels
--------
+Kernel
+------
 Everything runs over the graph's frozen :class:`~repro.graph.csr.CSRGraph`
 snapshot.  The ``Graph``-taking functions call ``graph.freeze()`` (cached
-until the next mutation) and hand the snapshot to their ``*_csr`` twin.
-Each ``*_csr`` function has two kernels, chosen by ``csr.int_adjacency``:
-Dial's bucket queue when the snapshot proved every weight a small
-integer, and a binary heap otherwise.  Both return identical tables;
-the tests compare the Dial lane with the heap lane on the same snapshot
-and both with networkx.
+until the next mutation) and hand the snapshot to their ``*_csr`` twin,
+and every call runs one kernel: Dial's bucket queue with each bucket as
+wide as the snapshot's ``bucket_width`` Δ (Dinitz's variant for real
+weights).  A node at distance ``d`` is queued in bucket ``int(d / Δ)``;
+buckets are processed in order, each in insertion order.  Δ is the
+lightest positive arc weight, so leaving a bucket costs at least Δ and
+a node is final when its bucket is reached: the bucket needs no
+ordering.  A node that improves inside the bucket being processed is
+queued again in that bucket.  That covers a zero-weight arc, float
+rounding at a bucket edge, and the arcs lighter than Δ that exist when
+the snapshot raised Δ to cap the bucket count (see
+:data:`~repro.graph.csr.BUCKET_SPAN`), so the tables are exact for
+every finite non-negative weight.  A search costs O(m + n + D/Δ),
+with D the largest finite distance, plus one rescan per re-queue.  The
+tests compare distances and parent trees with a plain binary-heap
+Dijkstra and with networkx.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NodeRangeError
@@ -40,10 +49,10 @@ __all__ = [
 INF = float("inf")
 
 
-def _check_sources(sources: Sequence[int], n: int) -> None:
-    for source in sources:
-        if not 0 <= source < n:
-            raise NodeRangeError(f"source {source} out of range")
+def _check_nodes(nodes: Iterable[int], n: int, role: str) -> None:
+    for node in nodes:
+        if not 0 <= node < n:
+            raise NodeRangeError(f"{role} {node} out of range")
 
 
 def dijkstra(
@@ -56,8 +65,9 @@ def dijkstra(
 
     Returns ``(dist, parent)`` where ``parent[v]`` is the predecessor of
     ``v`` on a shortest path from ``source`` (``-1`` for the source and
-    unreached nodes).  If ``targets`` is given the search stops early
-    once all targets are settled.
+    unreached nodes).  If ``targets`` is given the search stops once it
+    has finished the bucket in which the last target settled; the
+    targets' entries are then final, other nodes' may not be.
     """
     return multi_source_dijkstra(graph, [source], targets=targets)
 
@@ -89,9 +99,9 @@ def multi_source_dijkstra(
     construction unions together.
 
     Freezes the graph and runs :func:`multi_source_dijkstra_csr`;
-    out-of-range sources raise :class:`~repro.errors.NodeRangeError` (a
-    :class:`GraphError` that still subclasses ``IndexError`` for
-    backwards compatibility).
+    out-of-range sources or targets raise
+    :class:`~repro.errors.NodeRangeError` (a :class:`GraphError` that
+    still subclasses ``IndexError`` for backwards compatibility).
     """
     return multi_source_dijkstra_csr(graph.freeze(), sources, targets=targets)
 
@@ -102,118 +112,57 @@ def multi_source_dijkstra_csr(
     *,
     targets: Optional[Iterable[int]] = None,
 ) -> Tuple[List[float], List[int]]:
-    """Multi-source Dijkstra over the frozen snapshot.
-
-    Uses Dial's bucket queue when the snapshot's weights are small
-    integers (exact integer arithmetic, no per-push tuple allocation),
-    and the binary-heap kernel over the snapshot's immutable adjacency
-    views otherwise.  Both kernels return identical tables.
-    """
+    """Multi-source Dijkstra over the frozen snapshot (see module docstring)."""
     n = csr.num_nodes
-    _check_sources(sources, n)
-    if csr.int_adjacency is not None:
-        return _msd_dial(csr, sources, targets)
-    return _msd_heap(csr, sources, targets)
+    _check_nodes(sources, n, "source")
+    remaining = None
+    if targets is not None:
+        remaining = set(targets)
+        _check_nodes(remaining, n, "target")
 
-
-def _msd_heap(
-    csr: CSRGraph,
-    sources: Sequence[int],
-    targets: Optional[Iterable[int]],
-) -> Tuple[List[float], List[int]]:
-    n = csr.num_nodes
     dist: List[float] = [INF] * n
     parent: List[int] = [-1] * n
+    # The distance each node's arcs were last relaxed from: a queue entry
+    # whose node already went out at its current distance is stale.
+    scanned: List[float] = [-1.0] * n
     adjacency = csr.adjacency
-    push = heappush
-    pop = heappop
-
-    heap: List[Tuple[float, int]] = []
-    for source in sources:
-        if dist[source] != 0.0:
-            dist[source] = 0.0
-            push(heap, (0.0, source))
-
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining = {t for t in remaining if dist[t] != 0.0}
-
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, weight in adjacency[u]:
-            nd = d + weight
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    return dist, parent
-
-
-def _msd_dial(
-    csr: CSRGraph,
-    sources: Sequence[int],
-    targets: Optional[Iterable[int]],
-) -> Tuple[List[float], List[int]]:
-    """Dial's algorithm: bucket per integer distance, lazy stale check.
-
-    Distances are exact ints while the search runs and are converted to
-    the float table the rest of the package expects on the way out
-    (every produced value is integral, so the conversion is lossless).
-    """
-    n = csr.num_nodes
-    dist: List[float] = [INF] * n  # holds ints while searching
-    parent: List[int] = [-1] * n
-    adjacency = csr.int_adjacency
+    width = csr.bucket_width
 
     seeds: List[int] = []
     for source in sources:
-        if dist[source] != 0:
-            dist[source] = 0
+        if dist[source] != 0.0:
+            dist[source] = 0.0
             seeds.append(source)
-
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining = {t for t in remaining if dist[t] != 0}
 
     buckets: List[List[int]] = [seeds]
     num_buckets = 1
-    d = 0
-    while d < num_buckets:
-        # A zero-weight relaxation appends to the bucket currently being
+    i = 0
+    while i < num_buckets:
+        # A relaxation into this bucket appends to the list being
         # iterated; Python's list iterator picks the new entries up, so
-        # same-distance cascades settle within this round.
-        for u in buckets[d]:
-            if dist[u] != d:
-                continue  # stale entry
+        # re-queued nodes go out again within this round.
+        for u in buckets[i]:
+            d = dist[u]
+            if d == scanned[u]:
+                continue
+            scanned[u] = d
             if remaining is not None:
                 remaining.discard(u)
-                if not remaining:
-                    return _dial_finish(dist, parent)
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = u
-                    while nd >= num_buckets:
+                    b = int(nd / width)
+                    while b >= num_buckets:
                         buckets.append([])
                         num_buckets += 1
-                    buckets[nd].append(v)
-        buckets[d] = ()  # release settled bucket memory early
-        d += 1
-    return _dial_finish(dist, parent)
-
-
-def _dial_finish(
-    dist: List[float], parent: List[int]
-) -> Tuple[List[float], List[int]]:
-    inf = INF
-    return [x if x is inf else float(x) for x in dist], parent
+                    buckets[b].append(v)
+        buckets[i] = ()  # release settled bucket memory early
+        if remaining is not None and not remaining:
+            break
+        i += 1
+    return dist, parent
 
 
 def reconstruct_path(parent: Sequence[int], node: int) -> List[int]:

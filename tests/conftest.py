@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
+import random
+from typing import Callable, Dict, Iterable, List
 
 import pytest
 
 from repro import Graph
 from repro.graph import generators
+
+INF = float("inf")
 
 
 @pytest.fixture
@@ -90,20 +95,77 @@ def random_graph_factory():
     return small_random_graph
 
 
-def with_integer_weights(graph: Graph) -> Graph:
-    """Copy of ``graph`` (nodes and labels) with every weight rounded.
-
-    Integer weights put the frozen snapshot on the Dial lane
-    (``int_adjacency``); the float-weighted original takes the heap lane.
-    """
-    rounded = Graph()
+def with_weights(graph: Graph, weight_of: Callable[[float], float]) -> Graph:
+    """Copy of ``graph`` (nodes and labels) with each weight ``w`` replaced
+    by ``weight_of(w)``, edge by edge in ``graph.edges()`` order."""
+    copy = Graph()
     for node in graph.nodes():
-        rounded.add_node(labels=graph.labels_of(node))
+        copy.add_node(labels=graph.labels_of(node))
     for u, v, weight in graph.edges():
-        rounded.add_edge(u, v, float(round(weight)))
-    return rounded
+        copy.add_edge(u, v, weight_of(weight))
+    return copy
+
+
+def with_integer_weights(graph: Graph) -> Graph:
+    """Copy of ``graph`` (nodes and labels) with every weight rounded."""
+    return with_weights(graph, lambda weight: float(round(weight)))
 
 
 @pytest.fixture
 def integer_weighted():
     return with_integer_weights
+
+
+def weight_classes(graph: Graph, seed: int) -> Dict[str, Graph]:
+    """``graph`` under every weight class the Dijkstra kernel must be exact on.
+
+    * ``float``: as generated;
+    * ``integer``: rounded;
+    * ``zero arcs``: about 10% of the arcs weigh 0, which re-queue
+      nodes in the bucket being processed;
+    * ``log-uniform``: over 1e-6..1e6, so the weights span far more
+      than ``BUCKET_SPAN``-fold and the bucket width is raised above
+      the lightest arc;
+    * ``tenths``: multiples of 0.1, so sums land on bucket edges.
+    """
+    rng = random.Random(seed)
+    return {
+        "float": graph,
+        "integer": with_integer_weights(graph),
+        "zero arcs": with_weights(
+            graph, lambda w: 0.0 if rng.random() < 0.1 else w
+        ),
+        "log-uniform": with_weights(
+            graph, lambda w: 10.0 ** rng.uniform(-6.0, 6.0)
+        ),
+        "tenths": with_weights(graph, lambda w: rng.randint(1, 20) / 10),
+    }
+
+
+@pytest.fixture
+def reweighted():
+    return weight_classes
+
+
+def heap_dijkstra(graph: Graph, sources: Iterable[int]) -> List[float]:
+    """Plain binary-heap multi-source Dijkstra: the kernel's reference."""
+    dist = [INF] * graph.num_nodes
+    heap = []
+    for source in sources:
+        dist[source] = 0.0
+        heap.append((0.0, source))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, weight in graph.neighbors(u):
+            if d + weight < dist[v]:
+                dist[v] = d + weight
+                heapq.heappush(heap, (dist[v], v))
+    return dist
+
+
+@pytest.fixture
+def reference_dijkstra():
+    return heap_dijkstra

@@ -3,9 +3,8 @@
 Two independent oracles: Dijkstra on the materialized label-enhanced
 graph (networkx) for the virtual distances, and brute-force route
 enumeration for the closed tables.  The networkx checks run every
-instance through both kernel lanes of the context's Dijkstras: as
-generated (float weights, heap lane) and with its weights rounded
-(integer weights, Dial lane).
+instance as generated (float weights) and with its weights rounded
+(integer weights).
 """
 
 from __future__ import annotations
@@ -149,10 +148,7 @@ class TestLabelEnhancedDistances:
             generated = generators.random_graph(
                 24, 48, num_query_labels=4, label_frequency=3, seed=seed
             )
-            rounded = integer_weighted(generated)
-            assert generated.freeze().int_adjacency is None
-            assert rounded.freeze().int_adjacency is not None
-            for g in (generated, rounded):
+            for g in (generated, integer_weighted(generated)):
                 ctx = QueryContext.build(g, GSTQuery(labels))
                 got = RouteTables.build(ctx).virtual_distance
 

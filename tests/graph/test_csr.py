@@ -2,12 +2,14 @@
 
 * ``Graph.freeze`` / ``Graph.snapshot`` lifecycle and invalidation,
 * CSR buffer shape/content against the source graph,
-* the integer-weight Dial fast lane, its ``MAX_DIAL_WEIGHT`` cutoff, and
-  its agreement with the heap lane on the same snapshot,
+* the bucket width Δ the snapshot computes for the Dijkstra kernel, and
+  the kernel (Dial's bucket queue, one bucket per Δ) on zero-weight
+  arcs, arcs lighter than Δ and the ``targets`` early exit,
 * the O(1) duplicate-edge collapse rule (parallel edges keep the
   lighter weight — pinned here so the edge-position index can never
   silently change it),
-* :class:`~repro.errors.NodeRangeError` typing on kernel source checks.
+* :class:`~repro.errors.NodeRangeError` typing on kernel source and
+  target checks.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import GraphError, NodeRangeError
-from repro.graph.csr import CSRGraph, MAX_DIAL_WEIGHT
+from repro.graph.csr import BUCKET_SPAN, CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
-    _msd_heap,
     dijkstra,
     dijkstra_csr,
     multi_source_dijkstra,
@@ -133,38 +134,51 @@ class TestCSRBuffers:
         info = path_graph([1.0]).freeze().info()
         assert info["num_nodes"] == 2
         assert info["num_edges"] == 1
-        assert info["integer_weights"] is True
+        assert info["bucket_width"] == 1.0
+
+
+class TestBucketWidth:
+    def test_lightest_positive_weight_sets_the_width(self):
+        assert path_graph([2.5, 1.5, 3.0]).freeze().bucket_width == 1.5
+
+    def test_zero_weights_do_not_set_the_width(self):
+        assert path_graph([0.0, 2.0, 3.0]).freeze().bucket_width == 2.0
+
+    def test_no_positive_weight_gives_unit_width(self):
+        assert path_graph([0.0, 0.0]).freeze().bucket_width == 1.0
+        assert path_graph([]).freeze().bucket_width == 1.0
+
+    def test_wide_span_raises_the_width(self):
+        graph = path_graph([1.0, 1000.0, 1.0])
+        csr = graph.freeze()
+        assert csr.bucket_width == 1000.0 / BUCKET_SPAN
+        # Both 1.0 arcs are lighter than the raised width: exact anyway.
+        assert dijkstra_csr(csr, 0)[0] == [0.0, 1.0, 1001.0, 1002.0]
 
 
 class TestDialLane:
+    """The one kernel: Dial's bucket queue, one bucket per Δ of distance."""
+
     def test_small_integer_weights_take_dial(self):
-        csr = path_graph([1.0, 2.0, float(MAX_DIAL_WEIGHT)]).freeze()
-        assert csr.integer_weights
-        assert csr.int_adjacency is not None
-        assert csr.max_int_weight == MAX_DIAL_WEIGHT
+        # A lightest arc of 1 gives Dial's original queue: one bucket per
+        # integer distance.
+        csr = path_graph([1.0, 2.0, float(BUCKET_SPAN)]).freeze()
+        assert csr.bucket_width == 1.0
 
-    def test_float_weights_fall_back_to_heap(self):
-        csr = path_graph([1.5, 2.0]).freeze()
-        assert not csr.integer_weights
-        assert csr.int_adjacency is None
-
-    def test_large_integer_weights_fall_back_to_heap(self):
-        csr = path_graph([1.0, float(MAX_DIAL_WEIGHT + 1)]).freeze()
-        assert not csr.integer_weights
-
-    def test_dial_and_heap_agree_with_zero_weight_edges(self):
-        csr = path_graph([0.0, 1.0, 0.0, 2.0]).freeze()
-        assert csr.int_adjacency is not None
-        dist, parent = dijkstra_csr(csr, 0)
+    def test_dial_and_heap_agree_with_zero_weight_edges(self, reference_dijkstra):
+        graph = path_graph([0.0, 1.0, 0.0, 2.0])
+        dist, parent = dijkstra_csr(graph.freeze(), 0)
         assert dist == [0.0, 0.0, 1.0, 1.0, 3.0]
-        assert dist == _msd_heap(csr, [0], None)[0]
+        assert dist == reference_dijkstra(graph, [0])
+        assert parent == [-1, 0, 1, 2, 3]
 
-    def test_targets_early_exit_matches(self):
-        csr = path_graph([1.0, 1.0, 1.0, 1.0]).freeze()
-        assert csr.int_adjacency is not None
-        dial_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=[2])
-        heap_dist, _ = _msd_heap(csr, [0], [2])
-        assert dial_dist[2] == heap_dist[2] == 2.0
+    def test_targets_early_exit_matches(self, reference_dijkstra):
+        graph = path_graph([1.0, 1.0, 1.0, 1.0])
+        dist, _ = multi_source_dijkstra_csr(graph.freeze(), [0], targets=[2])
+        assert dist[2] == reference_dijkstra(graph, [0])[2] == 2.0
+        # The search stops once target 2's bucket is done: node 3 was
+        # queued from it, node 4 never.
+        assert dist[3:] == [3.0, float("inf")]
 
 
 class TestNodeRangeError:
@@ -177,6 +191,16 @@ class TestNodeRangeError:
         csr = path_graph([1.0]).freeze()
         with pytest.raises(NodeRangeError):
             multi_source_dijkstra_csr(csr, [-1])
+
+    def test_targets_raise_typed_error(self):
+        graph = path_graph([1.0, 1.0])
+        with pytest.raises(NodeRangeError):
+            dijkstra(graph, 0, targets=[5])
+
+    def test_negative_target_raises_typed_error(self):
+        csr = path_graph([1.0, 1.0]).freeze()
+        with pytest.raises(NodeRangeError):
+            multi_source_dijkstra_csr(csr, [0], targets=[-1])
 
     def test_subclasses_both_hierarchies(self):
         graph = path_graph([1.0])

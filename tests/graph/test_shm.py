@@ -44,7 +44,7 @@ class TestRoundTrip:
                 assert list(loaded.indices) == list(csr.indices)
                 assert list(loaded.weights) == list(csr.weights)
                 assert loaded.adjacency == csr.adjacency
-                assert loaded.int_adjacency == csr.int_adjacency
+                assert loaded.bucket_width == csr.bucket_width
                 assert loaded.fingerprint == csr.fingerprint
                 assert {
                     label: sorted(loaded.members(label))

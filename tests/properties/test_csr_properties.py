@@ -5,22 +5,31 @@ Two families, as the refactor's safety net:
 * *Invalidation*: any mutating ``Graph`` operation performed after
   ``freeze()`` drops the cached snapshot, so a stale CSR view can never
   be served (randomized over mutation kinds via Hypothesis).
-* *Kernel agreement*: the integer-weight Dial lane computes exactly
-  the heap lane's answers on the same snapshot.  The instances are the
-  differential sweep's own, from
-  :func:`repro.verify.differential.generate_instance` (so the seeds
-  replay under ``repro verify``), with every weight rounded to an
-  integer, which is what puts the snapshot on the Dial lane.
+* *Kernel agreement*: the bucket-queue Dijkstra computes exactly (with
+  ``==``) the distances of a plain binary-heap Dijkstra kept in the
+  tests as the reference, and of networkx, and its parent trees are
+  tight.  One sweep covers single sources, label groups and the
+  ``targets`` early exit, each under every weight class of
+  ``conftest.weight_classes``.  The instances are the differential
+  sweep's own, from :func:`repro.verify.differential.generate_instance`
+  (so the seeds replay under ``repro verify``).
 """
 
 from __future__ import annotations
 
+import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.graph.csr import BUCKET_SPAN
 from repro.graph.graph import Graph
-from repro.graph.shortest_paths import _msd_heap, multi_source_dijkstra_csr
+from repro.graph.shortest_paths import (
+    multi_source_dijkstra_csr,
+    reconstruct_path,
+)
 from repro.verify.differential import generate_instance
+
+INF = float("inf")
 
 # ----------------------------------------------------------------------
 # Invalidation: mutation after freeze() always drops the snapshot.
@@ -96,52 +105,79 @@ def test_mutation_after_freeze_invalidates(case):
 
 
 # ----------------------------------------------------------------------
-# Dial lane == heap lane on the differential sweep's own instances.
+# The kernel == the reference heap == networkx, on every weight class.
 # ----------------------------------------------------------------------
 
 AGREEMENT_SEEDS = range(1000, 1040)
 
 
-def dial_snapshot(seed, integer_weighted, **kwargs):
-    """Seed ``seed``'s sweep instance, rounded and frozen onto the Dial lane."""
-    graph, labels = generate_instance(seed, **kwargs)
-    graph = integer_weighted(graph)
-    csr = graph.freeze()
-    assert csr.int_adjacency is not None, f"seed {seed} missed the Dial lane"
-    return graph, labels, csr
-
-
-def test_dijkstra_kernels_agree_on_random_graphs(integer_weighted):
+def sweep(reweighted, **kwargs):
+    """``(where, weight class, graph, labels, snapshot)`` for every
+    instance of the agreement sweep under every weight class."""
     for seed in AGREEMENT_SEEDS:
-        graph, _labels, csr = dial_snapshot(
-            seed, integer_weighted, max_nodes=30, max_labels=5
-        )
+        generated, labels = generate_instance(seed, **kwargs)
+        for name, graph in reweighted(generated, seed).items():
+            yield f"seed {seed}, {name}", name, graph, labels, graph.freeze()
+
+
+def networkx_distances(graph, sources):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(graph.nodes())
+    for u, v, w in graph.edges():
+        nxg.add_edge(u, v, weight=w)
+    found = nx.multi_source_dijkstra_path_length(nxg, set(sources))
+    return [found.get(node, INF) for node in graph.nodes()]
+
+
+def check_kernel(where, graph, csr, sources, reference_dijkstra):
+    """Exact distances, and a tight parent tree rooted at the sources."""
+    dist, parent = multi_source_dijkstra_csr(csr, sources)
+    assert dist == reference_dijkstra(graph, sources), where
+    assert dist == networkx_distances(graph, sources), where
+    for v in graph.nodes():
+        if v in sources or dist[v] == INF:
+            assert parent[v] == -1, (where, v)
+            continue
+        u = parent[v]
+        assert dist[v] == dist[u] + graph.edge_weight(u, v), (where, v)
+        assert reconstruct_path(parent, v)[-1] in sources, (where, v)
+
+
+def test_dijkstra_kernels_agree_on_random_graphs(reweighted, reference_dijkstra):
+    raised = 0
+    for where, name, graph, _labels, csr in sweep(
+        reweighted, max_nodes=30, max_labels=5
+    ):
         for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 4)):
-            dial_dist, _ = multi_source_dijkstra_csr(csr, [source])
-            heap_dist, _ = _msd_heap(csr, [source], None)
-            assert dial_dist == heap_dist, f"seed {seed}, source {source}"
+            check_kernel(where, graph, csr, [source], reference_dijkstra)
+        if name == "log-uniform":
+            lightest = min(w for _, _, w in graph.edges())
+            heaviest = max(w for _, _, w in graph.edges())
+            assert csr.bucket_width == max(lightest, heaviest / BUCKET_SPAN)
+            raised += csr.bucket_width > lightest
+    # Most log-uniform instances span more than BUCKET_SPAN-fold, so the
+    # sweep runs arcs lighter than the bucket width.
+    assert raised > len(AGREEMENT_SEEDS) // 2
 
 
-def test_multi_source_kernels_agree(integer_weighted):
-    for seed in AGREEMENT_SEEDS:
-        graph, labels, csr = dial_snapshot(
-            seed, integer_weighted, max_nodes=30, max_labels=5
-        )
-        groups = [list(graph.nodes_with_label(label)) for label in labels]
-        groups = [members for members in groups if members]
-        for members in groups:
-            dial_dist, _ = multi_source_dijkstra_csr(csr, members)
-            heap_dist, _ = _msd_heap(csr, members, None)
-            assert dial_dist == heap_dist, f"seed {seed}"
+def test_multi_source_kernels_agree(reweighted, reference_dijkstra):
+    for where, _name, graph, labels, csr in sweep(
+        reweighted, max_nodes=30, max_labels=5
+    ):
+        for label in labels:
+            members = list(graph.nodes_with_label(label))
+            if members:
+                check_kernel(where, graph, csr, members, reference_dijkstra)
 
 
-def test_targets_early_exit_agrees_on_requested_nodes(integer_weighted):
-    for seed in AGREEMENT_SEEDS:
-        graph, _labels, csr = dial_snapshot(
-            seed, integer_weighted, max_nodes=24, max_labels=4
-        )
+def test_targets_early_exit_agrees_on_requested_nodes(
+    reweighted, reference_dijkstra
+):
+    for where, _name, graph, _labels, csr in sweep(
+        reweighted, max_nodes=24, max_labels=4
+    ):
         targets = list(range(0, graph.num_nodes, 3)) or [0]
-        dial_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=targets)
-        heap_dist, _ = _msd_heap(csr, [0], targets)
+        dist, _ = multi_source_dijkstra_csr(csr, [0], targets=targets)
+        expected = reference_dijkstra(graph, [0])
         for t in targets:
-            assert dial_dist[t] == heap_dist[t], f"seed {seed}, target {t}"
+            assert dist[t] == expected[t], f"{where}, target {t}"
