@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Beyond the paper: library features a production deployment would use.
 
-* PreparedGraph — amortize per-label Dijkstras across queries;
+* GraphIndex — amortize per-label Dijkstras across queries;
 * algorithm="auto" — the planner picks the right solver;
 * exact_top_r_trees — true top-r reduced answers;
 * classic Steiner trees via the GST reduction;
@@ -12,10 +12,10 @@ Run:  python examples/advanced_features_demo.py
 
 import time
 
-from repro import exact_top_r_trees, solve_gst, top_r_trees
+from repro import GraphIndex, exact_top_r_trees, solve_gst, top_r_trees
 from repro.baselines.blinks import BlinksIndex, BlinksSolver
 from repro.bench import make_workload
-from repro.core import PreparedGraph, steiner_tree
+from repro.core import steiner_tree
 from repro.core.planner import plan_algorithm
 
 
@@ -25,15 +25,16 @@ def main() -> None:
     )
     print(f"graph: {graph}\n")
 
-    # --- PreparedGraph: warm per-label distance cache ------------------
-    prepared = PreparedGraph(graph)
+    # --- GraphIndex: warm per-label distance cache ---------------------
+    graph_index = GraphIndex(graph)
     batch = list(queries)
     started = time.perf_counter()
     for labels in batch:
-        prepared.solve(labels)
+        graph_index.solve(labels)
     warm = time.perf_counter() - started
-    print(f"4-query batch via PreparedGraph : {warm * 1e3:7.1f} ms "
-          f"(cache: {prepared.cache.hits} hits / {prepared.cache.misses} misses)")
+    cache = graph_index.cache
+    print(f"4-query batch via GraphIndex    : {warm * 1e3:7.1f} ms "
+          f"(cache: {cache.hits} hits / {cache.misses} misses)")
 
     started = time.perf_counter()
     for labels in batch:

@@ -31,7 +31,7 @@ from .bruteforce import brute_force_gst, brute_force_route
 from .topr import top_r_trees, exact_top_r_trees
 from .solver import solve_gst, ALGORITHMS, default_algorithm
 from .steiner import steiner_tree, steiner_tree_weight
-from .cache import LabelDistanceCache, PreparedGraph
+from .cache import LabelDistanceCache
 from .directed import (
     DirectedGSTSolver,
     DirectedSteinerTree,
@@ -67,7 +67,6 @@ __all__ = [
     "steiner_tree",
     "steiner_tree_weight",
     "LabelDistanceCache",
-    "PreparedGraph",
     "DirectedGSTSolver",
     "DirectedSteinerTree",
     "brute_force_directed_gst",

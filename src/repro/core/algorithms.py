@@ -11,7 +11,7 @@ equivalents remain accepted and win over the budget's fields):
 
 ``budget``
     A :class:`Budget` carrying ``time_limit`` / ``epsilon`` /
-    ``max_states`` / ``on_limit`` (and, for batch execution, an
+    ``max_states`` (and, for batch execution, an
     absolute deadline and/or a cooperative
     :class:`~repro.core.budget.CancellationToken`; a fired token stops
     the engine within a bounded number of state pops, returning the
@@ -23,20 +23,13 @@ equivalents remain accepted and win over the budget's fields):
     Stop as soon as the proven ratio reaches ``1 + epsilon`` — the
     anytime mode the paper's progressive framework enables.
 ``max_states``
-    Cap on popped states (``on_limit`` chooses return-best or raise).
+    Cap on popped states; the best feasible answer so far is returned.
 ``on_progress``
     Callback invoked with every :class:`ProgressPoint` (UB/LB event).
 ``on_event``
     Callback ``(name, payload)`` for engine lifecycle events
     (``search_started`` / ``new_best`` / ``search_finished``) — the
     structured-telemetry hook the service layer records.
-``progressive``
-    Set ``False`` to skip per-state feasible-solution construction
-    (pure optimal-search mode; used by some ablations).
-``bound_memo_limit``
-    Optional cap on the A* lower-bound memo's ``(node, mask)`` entries
-    (see :class:`~repro.core.bounds.LowerBounds`); evicting is safe —
-    bounds are just re-derived — so long batches can bound memory.
 ``debug_certify``
     Opt-in correctness paranoia: every incumbent update is re-validated
     by the independent certifier in :mod:`repro.verify` (tree shape,
@@ -95,13 +88,10 @@ class _ProgressiveSolverBase:
         time_limit: Optional[float] = None,
         epsilon: Optional[float] = None,
         max_states: Optional[int] = None,
-        on_limit: Optional[str] = None,
         on_progress: Optional[Callable[[ProgressPoint], None]] = None,
         on_feasible=None,
         on_event: Optional[Callable[[str, dict], None]] = None,
-        progressive: bool = True,
         distance_cache=None,
-        bound_memo_limit: Optional[int] = None,
         debug_certify: bool = False,
         checkpointer=None,
         restore_state: Optional[dict] = None,
@@ -113,22 +103,11 @@ class _ProgressiveSolverBase:
             time_limit=time_limit,
             epsilon=epsilon,
             max_states=max_states,
-            on_limit=on_limit,
         )
-        # Legacy attribute names, kept so existing callers can keep
-        # introspecting the configured limits.
-        self.time_limit = self.budget.time_limit
-        self.epsilon = self.budget.epsilon
-        self.max_states = self.budget.max_states
-        self.on_limit = self.budget.on_limit
         self.on_progress = on_progress
         self.on_feasible = on_feasible
         self.on_event = on_event
-        self.progressive = progressive
         self.distance_cache = distance_cache
-        # Optional bound on the LowerBounds (node, mask) memo so long
-        # batches cannot grow it without limit (None = unbounded).
-        self.bound_memo_limit = bound_memo_limit
         # Opt-in paranoia: the engine certifies every incumbent update
         # through repro.verify (see SearchEngine.debug_certify).
         self.debug_certify = debug_certify
@@ -179,7 +158,6 @@ class _ProgressiveSolverBase:
             prune_half=self.prune_half,
             merge_factor=self.merge_factor,
             complement_shortcut=self.complement_shortcut,
-            progressive=self.progressive,
             debug_certify=self.debug_certify,
             on_progress=self.on_progress,
             on_feasible=self.on_feasible,
@@ -239,7 +217,6 @@ class PrunedDPPlusSolver(PrunedDPSolver):
             use_one_label=True,
             use_tour1=False,
             use_tour2=False,
-            max_entries=self.bound_memo_limit,
         )
         return bounds, 0.0, 0
 
@@ -281,7 +258,6 @@ class PrunedDPPlusPlusSolver(PrunedDPSolver):
             use_one_label=self.use_one_label,
             use_tour1=self.use_tour1,
             use_tour2=self.use_tour2,
-            max_entries=self.bound_memo_limit,
         )
         extra = routes.build_seconds if routes is not None else 0.0
         entries = routes.num_entries if routes is not None else 0

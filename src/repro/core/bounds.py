@@ -79,10 +79,8 @@ class LowerBounds:
         "full_mask",
         "key_bits",
         "evaluations",
-        "max_entries",
         "hits",
         "misses",
-        "evictions",
     )
 
     def __init__(
@@ -93,12 +91,9 @@ class LowerBounds:
         use_one_label: bool = True,
         use_tour1: bool = True,
         use_tour2: bool = True,
-        max_entries: Optional[int] = None,
     ) -> None:
         if (use_tour1 or use_tour2) and routes is None:
             raise ValueError("tour-based bounds require RouteTables")
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive (or None)")
         self.context = context
         self.routes = routes
         self.use_one_label = use_one_label
@@ -107,6 +102,7 @@ class LowerBounds:
         # Memo keyed by packed ``node << key_bits | covered_mask`` ints —
         # the same packing the engine uses for queue/store keys, so the
         # search loop shares one key value across all three structures.
+        # It lives for one query, so it needs no bound.
         self._cache: Dict[int, float] = {}
         # mask -> tuple of set bit positions; at most 2^k entries, each
         # tiny, and it removes a generator per cache miss.
@@ -115,14 +111,8 @@ class LowerBounds:
         self.full_mask = context.full_mask
         self.key_bits = context.k
         self.evaluations = 0
-        # ``max_entries`` bounds the (node, mask) memo so a long search
-        # cannot grow it without limit; evicting is always *safe* —
-        # dropped states just re-derive an admissible (possibly less
-        # path-max-raised) bound on their next visit.
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     def pi(self, node: int, covered_mask: int) -> float:
@@ -137,18 +127,8 @@ class LowerBounds:
             return cached
         self.misses += 1
         value = self._evaluate(node, covered_mask)
-        self._insert(key, value)
+        self._cache[key] = value
         return value
-
-    def _insert(self, key: int, value: float) -> None:
-        cache = self._cache
-        if self.max_entries is not None and len(cache) >= self.max_entries:
-            # Drop the oldest-inserted entry (O(1) via dict ordering):
-            # cheap, and old states are the least likely to be re-popped
-            # by a best-first search that has moved past them.
-            cache.pop(next(iter(cache)))
-            self.evictions += 1
-        cache[key] = value
 
     def raise_to(self, node: int, covered_mask: int, value: float) -> float:
         """Path-max: raise the cached bound for a state, return the max.
@@ -217,17 +197,11 @@ class LowerBounds:
         return best
 
     # ------------------------------------------------------------------
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     def cache_info(self) -> dict:
-        """Memo size/hit/miss/eviction counters (surfaced in traces)."""
+        """Memo size/hit/miss counters (surfaced in traces)."""
         return {
             "size": len(self._cache),
-            "max_entries": self.max_entries,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "evaluations": self.evaluations,
         }

@@ -1,11 +1,11 @@
 """The per-query resource budget shared by every entry point.
 
-Historically each layer (``solve_gst``, ``PreparedGraph.solve``, the
-solver classes, the benchmark runner) threaded ``time_limit`` /
-``epsilon`` / ``max_states`` / ``on_limit`` through as loose keyword
-arguments, and each accepted a slightly different subset.  A
-:class:`Budget` is the single value object all of them now share: build
-one, pass it anywhere, and the same limits reach the search engine.
+Historically each layer (``solve_gst``, the solver classes, the
+benchmark runner) threaded ``time_limit`` / ``epsilon`` /
+``max_states`` through as loose keyword arguments, and each accepted a
+slightly different subset.  A :class:`Budget` is the single value
+object all of them now share: build one, pass it anywhere, and the
+same limits reach the search engine.
 
 Budgets are immutable; ``replace`` derives variants.  A budget may also
 carry an absolute *deadline* (a ``time.perf_counter`` timestamp), which
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["Budget", "CancellationToken"]
-
-_UNSET = object()
 
 
 class CancellationToken:
@@ -78,9 +76,8 @@ class Budget:
     ``epsilon``
         Stop once a ``(1 + epsilon)``-approximation is proven.
     ``max_states``
-        Cap on popped DP states; ``on_limit`` chooses whether hitting
-        it returns the incumbent (``"return"``) or raises
-        (``"raise"``).
+        Cap on popped DP states; hitting it returns the incumbent, as
+        a time limit does.
     ``deadline``
         Absolute ``time.perf_counter()`` timestamp after which no more
         work should start.  Usually set via :meth:`with_deadline` by
@@ -93,7 +90,6 @@ class Budget:
     time_limit: Optional[float] = None
     epsilon: float = 0.0
     max_states: Optional[int] = None
-    on_limit: str = "return"
     deadline: Optional[float] = None
     cancel_token: Optional[CancellationToken] = None
 
@@ -104,8 +100,6 @@ class Budget:
             raise ValueError("epsilon must be >= 0")
         if self.max_states is not None and self.max_states <= 0:
             raise ValueError("max_states must be positive")
-        if self.on_limit not in ("return", "raise"):
-            raise ValueError("on_limit must be 'return' or 'raise'")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -118,7 +112,6 @@ class Budget:
         time_limit: Optional[float] = None,
         epsilon: Optional[float] = None,
         max_states: Optional[int] = None,
-        on_limit: Optional[str] = None,
     ) -> "Budget":
         """Merge a base budget with legacy loose keyword arguments.
 
@@ -130,7 +123,6 @@ class Budget:
             time_limit=time_limit if time_limit is not None else base.time_limit,
             epsilon=epsilon if epsilon is not None else base.epsilon,
             max_states=max_states if max_states is not None else base.max_states,
-            on_limit=on_limit if on_limit is not None else base.on_limit,
             deadline=base.deadline,
             cancel_token=base.cancel_token,
         )
@@ -200,7 +192,6 @@ class Budget:
             "time_limit": self.effective_time_limit(),
             "epsilon": self.epsilon,
             "max_states": self.max_states,
-            "on_limit": self.on_limit,
             "cancel_token": self.cancel_token,
         }
 
@@ -210,7 +201,6 @@ class Budget:
             "time_limit": self.time_limit,
             "epsilon": self.epsilon,
             "max_states": self.max_states,
-            "on_limit": self.on_limit,
             "deadline_remaining": self.remaining(),
             "cancelled": self.cancelled(),
         }

@@ -15,30 +15,29 @@ Usage::
 or one level up (see :class:`repro.service.GraphIndex`, which owns a
 bounded cache, shares it across a worker pool, and adds telemetry)::
 
-    prepared = PreparedGraph(graph)
-    result = prepared.solve(["db", "ml"])        # caches as it goes
-    result = prepared.solve(["db", "graphs"])    # 'db' Dijkstra reused
+    index = GraphIndex(graph)
+    result = index.solve(["db", "ml"])        # caches as it goes
+    result = index.solve(["db", "graphs"])    # 'db' Dijkstra reused
 
-The cache is LRU-bounded (``max_labels``; ``None`` = unbounded for
-backwards compatibility) and thread-safe: lookups/insertions take an
-internal lock, while the Dijkstra itself runs outside it so concurrent
-misses on *different* labels don't serialize.  It is invalidated
-manually (``clear``) — the graph is assumed immutable while cached,
-which :class:`PreparedGraph` documents as its contract (matching every
-index structure in the literature).
+The cache is LRU-bounded (``max_labels``; ``None`` = unbounded) and
+thread-safe: lookups/insertions take an internal lock, while the
+Dijkstra itself runs outside it so concurrent misses on *different*
+labels don't serialize.  It is invalidated manually (``clear``) — the
+graph is assumed immutable while cached, which
+:class:`~repro.service.GraphIndex` documents as its contract (matching
+every index structure in the literature).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from ..graph.graph import Graph
 from ..graph.shortest_paths import multi_source_dijkstra
-from .result import GSTResult
 
-__all__ = ["LabelDistanceCache", "PreparedGraph"]
+__all__ = ["LabelDistanceCache"]
 
 
 class LabelDistanceCache:
@@ -161,54 +160,3 @@ class LabelDistanceCache:
         with self._lock:
             self._entries.clear()
             self._warm.clear()
-
-
-class PreparedGraph:
-    """A graph plus its warm caches: the multi-query entry point.
-
-    Contract: the underlying graph must not be mutated while prepared
-    (like any index).  ``solve`` accepts the same keyword arguments as
-    :func:`repro.core.solver.solve_gst` minus ``split_components``
-    (the prepared path always works on the full graph — per-label
-    Dijkstras already confine work to reachable regions).
-
-    This predates :class:`repro.service.GraphIndex`, which subsumes it
-    (bounded cache, component decomposition, batch execution,
-    telemetry); ``PreparedGraph`` is kept as the stable minimal facade.
-    """
-
-    def __init__(self, graph: Graph, *, max_cached_labels: Optional[int] = None) -> None:
-        self.graph = graph
-        self.cache = LabelDistanceCache(graph, max_labels=max_cached_labels)
-
-    def solve(
-        self,
-        labels: Iterable[Hashable],
-        *,
-        algorithm: str = "pruneddp++",
-        **solver_kwargs,
-    ) -> GSTResult:
-        """Solve one query, reusing cached per-label distances."""
-        from .solver import ALGORITHMS, solve_gst
-
-        key = algorithm.lower()
-        if key not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        labels = tuple(labels)
-        # Warm the cache (also validates label existence early).
-        for label in labels:
-            self.cache.distances(label)
-        return solve_gst(
-            self.graph,
-            labels,
-            algorithm=algorithm,
-            split_components=False,
-            distance_cache=self.cache,
-            **solver_kwargs,
-        )
-
-    @property
-    def cached_labels(self) -> int:
-        return len(self.cache)

@@ -81,7 +81,7 @@ class QueryContext:
         ``cache`` is an optional
         :class:`~repro.core.cache.LabelDistanceCache` bound to the same
         graph; cached labels skip their Dijkstra entirely (the
-        multi-query amortization of :class:`PreparedGraph`).  A cache
+        multi-query amortization of :class:`~repro.service.GraphIndex`).  A cache
         built for a *different* graph object is rejected — its arrays
         would silently index the wrong nodes.  The graph is frozen on
         first use (cached thereafter) and the time counts towards

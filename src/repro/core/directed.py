@@ -207,7 +207,6 @@ class DirectedGSTSolver:
         graph: DiGraph,
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
-        progressive: bool = True,
         time_limit: Optional[float] = None,
         epsilon: float = 0.0,
         max_states: Optional[int] = None,
@@ -216,7 +215,6 @@ class DirectedGSTSolver:
             raise ValueError("epsilon must be >= 0")
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
-        self.progressive = progressive
         self.time_limit = time_limit
         self.epsilon = epsilon
         self.max_states = max_states
@@ -377,8 +375,7 @@ class DirectedGSTSolver:
                 break
 
             store.settle(node, mask, cost, backpointer)
-            if self.progressive:
-                build_feasible(node, mask, cost)
+            build_feasible(node, mask, cost)
 
             stats.states_expanded += 1
             # Edge growing: the root moves backward along v2 -> node.

@@ -18,7 +18,7 @@ separate code.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from ..graph.graph import Graph
 from ..graph.heap import IndexedHeap
@@ -58,8 +58,6 @@ class DPBFSolver:
         self.budget = Budget.coalesce(
             budget, time_limit=time_limit, max_states=max_states
         )
-        self.time_limit = self.budget.time_limit
-        self.max_states = self.budget.max_states
         self.distance_cache = distance_cache
         self.on_event = on_event
         # DPBF has no incumbent stream; the callback is accepted for
@@ -84,6 +82,7 @@ class DPBFSolver:
 
     def run_search(self, context: QueryContext, prepared=None) -> GSTResult:
         time_limit = self.budget.effective_time_limit()
+        max_states = self.budget.max_states
         if self.on_event is not None:
             self.on_event("search_started", {"algorithm": self.algorithm_name})
         started = time.perf_counter() - context.build_seconds
@@ -121,7 +120,7 @@ class DPBFSolver:
         goal: Optional[Tuple[int, float, tuple]] = None
         interrupted = False
         while queue:
-            if self.max_states is not None and stats.states_popped >= self.max_states:
+            if max_states is not None and stats.states_popped >= max_states:
                 interrupted = True
                 break
             if (

@@ -47,7 +47,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import LimitExceededError
 from ..graph.heap import IndexedHeap
 from .bounds import LowerBounds
 from .context import QueryContext
@@ -84,11 +83,9 @@ class SearchEngine:
         prune_half: bool = False,
         merge_factor: Optional[float] = None,
         complement_shortcut: bool = False,
-        progressive: bool = True,
         time_limit: Optional[float] = None,
         epsilon: float = 0.0,
         max_states: Optional[int] = None,
-        on_limit: str = "return",
         cancel_token=None,
         checkpointer=None,
         debug_certify: bool = False,
@@ -100,8 +97,6 @@ class SearchEngine:
     ) -> None:
         if epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        if on_limit not in ("return", "raise"):
-            raise ValueError("on_limit must be 'return' or 'raise'")
         if merge_factor is not None and not 0.0 < merge_factor <= 1.0:
             raise ValueError("merge_factor must be in (0, 1]")
         self.context = context
@@ -110,11 +105,9 @@ class SearchEngine:
         self.prune_half = prune_half
         self.merge_factor = merge_factor
         self.complement_shortcut = complement_shortcut
-        self.progressive = progressive
         self.time_limit = time_limit
         self.epsilon = epsilon
         self.max_states = max_states
-        self.on_limit = on_limit
         self.cancel_token = cancel_token
         # Durability hook (see :mod:`repro.service.durability`): an
         # object with ``maybe_checkpoint(engine)`` called once per loop
@@ -230,7 +223,6 @@ class SearchEngine:
         merge_factor = self.merge_factor
         prune_half = self.prune_half
         complement_shortcut = self.complement_shortcut
-        progressive = self.progressive
         on_feasible = self.on_feasible
 
         # Resumed runs continue the checkpointed counters (cumulative
@@ -341,11 +333,10 @@ class SearchEngine:
 
                 store.settle(node, mask, cost, backpointer)
 
-                if progressive:
-                    if on_feasible is not None:
-                        self._build_feasible(node, mask)
-                    elif cost < self._best:
-                        self._build_feasible_memoized(node, mask)
+                if on_feasible is not None:
+                    self._build_feasible(node, mask)
+                elif cost < self._best:
+                    self._build_feasible_memoized(node, mask)
 
                 parent_f = f_value if has_bounds else cost
 
@@ -573,14 +564,7 @@ class SearchEngine:
             return
         self.on_feasible(tree)
         if tree.weight < self._best - _COST_EPS:
-            self._best = tree.weight
-            self._best_tree = tree
-            self.stats.incumbent_improvements += 1
-            self._clamp_stale_lb()
-            self._emit("new_best", weight=tree.weight, elapsed=self._elapsed())
-            self._record_progress()
-            if self.debug_certify:
-                self._certify_incumbent()
+            self._new_incumbent(tree, tree.weight)
 
     def _build_feasible_memoized(self, node: int, mask: int) -> None:
         """Memoized feasible construction for the search loop.
@@ -661,14 +645,7 @@ class SearchEngine:
         self.stats.feasible_built += 1
         self.stats.feasible_seconds += time.perf_counter() - started
         if tree.weight < self._best - _COST_EPS:
-            self._best = tree.weight
-            self._best_tree = tree
-            self.stats.incumbent_improvements += 1
-            self._clamp_stale_lb()
-            self._emit("new_best", weight=tree.weight, elapsed=self._elapsed())
-            self._record_progress()
-            if self.debug_certify:
-                self._certify_incumbent()
+            self._new_incumbent(tree, tree.weight)
 
     def _adopt_best_state(
         self, node: int, mask: int, cost: float, backpointer: tuple
@@ -678,15 +655,25 @@ class SearchEngine:
         edges = self._store.tree_edges(node, mask, override=(node, mask, backpointer))
         tree = steiner_tree_from_edges(edges, anchor=node)
         self.stats.feasible_seconds += time.perf_counter() - started
-        # Merged derivations may share edges, in which case the actual
-        # union is even lighter than the state cost; keep the real weight.
-        self._best = min(cost, tree.weight)
-        self._best_tree = tree
-        self.stats.incumbent_improvements += 1
-        self._clamp_stale_lb()
         if self.on_feasible is not None:
             self.on_feasible(tree)
-        self._emit("new_best", weight=self._best, elapsed=self._elapsed())
+        # Merged derivations may share edges, in which case the actual
+        # union is even lighter than the state cost; keep the real weight.
+        self._new_incumbent(tree, min(cost, tree.weight))
+
+    def _new_incumbent(self, tree: SteinerTree, weight: float) -> None:
+        """Adopt ``tree`` as the incumbent and report the improvement."""
+        self._best = weight
+        self._best_tree = tree
+        self.stats.incumbent_improvements += 1
+        # ``_raise_global_lb`` clamps against the incumbent *at raise
+        # time*, so a new incumbent below the already-raised bound would
+        # cross it (the pi bound paths can also overshoot by float
+        # rounding).  Every report derives its LB from
+        # ``min(_global_lb, _best)``; this keeps the stored state sound.
+        if self._global_lb > weight:
+            self._global_lb = weight
+        self._emit("new_best", weight=weight, elapsed=self._elapsed())
         self._record_progress()
         if self.debug_certify:
             self._certify_incumbent()
@@ -695,19 +682,6 @@ class SearchEngine:
         if value > self._global_lb:
             self._global_lb = min(value, self._best)
             self._record_progress()
-
-    def _clamp_stale_lb(self) -> None:
-        """Keep the global lower bound from crossing a new incumbent.
-
-        ``_raise_global_lb`` clamps against the incumbent *at raise
-        time*; when a later feasible tree drops ``_best`` below the
-        already-raised bound the stored value would cross it.  (The pi
-        bound paths can also overshoot by float rounding.)  Every report
-        derives its LB from ``min(_global_lb, _best)``, so this keeps
-        the stored state itself sound.
-        """
-        if self._global_lb > self._best:
-            self._global_lb = self._best
 
     def _certify_incumbent(self) -> None:
         """``debug_certify`` hook: independently re-validate the incumbent."""
@@ -786,10 +760,6 @@ class SearchEngine:
                 self.checkpointer.checkpoint(self)
             return True
         if self.max_states is not None and self.stats.states_popped >= self.max_states:
-            if self.on_limit == "raise":
-                raise LimitExceededError(
-                    f"{self.algorithm_name}: max_states={self.max_states} exhausted"
-                )
             if self.checkpointer is not None:
                 self.checkpointer.checkpoint(self)
             return True

@@ -54,7 +54,6 @@ def solve_gst(
     labels: Iterable[Hashable],
     *,
     algorithm: str = "pruneddp++",
-    split_components: bool = True,
     budget: Optional[Budget] = None,
     on_progress: Optional[Callable] = None,
     **solver_kwargs,
@@ -72,14 +71,9 @@ def solve_gst(
         (default, the paper's fastest), ``dpbf`` (the prior state of
         the art, non-progressive), or ``auto`` to let the planner pick
         (see :mod:`repro.core.planner`).
-    split_components:
-        Kept for backwards compatibility; the service-backed path
-        always searches the full graph (correct on disconnected graphs
-        — see the module docstring), so this flag no longer changes
-        the answer.
     budget:
         A :class:`~repro.core.budget.Budget` bundling ``time_limit`` /
-        ``epsilon`` / ``max_states`` / ``on_limit``; the loose keyword
+        ``epsilon`` / ``max_states``; the loose keyword
         equivalents below remain accepted and win over its fields.
     on_progress:
         Called with a :class:`~repro.core.result.ProgressPoint` each

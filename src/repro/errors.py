@@ -75,10 +75,10 @@ class InfeasibleQueryError(QueryError):
 class LimitExceededError(ReproError):
     """A configured resource limit (states, time) was exhausted.
 
-    Solvers normally do *not* raise this: hitting ``time_limit`` returns
-    the best feasible answer found so far (that is the whole point of a
-    progressive algorithm).  The error is reserved for hard limits such
-    as ``max_states`` with ``on_limit='raise'``.
+    Solvers do *not* raise this: hitting ``time_limit`` or
+    ``max_states`` returns the best feasible answer found so far (that
+    is the whole point of a progressive algorithm).  The service raises
+    it for a query whose batch deadline expired before it started.
     """
 
 

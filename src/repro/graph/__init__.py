@@ -2,7 +2,7 @@
 
 from .graph import Graph
 from .csr import CSRGraph
-from .shm import SharedCSR, share_csr
+from .shm import SharedCSR
 from .digraph import DiGraph
 from .heap import IndexedHeap
 from .union_find import UnionFind
@@ -28,7 +28,6 @@ __all__ = [
     "Graph",
     "CSRGraph",
     "SharedCSR",
-    "share_csr",
     "DiGraph",
     "IndexedHeap",
     "UnionFind",

@@ -128,7 +128,7 @@ class CSRGraph:
         )
 
     # ------------------------------------------------------------------
-    def to_shared(self, *, name: Optional[str] = None):
+    def to_shared(self):
         """Export this snapshot into a shared-memory segment.
 
         Returns the owner-side :class:`~repro.graph.shm.SharedCSR`
@@ -140,7 +140,7 @@ class CSRGraph:
         """
         from .shm import SharedCSR
 
-        return SharedCSR.create(self, name=name)
+        return SharedCSR.create(self)
 
     @classmethod
     def from_shared(

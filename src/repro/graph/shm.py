@@ -9,9 +9,9 @@ table, so this module maps those bytes into one
 :mod:`multiprocessing.shared_memory` segment that every worker attaches
 read-only.
 
-* :meth:`CSRGraph.to_shared <repro.graph.csr.CSRGraph.to_shared>` /
-  :func:`share_csr` export a snapshot into a named segment and return
-  the owner-side :class:`SharedCSR` handle.
+* :meth:`CSRGraph.to_shared <repro.graph.csr.CSRGraph.to_shared>`
+  exports a snapshot into a named segment and returns the owner-side
+  :class:`SharedCSR` handle.
 * :meth:`CSRGraph.from_shared <repro.graph.csr.CSRGraph.from_shared>` /
   :func:`SharedCSR.attach` attach by name.  The attach is
   **fingerprint-verified**: the stored snapshot fingerprint is
@@ -60,7 +60,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from ..errors import ShmAttachError, ShmLayoutError, StoreFingerprintError
 
-__all__ = ["SharedCSR", "share_csr", "SHM_MAGIC", "SHM_VERSION"]
+__all__ = ["SharedCSR", "SHM_MAGIC", "SHM_VERSION"]
 
 SHM_MAGIC = b"GSTSHM01"
 SHM_VERSION = 1  # encoded in the magic's trailing digits
@@ -130,7 +130,7 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 class SharedCSR:
     """One shared-memory CSR segment: owner- or attacher-side handle.
 
-    Owners come from :func:`share_csr` (or ``csr.to_shared()``);
+    Owners come from :meth:`create` (or ``csr.to_shared()``);
     attachers from :meth:`attach`.  Both sides call :meth:`close` when
     done; the last handle out (with the owner already closed) unlinks
     the segment.  :meth:`load` materializes the
@@ -156,7 +156,7 @@ class SharedCSR:
     # Creation / attach
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, csr, *, name: Optional[str] = None) -> "SharedCSR":
+    def create(cls, csr) -> "SharedCSR":
         """Export ``csr`` into a fresh segment (the owner-side handle)."""
         indptr_bytes = csr.indptr.tobytes()
         indices_bytes = csr.indices.tobytes()
@@ -190,8 +190,7 @@ class SharedCSR:
                 break
             meta["buffers"] = buffers
         total = offset
-        if name is None:
-            name = f"gst-csr-{secrets.token_hex(6)}"
+        name = f"gst-csr-{secrets.token_hex(6)}"
         shm = shared_memory.SharedMemory(name=name, create=True, size=total)
         buf = shm.buf
         _HEADER.pack_into(buf, 0, SHM_MAGIC, 1, 0, len(blob))
@@ -460,8 +459,3 @@ class SharedCSR:
     def __repr__(self) -> str:
         state = "closed" if self.closed else ("owner" if self.owner else "attached")
         return f"SharedCSR({self.name!r}, {self.size} bytes, {state})"
-
-
-def share_csr(csr, *, name: Optional[str] = None) -> SharedCSR:
-    """Functional alias for :meth:`SharedCSR.create` (owner side)."""
-    return SharedCSR.create(csr, name=name)

@@ -111,7 +111,7 @@ def result_cache_served(registry: Optional[MetricsRegistry] = None) -> Counter:
 def result_cache_events(registry: Optional[MetricsRegistry] = None) -> Counter:
     return _reg(registry).counter(
         "gst_result_cache_events_total",
-        "ResultCache internal events (hit/miss/expired/eviction/insertion).",
+        "ResultCache internal events (hit/miss/eviction/insertion).",
         ("event",),
     )
 

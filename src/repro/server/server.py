@@ -170,18 +170,16 @@ class GSTServer:
         text exposition at ``/metrics`` (``0`` picks a free port; read
         it back from :attr:`metrics_port`).  Closed again by
         :meth:`drain`.
-    executor:
-        Bring your own configured :class:`~repro.service.QueryExecutor`.
-        An in-thread executor streams PROGRESS frames (in-process
-        callbacks); one with a worker fleet (``workers=N``) trades
-        mid-search progress streaming for multi-core throughput — a
-        progress callback cannot cross a process boundary, so
-        fleet-served queries emit only their final RESULT frame.  The
-        server shuts down only executors it created itself.
     executor_kwargs:
-        Forwarded to the internally-built executor (``max_workers``,
+        Forwarded to the server's
+        :class:`~repro.service.QueryExecutor` (``max_workers``,
         ``workers``, ``trace_sink``, ``admission``, ``retry_policy``,
-        ``checkpoint_dir``, ...).
+        ``checkpoint_dir``, ...).  An in-thread executor streams
+        PROGRESS frames (in-process callbacks); one with a worker fleet
+        (``workers=N``) trades mid-search progress streaming for
+        multi-core throughput — a progress callback cannot cross a
+        process boundary, so fleet-served queries emit only their final
+        RESULT frame.
     """
 
     def __init__(
@@ -196,7 +194,6 @@ class GSTServer:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         drain_grace: Optional[float] = None,
         metrics_port: Optional[int] = None,
-        executor: Optional[QueryExecutor] = None,
         **executor_kwargs,
     ) -> None:
         if max_inflight <= 0:
@@ -209,21 +206,9 @@ class GSTServer:
         self.max_inflight = max_inflight
         self.max_frame_bytes = max_frame_bytes
         self.drain_grace = drain_grace
-        if executor is not None:
-            if executor_kwargs:
-                raise ValueError(
-                    "pass executor kwargs or a pre-built executor, not both"
-                )
-            self.executor = executor
-            self._owns_executor = False
-        else:
-            self.executor = QueryExecutor(
-                self.index,
-                algorithm=algorithm,
-                budget=budget,
-                **executor_kwargs,
-            )
-            self._owns_executor = True
+        self.executor = QueryExecutor(
+            self.index, algorithm=algorithm, budget=budget, **executor_kwargs
+        )
         self.stats = ServerStats()
         self._frames = instruments.server_frames()
         self._inflight_gauge = instruments.server_inflight()
@@ -313,14 +298,12 @@ class GSTServer:
                     for token in conn.inflight.values():
                         token.cancel("server draining")
                 await asyncio.wait(still_running)
-        if self._owns_executor:
-            # shutdown(wait=True) joins worker threads and flushes/
-            # closes the trace sink; run it off-loop so a slow flush
-            # cannot stall frame delivery on other (already-quiesced)
-            # connections.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.executor.shutdown
-            )
+        # shutdown(wait=True) joins worker threads and flushes/closes the
+        # trace sink; run it off-loop so a slow flush cannot stall frame
+        # delivery on other (already-quiesced) connections.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.executor.shutdown
+        )
         for conn in list(self._connections):
             conn.closing = True
             conn.writer.close()

@@ -3,14 +3,14 @@
 This package is the production-serving layer over the paper's solvers:
 
 * :class:`GraphIndex` — one immutable graph plus everything worth
-  amortizing across queries (LRU-bounded per-label Dijkstra cache,
-  label statistics, component decomposition);
+  amortizing across queries (CSR snapshot, LRU-bounded per-label
+  Dijkstra cache, label statistics, attached store);
 * :class:`QueryExecutor` — a thread-pool batch executor over a shared
   index, with per-query error isolation, deterministic result
   ordering, and batch deadlines;
 * :class:`~repro.core.budget.Budget` — the single resource-limit
-  object (``time_limit`` / ``epsilon`` / ``max_states`` / ``on_limit``
-  / deadline) every entry point now shares;
+  object (``time_limit`` / ``epsilon`` / ``max_states`` / deadline)
+  every entry point now shares;
 * :class:`QueryTrace` / :class:`TraceSink` — structured per-stage
   telemetry and its JSONL sink;
 * the resilience layer (:mod:`repro.service.resilience`) —

@@ -434,11 +434,6 @@ class WorkerPolicy:
         Memory watchdog threshold: a worker whose resident set exceeds
         it mid-query is checkpoint-then-killed, and an idle worker over
         it is replaced before its next query (``None`` disables both).
-    ``poll_interval``
-        Seconds between supervisor samples (pipe, liveness, RSS).
-    ``kill_grace_seconds``
-        How long a SIGTERM'd worker gets to checkpoint and deliver its
-        anytime answer before SIGKILL.
     ``hard_timeout_seconds``
         Absolute wall-clock kill deadline per worker — the containment
         for hangs the cooperative time limit cannot reach (``None``
@@ -460,8 +455,6 @@ class WorkerPolicy:
     """
 
     max_rss_mb: Optional[float] = None
-    poll_interval: float = 0.05
-    kill_grace_seconds: float = 5.0
     hard_timeout_seconds: Optional[float] = None
     max_restarts: int = 2
     checkpoint_every_pops: Optional[int] = DEFAULT_EVERY_POPS
@@ -469,9 +462,5 @@ class WorkerPolicy:
     chaos_kill_after_checkpoints: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.kill_grace_seconds < 0:
-            raise ValueError("kill_grace_seconds must be >= 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")

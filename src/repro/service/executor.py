@@ -42,7 +42,7 @@ latest engine checkpoint instead of restarting cold.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (
     Callable,
     Hashable,
@@ -255,17 +255,6 @@ class QueryExecutor:
             ) from exc
         return [future.result() for future in futures]
 
-    def map(
-        self,
-        queries: Sequence[Iterable[Hashable]],
-        **kwargs,
-    ) -> List[Optional[float]]:
-        """Convenience: best weight per query (``None`` for failures)."""
-        return [
-            outcome.result.weight if outcome.ok and outcome.result else None
-            for outcome in self.run_batch(queries, **kwargs)
-        ]
-
     # ------------------------------------------------------------------
     def _run_one(
         self,
@@ -297,27 +286,16 @@ class QueryExecutor:
             ):
                 outcome = None
         if outcome is None:
-            execute = self._execute_callable()
-            if self._pipeline.is_noop:
-                outcome = execute(
-                    labels,
-                    algorithm=algorithm,
-                    budget=budget,
-                    query_id=query_id,
-                    use_result_cache=False,
-                    **solver_kwargs,
-                )
-            else:
-                outcome = self._pipeline.run(
-                    self.index,
-                    labels,
-                    algorithm=algorithm,
-                    budget=budget,
-                    query_id=query_id,
-                    use_result_cache=False,
-                    execute=execute,
-                    **solver_kwargs,
-                )
+            outcome = self._pipeline.run(
+                self.index,
+                labels,
+                algorithm=algorithm,
+                budget=budget,
+                query_id=query_id,
+                use_result_cache=False,
+                execute=self._execute_callable(),
+                **solver_kwargs,
+            )
         if self.trace_sink is not None:
             # A drain (or shutdown(wait=False)) may close the sink while
             # a straggler query is still finishing; the late line is

@@ -81,6 +81,13 @@ except (AttributeError, ValueError, OSError):  # pragma: no cover
     _PAGE_SIZE = 4096
 
 _CHAOS_MARKER = "chaos-killed.marker"
+# Seconds between supervisor samples (pipe, liveness, RSS).
+_POLL_SECONDS = 0.05
+# How long a SIGTERM'd worker gets to checkpoint and deliver its anytime
+# answer (or a stopped one to exit) before SIGKILL.
+_KILL_GRACE_SECONDS = 5.0
+# How long a forked worker gets to attach the segment and report ready.
+_ATTACH_TIMEOUT_SECONDS = 60.0
 
 
 def _rss_mb(pid: int) -> Optional[float]:
@@ -295,6 +302,17 @@ def _fleet_worker_entry(
 # ----------------------------------------------------------------------
 # Parent-side worker slot
 # ----------------------------------------------------------------------
+class _Attempt:
+    """How one supervised job on a worker ended."""
+
+    __slots__ = ("kind", "outcome", "exitcode")
+
+    def __init__(self, kind, outcome=None, exitcode=None) -> None:
+        self.kind = kind  # delivered | crashed | watchdog | timeout
+        self.outcome = outcome
+        self.exitcode = exitcode
+
+
 class FleetWorker:
     """Parent-side state of one fleet slot (process + pipe + counters)."""
 
@@ -354,8 +372,6 @@ class FleetPool:
         workers: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         policy: Optional[WorkerPolicy] = None,
-        attach_timeout: float = 60.0,
-        shm_name: Optional[str] = None,
     ) -> None:
         import multiprocessing
 
@@ -367,7 +383,6 @@ class FleetPool:
         if checkpoint_dir is not None:
             os.makedirs(checkpoint_dir, exist_ok=True)
         self.policy = policy or WorkerPolicy()
-        self.attach_timeout = attach_timeout
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "the worker fleet requires the fork start method (POSIX); "
@@ -377,7 +392,7 @@ class FleetPool:
         # Everything a child might lazily derive is computed pre-fork
         # (forking a multithreaded parent copies held locks).
         self._fingerprint = self.index.snapshot.fingerprint
-        self.shared = self.index.snapshot.to_shared(name=shm_name)
+        self.shared = self.index.snapshot.to_shared()
         instruments.fleet_shm_bytes().set(self.shared.size)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -427,7 +442,7 @@ class FleetPool:
         slot.proc = proc
         slot.conn = parent_conn
         slot.pid = proc.pid
-        deadline = time.monotonic() + self.attach_timeout
+        deadline = time.monotonic() + _ATTACH_TIMEOUT_SECONDS
         while True:
             timeout = min(0.1, max(0.0, deadline - time.monotonic()))
             try:
@@ -444,7 +459,7 @@ class FleetPool:
                 self._kill_slot(slot)
                 raise WorkerCrashedError(
                     f"fleet worker {slot.worker_id} did not report ready "
-                    f"within {self.attach_timeout:.1f}s",
+                    f"within {_ATTACH_TIMEOUT_SECONDS:.1f}s",
                     pid=slot.pid,
                     reason="attach timeout",
                 )
@@ -607,7 +622,7 @@ class FleetPool:
             try:
                 slot.conn.send(job)
             except (BrokenPipeError, OSError):  # died since the refresh
-                attempt = self._Attempt("crashed")
+                attempt = _Attempt("crashed")
             else:
                 attempt = self._supervise(slot, budget)
             if attempt.kind == "delivered":
@@ -647,15 +662,7 @@ class FleetPool:
                     exitcode=attempt.exitcode,
                 )
 
-    class _Attempt:
-        __slots__ = ("kind", "outcome", "exitcode")
-
-        def __init__(self, kind, outcome=None, exitcode=None) -> None:
-            self.kind = kind  # delivered | crashed | watchdog | timeout
-            self.outcome = outcome
-            self.exitcode = exitcode
-
-    def _supervise(self, slot: FleetWorker, budget) -> "_Attempt":
+    def _supervise(self, slot: FleetWorker, budget) -> _Attempt:
         """Wait for one outcome, enforcing the policy on the worker."""
         policy = self.policy
         proc, conn = slot.proc, slot.conn
@@ -669,7 +676,7 @@ class FleetPool:
         cancelled = False
         while True:
             try:
-                has_data = conn.poll(policy.poll_interval)
+                has_data = conn.poll(_POLL_SECONDS)
             except (OSError, EOFError):
                 has_data = False
             if has_data:
@@ -678,15 +685,15 @@ class FleetPool:
                     if watchdog:
                         # The checkpoint-on-cancel answer is on disk; the
                         # delivery is superseded by the watchdog verdict.
-                        return self._Attempt("watchdog")
-                    return self._Attempt("delivered", outcome=msg["outcome"])
+                        return _Attempt("watchdog")
+                    return _Attempt("delivered", outcome=msg["outcome"])
                 if msg is None and not proc.is_alive():
                     proc.join(1.0)
                     if watchdog:
-                        return self._Attempt(
+                        return _Attempt(
                             "watchdog", exitcode=proc.exitcode
                         )
-                    return self._Attempt("crashed", exitcode=proc.exitcode)
+                    return _Attempt("crashed", exitcode=proc.exitcode)
                 continue  # stray frame (late ready); keep waiting
             if not proc.is_alive():
                 # Dead without a poll hit: drain a final message that
@@ -699,10 +706,10 @@ class FleetPool:
                     msg = None
                 proc.join(1.0)
                 if watchdog:
-                    return self._Attempt("watchdog", exitcode=proc.exitcode)
+                    return _Attempt("watchdog", exitcode=proc.exitcode)
                 if isinstance(msg, dict) and msg.get("op") == "outcome":
-                    return self._Attempt("delivered", outcome=msg["outcome"])
-                return self._Attempt("crashed", exitcode=proc.exitcode)
+                    return _Attempt("delivered", outcome=msg["outcome"])
+                return _Attempt("crashed", exitcode=proc.exitcode)
             now = time.monotonic()
             if not cancelled and (
                 budget is not None and budget.cancelled()
@@ -720,17 +727,17 @@ class FleetPool:
                     # reaps whatever is left.
                     watchdog = True
                     self._signal(proc, signal.SIGTERM)
-                    term_deadline = now + policy.kill_grace_seconds
+                    term_deadline = now + _KILL_GRACE_SECONDS
             if term_deadline is not None and now >= term_deadline:
                 self._kill(proc)
                 proc.join(1.0)
                 if watchdog:
-                    return self._Attempt("watchdog", exitcode=proc.exitcode)
-                return self._Attempt("crashed", exitcode=proc.exitcode)
+                    return _Attempt("watchdog", exitcode=proc.exitcode)
+                return _Attempt("crashed", exitcode=proc.exitcode)
             if hard_deadline is not None and now >= hard_deadline:
                 self._kill(proc)
                 proc.join(1.0)
-                return self._Attempt("timeout", exitcode=proc.exitcode)
+                return _Attempt("timeout", exitcode=proc.exitcode)
 
     @staticmethod
     def _receive(conn):
@@ -844,7 +851,7 @@ class FleetPool:
                         slot.conn.send({"op": "stop"})
                     except (BrokenPipeError, OSError):
                         pass
-            deadline = time.monotonic() + self.policy.kill_grace_seconds
+            deadline = time.monotonic() + _KILL_GRACE_SECONDS
             for slot in self._slots:
                 if slot.proc is not None:
                     slot.proc.join(max(0.0, deadline - time.monotonic()))

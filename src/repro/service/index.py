@@ -3,18 +3,20 @@
 A :class:`GraphIndex` is one graph plus everything worth amortizing
 across queries:
 
+* the frozen CSR snapshot every query's search runs on,
 * the per-label multi-source Dijkstra cache
   (:class:`~repro.core.cache.LabelDistanceCache`, LRU-bounded here so a
   long-tailed label stream cannot grow memory without bound),
 * label statistics (frequencies, used by planners and workloads),
-* the component decomposition (computed once, reused for fast
-  infeasibility answers instead of per-query BFS).
+* an optional attached precompute store and its result cache.
 
-It subsumes the older ``PreparedGraph``: build one index per graph,
-share it freely across threads (all mutable internals are
-lock-protected), and route every solve through :meth:`solve` /
-:meth:`execute`.  The contract is the standard index contract — the
-underlying graph must not be mutated while indexed.
+Build one index per graph, share it freely across threads (all mutable
+internals are lock-protected), and route every solve through
+:meth:`solve` / :meth:`execute`.  The contract is the standard index
+contract — the underlying graph must not be mutated while indexed.
+An infeasible query is answered after its label Dijkstras, by
+:meth:`QueryContext.require_feasible
+<repro.core.context.QueryContext.require_feasible>`.
 
 :meth:`execute` is the telemetry-bearing entry point: it never raises,
 returning a :class:`QueryOutcome` that carries either a result or the
@@ -28,12 +30,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 from ..core.budget import Budget
 from ..core.cache import LabelDistanceCache
-from ..core.context import QueryContext
-from ..core.query import GSTQuery
 from ..core.result import GSTResult
 from ..core.solver import ALGORITHMS
 from ..errors import (
@@ -43,7 +43,6 @@ from ..errors import (
     ReproError,
     StoreError,
 )
-from ..graph.components import component_ids as _component_ids
 from ..graph.graph import Graph
 from ..obs import instruments
 from .telemetry import QueryTrace
@@ -114,8 +113,6 @@ class GraphIndex:
         else:
             self.cache = LabelDistanceCache(graph, max_labels=max_cached_labels)
         self._lock = threading.Lock()
-        self._component_ids: Optional[List[int]] = None
-        self._label_components: Dict[Hashable, frozenset] = {}
         # Persistent-store attachment (see repro.store / attach_store).
         self.store = None
         self.result_cache = None
@@ -143,25 +140,16 @@ class GraphIndex:
                 self._fingerprint = graph_fingerprint(self.graph)
             return self._fingerprint
 
-    def attach_store(
-        self,
-        store,
-        *,
-        warm: bool = True,
-        warm_labels: Optional[Iterable[Hashable]] = None,
-        load_results: bool = True,
-        **result_cache_kwargs,
-    ) -> int:
+    def attach_store(self, store) -> int:
         """Bind a :class:`~repro.store.PrecomputeStore` to this index.
 
         Verifies the store's graph fingerprint (raising a typed
         :class:`~repro.errors.StoreError` on mismatch — fail closed),
-        warm-loads the label-Dijkstra cache from the stored distance
-        tables (``warm_labels`` restricts which; default all), and
-        loads the persisted epsilon-aware result cache.  Returns the
-        number of label tables preloaded.  Store provenance is recorded
-        on the index (``store``, ``warm_loaded``) and shows up in
-        :meth:`cache_info` and every :class:`QueryTrace`.
+        warm-loads the label-Dijkstra cache from every stored distance
+        table, and loads the persisted epsilon-aware result cache.
+        Returns the number of label tables preloaded.  Store provenance
+        is recorded on the index (``store``, ``warm_loaded``) and shows
+        up in :meth:`cache_info` and every :class:`QueryTrace`.
         """
         from ..store.store import PrecomputeStore
 
@@ -169,19 +157,12 @@ class GraphIndex:
             store = PrecomputeStore.open(store, self.graph)
         else:
             store.check_graph(self.graph)
-        loaded = 0
-        if warm:
-            loaded = store.warm(self.cache, labels=warm_labels)
-        result_cache = (
-            store.load_result_cache(**result_cache_kwargs)
-            if load_results
-            else None
-        )
+        loaded = store.warm(self.cache)
+        result_cache = store.load_result_cache()
         with self._lock:
             self.store = store
             self.warm_loaded = loaded
-            if result_cache is not None:
-                self.result_cache = result_cache
+            self.result_cache = result_cache
         instruments.record_warm_loads(loaded)
         return loaded
 
@@ -321,65 +302,8 @@ class GraphIndex:
         return info
 
     # ------------------------------------------------------------------
-    # Component decomposition (built once, lazily)
-    # ------------------------------------------------------------------
-    @property
-    def component_ids(self) -> List[int]:
-        """Per-node component id; computed on first use, then shared."""
-        with self._lock:
-            if self._component_ids is None:
-                started = time.perf_counter()
-                self._component_ids = _component_ids(self.graph)
-                self.build_seconds += time.perf_counter() - started
-            return self._component_ids
-
-    @property
-    def num_components(self) -> int:
-        ids = self.component_ids
-        return max(ids) + 1 if ids else 0
-
-    def _components_of_label(self, label: Hashable) -> frozenset:
-        with self._lock:
-            cached = self._label_components.get(label)
-            if cached is not None:
-                return cached
-        ids = self.component_ids
-        present = frozenset(ids[node] for node in self.graph.nodes_with_label(label))
-        with self._lock:
-            self._label_components[label] = present
-        return present
-
-    def covering_components(self, labels: Iterable[Hashable]) -> List[int]:
-        """Component ids containing at least one node of every label.
-
-        Empty means the query is infeasible — answered from the cached
-        decomposition without running a single Dijkstra.
-        """
-        qualifying: Optional[frozenset] = None
-        for label in labels:
-            present = self._components_of_label(label)
-            qualifying = present if qualifying is None else qualifying & present
-            if not qualifying:
-                return []
-        return sorted(qualifying or ())
-
-    def is_feasible(self, labels: Iterable[Hashable]) -> bool:
-        """Whether some connected component covers every label."""
-        labels = tuple(labels)
-        if not labels:
-            return False
-        if any(self.graph.label_frequency(label) == 0 for label in labels):
-            return False
-        return bool(self.covering_components(labels))
-
-    # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def context(self, labels: Union[GSTQuery, Iterable[Hashable]]) -> QueryContext:
-        """Build a query context against the shared label cache."""
-        query = labels if isinstance(labels, GSTQuery) else GSTQuery(labels)
-        return QueryContext.build(self.graph, query, cache=self.cache)
-
     def resolve_algorithm(self, algorithm: str, labels: Sequence[Hashable]) -> str:
         """Canonical solver key for ``algorithm`` (``"auto"`` is planned)."""
         key = algorithm.lower()
@@ -393,9 +317,6 @@ class GraphIndex:
                 f"{sorted(ALGORITHMS) + ['auto']}"
             )
         return key
-
-    # Backwards-compatible private alias.
-    _resolve_algorithm = resolve_algorithm
 
     def solve(
         self,

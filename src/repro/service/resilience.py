@@ -18,9 +18,8 @@ pipeline per query:
   policy's limits or too big for the batch deadline.
 * **Retry with a degradation ladder** (:class:`RetryPolicy`) — a query
   whose attempt fails in a way a re-run can rescue (see
-  :func:`retryable`: an unexpected exception, a dead fleet worker, or
-  a :class:`~repro.errors.LimitExceededError` under
-  ``on_limit="raise"``) is re-run, optionally one rung down
+  :func:`retryable`: an unexpected exception or a dead fleet worker)
+  is re-run, optionally one rung down
   (``pruneddp++ → pruneddp → basic``) with a growing ``epsilon``; the
   progressive solver's bounded-gap feasible tree is accepted as a
   degraded-but-valid answer, and the degradation is recorded in the
@@ -38,7 +37,6 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 from ..core.budget import Budget
 from ..errors import (
-    LimitExceededError,
     QueryRejectedError,
     ReproError,
     WorkerCrashedError,
@@ -263,19 +261,16 @@ def retryable(outcome) -> bool:
 
     Deterministic failures (infeasible queries, malformed input,
     admission rejections) and terminal ones (deadline skips, user
-    cancellations) are not; *unexpected* exceptions, a fleet worker
-    that died (:class:`~repro.errors.WorkerCrashedError`) and
-    :class:`~repro.errors.LimitExceededError` (raised only under
-    ``on_limit="raise"``) are — those are exactly the cases a re-run,
-    a lower rung or a looser epsilon can rescue.
+    cancellations) are not; *unexpected* exceptions and a fleet worker
+    that died (:class:`~repro.errors.WorkerCrashedError`) are — those
+    are exactly the cases a re-run, a lower rung or a looser epsilon
+    can rescue.
     """
     error = outcome.error
     if error is None:
         return False
     if outcome.trace.status in ("skipped", "cancelled", "rejected", "infeasible"):
         return False
-    if isinstance(error, LimitExceededError):
-        return True
     if isinstance(error, WorkerCrashedError):
         # A dead worker says nothing about the query; a retry resumes
         # it from its latest checkpoint (or re-runs it cold).
@@ -306,10 +301,6 @@ class ResiliencePipeline:
     ) -> None:
         self.admission = admission
         self.retry_policy = retry_policy
-
-    @property
-    def is_noop(self) -> bool:
-        return self.admission is None and self.retry_policy is None
 
     # ------------------------------------------------------------------
     def run(

@@ -17,7 +17,7 @@ restarts*, not just in the per-process LRU the service already has.
   cache;
 * :class:`ResultCache` — epsilon-aware answer cache: an answer proven
   within ``(1+ε)`` serves any later request asking for ``ε' ≥ ε``
-  (same label set, same algorithm tier), LRU+TTL bounded;
+  (same label set, same algorithm tier), LRU bounded;
 * wired through :meth:`GraphIndex.attach_store
   <repro.service.index.GraphIndex.attach_store>` /
   :meth:`GraphIndex.open <repro.service.index.GraphIndex.open>` and the

@@ -16,14 +16,11 @@ entries share one key space; algorithm tiers never cross-serve (a
 than a ``pruneddp++`` one in every benchmark, and tiers may diverge in
 tie-breaking).
 
-Eviction is LRU bounded by ``max_entries`` plus an optional TTL.  The
-TTL is measured on a **monotonic** clock (``time.monotonic``) so an
-NTP step can neither mass-expire nor immortalize live entries; the
-wall clock (``time.time``) is used only for the absolute ``created``
-timestamps carried by *persisted* records, where a cross-process
-monotonic reading would be meaningless.  Both clocks and all counters
-are injectable/observable for tests and telemetry.  Persistence uses
-the store's CRC-framed format — see :meth:`ResultCache.save_to` /
+Eviction is LRU, bounded by :data:`MAX_ENTRIES`.  Entries never
+expire: a store is bound by fingerprint to one immutable graph, so a
+cached answer cannot go stale.  Persisted records carry a wall-clock
+``created`` timestamp (provenance only).  Persistence uses the store's
+CRC-framed format — see :meth:`ResultCache.save_to` /
 :meth:`ResultCache.load_from`.
 """
 
@@ -33,7 +30,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import BinaryIO, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from ..core.result import GSTResult, SearchStats
 from ..core.tree import SteinerTree
@@ -48,10 +45,12 @@ from .format import (
     write_record,
 )
 
-__all__ = ["CachedAnswer", "ResultCache", "result_key"]
+__all__ = ["CachedAnswer", "ResultCache", "result_key", "MAX_ENTRIES"]
 
 INF = float("inf")
 _EPS_SLACK = 1e-12
+# LRU bound on live entries.
+MAX_ENTRIES = 1024
 
 
 def result_key(
@@ -79,10 +78,6 @@ class CachedAnswer:
     tree_nodes: Tuple[int, ...]
     tree_edges: Tuple[Tuple[int, int, float], ...]
     created: float
-    # Monotonic admission stamp used for in-memory TTL decisions.  Not
-    # persisted (monotonic readings are process-local); ``load_from``
-    # reconstructs it from the record's wall-clock age.
-    stamp: float = 0.0
 
     def serves(self, requested_epsilon: float) -> bool:
         """Whether this answer's proven gap satisfies ``ε'`` requests."""
@@ -149,30 +144,9 @@ class CachedAnswer:
 
 
 class ResultCache:
-    """LRU + TTL cache of proven answers, keyed by label set and tier."""
+    """LRU cache of proven answers, keyed by label set and tier."""
 
-    def __init__(
-        self,
-        *,
-        max_entries: int = 1024,
-        ttl_seconds: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-        wall_clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
-        self.max_entries = max_entries
-        self.ttl_seconds = ttl_seconds
-        # TTL ages on the monotonic clock; the wall clock only stamps
-        # the ``created`` field persisted in records.  A test injecting
-        # a single ``clock`` (the historical signature) gets it for
-        # both roles, so deterministic FakeClock tests keep working.
-        if clock is not None and wall_clock is None:
-            wall_clock = clock
-        self._clock = clock if clock is not None else time.monotonic
-        self._wall = wall_clock if wall_clock is not None else time.time
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Tuple[FrozenSet[str], str], CachedAnswer]" = (
             OrderedDict()
         )
@@ -180,7 +154,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
 
     # ------------------------------------------------------------------
     def lookup(
@@ -191,18 +164,13 @@ class ResultCache:
     ) -> Optional[CachedAnswer]:
         """An answer proven at least as tight as ``epsilon``, or None.
 
-        A hit refreshes LRU recency; a TTL-expired entry is dropped and
-        counted as a miss.  An entry whose proven gap is looser than
-        the request is a miss too (it stays cached for looser callers).
+        A hit refreshes LRU recency.  An entry whose proven gap is
+        looser than the request is a miss (it stays cached for looser
+        callers).
         """
         key = result_key(labels, algorithm)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                del self._entries[key]
-                self.expirations += 1
-                record_result_cache_event("expired")
-                entry = None
             if entry is None or not entry.serves(epsilon):
                 self.misses += 1
                 record_result_cache_event("miss")
@@ -239,26 +207,18 @@ class ResultCache:
             epsilon=epsilon,
             tree_nodes=tuple(result.tree.nodes),
             tree_edges=tuple(result.tree.edges),
-            created=self._wall(),
-            stamp=self._clock(),
+            created=time.time(),
         )
         key = result_key(labels, algorithm)
         with self._lock:
             existing = self._entries.get(key)
-            if (
-                existing is not None
-                and not self._expired(existing)
-                and existing.epsilon <= entry.epsilon
-            ):
+            if existing is not None and existing.epsilon <= entry.epsilon:
                 self._entries.move_to_end(key)
                 return existing
             self._entries[key] = entry
             self._entries.move_to_end(key)
             record_result_cache_event("insertion")
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                record_result_cache_event("eviction")
+            self._evict_over_bound()
         return entry
 
     def invalidate(
@@ -279,12 +239,12 @@ class ResultCache:
             record_result_cache_event("eviction")
             return True
 
-    def _expired(self, entry: CachedAnswer) -> bool:
-        """TTL check on the monotonic admission stamp (NTP-immune)."""
-        return (
-            self.ttl_seconds is not None
-            and self._clock() - entry.stamp > self.ttl_seconds
-        )
+    def _evict_over_bound(self) -> None:
+        # Caller holds the lock.
+        while len(self._entries) > MAX_ENTRIES:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            record_result_cache_event("eviction")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -305,10 +265,8 @@ class ResultCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "ttl_seconds": self.ttl_seconds,
+                "max_entries": MAX_ENTRIES,
             }
 
     def entries(self) -> List[CachedAnswer]:
@@ -331,8 +289,7 @@ class ResultCache:
     def load_from(self, fh: BinaryIO, *, what: str = "result cache") -> int:
         """Merge persisted entries into this cache; returns the count.
 
-        TTL-expired persisted entries are skipped (counted as
-        expirations); fresher live entries win over persisted ones.
+        A live entry proven at least as tight wins over a persisted one.
         """
         read_header(fh, what=what)
         count = 0
@@ -340,16 +297,6 @@ class ResultCache:
             entry = CachedAnswer.from_record(
                 unpack_json(payload, what=what), what=what
             )
-            # Persisted records only carry wall-clock ``created``; age
-            # them once against the wall clock at load, then hand the
-            # remaining TTL to the monotonic stamp so a later NTP step
-            # cannot disturb them.
-            age = self._wall() - entry.created
-            if self.ttl_seconds is not None and age > self.ttl_seconds:
-                self.expirations += 1
-                record_result_cache_event("expired")
-                continue
-            entry.stamp = self._clock() - max(0.0, age)
             key = result_key(entry.labels, entry.algorithm)
             with self._lock:
                 existing = self._entries.get(key)
@@ -357,9 +304,6 @@ class ResultCache:
                     continue
                 self._entries[key] = entry
                 record_result_cache_event("insertion")
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    record_result_cache_event("eviction")
+                self._evict_over_bound()
             count += 1
         return count

@@ -12,7 +12,7 @@ layer's fall-back-to-cold-solve paths rely on.
 from __future__ import annotations
 
 import os
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.cache import LabelDistanceCache
 from ..errors import StoreCorruptError, StoreFingerprintError
@@ -96,17 +96,11 @@ class PrecomputeStore:
         """Labels whose distance tables this store holds."""
         return list(self.manifest.labels)
 
-    def load_tables(
-        self, labels: Optional[Iterable[Hashable]] = None
-    ) -> Dict[str, Tuple[List[float], List[int]]]:
+    def load_tables(self) -> Dict[str, Tuple[List[float], List[int]]]:
         """Stream the distance file into ``{label: (dist, parent)}``.
 
-        ``labels`` restricts which tables are kept (all by default).
         Truncation, checksum and shape problems raise typed errors.
         """
-        wanted = (
-            None if labels is None else {str(label) for label in labels}
-        )
         path = os.path.join(self.path, DISTANCES_NAME)
         what = f"store {self.path!r} distances"
         tables: Dict[str, Tuple[List[float], List[int]]] = {}
@@ -124,22 +118,17 @@ class PrecomputeStore:
                         f"{len(dist)} nodes, manifest says "
                         f"{self.manifest.num_nodes}"
                     )
-                if wanted is None or label in wanted:
-                    tables[label] = (dist, parent)
+                tables[label] = (dist, parent)
         return tables
 
-    def warm(
-        self,
-        cache: LabelDistanceCache,
-        labels: Optional[Iterable[Hashable]] = None,
-    ) -> int:
+    def warm(self, cache: LabelDistanceCache) -> int:
         """Preload a live label cache from disk; returns tables loaded.
 
         The cache must belong to a fingerprint-matching graph — callers
         go through :meth:`GraphIndex.attach_store
         <repro.service.index.GraphIndex.attach_store>`, which checks.
         """
-        tables = self.load_tables(labels)
+        tables = self.load_tables()
         count = 0
         for label, (dist, parent) in tables.items():
             raw = self._resolve_label(cache.graph, label)
@@ -162,9 +151,9 @@ class PrecomputeStore:
     # ------------------------------------------------------------------
     # Result cache persistence
     # ------------------------------------------------------------------
-    def load_result_cache(self, **cache_kwargs) -> ResultCache:
+    def load_result_cache(self) -> ResultCache:
         """The persisted result cache (empty when none was saved yet)."""
-        cache = ResultCache(**cache_kwargs)
+        cache = ResultCache()
         path = os.path.join(self.path, RESULTS_NAME)
         if os.path.exists(path):
             what = f"store {self.path!r} results"

@@ -275,27 +275,6 @@ class TestAnytimeKnobs:
         result = BasicSolver(g, labels, max_states=300).solve()
         assert result.stats.states_popped <= 300 + 256  # check interval slack
 
-    def test_max_states_raise_mode(self):
-        from repro import LimitExceededError
-
-        g = generators.random_graph(
-            60, 140, num_query_labels=4, label_frequency=5, seed=3
-        )
-        labels = [f"q{i}" for i in range(4)]
-        with pytest.raises(LimitExceededError):
-            BasicSolver(
-                g, labels, max_states=10, on_limit="raise"
-            ).solve()
-
-    def test_invalid_on_limit_rejected(self, star_graph):
-        from repro.core.engine import SearchEngine
-        from repro.core.context import QueryContext
-        from repro import GSTQuery
-
-        ctx = QueryContext.build(star_graph, GSTQuery(["x"]))
-        with pytest.raises(ValueError):
-            SearchEngine(ctx, algorithm_name="t", on_limit="explode")
-
 
 class TestWeightValidation:
     def test_pruned_rejects_zero_weights(self):

@@ -159,8 +159,8 @@ class TestConsistency:
         assert bounds.raise_to(0, ctx.full_mask, 99.0) == 0.0
 
 
-class TestMemoBounding:
-    """The (node, mask) memo bound and its cache_info telemetry."""
+class TestMemoTelemetry:
+    """The (node, mask) memo's cache_info counters."""
 
     def test_cache_info_counts(self):
         g = generators.random_graph(10, 16, num_query_labels=2, seed=3)
@@ -172,46 +172,4 @@ class TestMemoBounding:
         assert info["size"] == 2
         assert info["hits"] == 1
         assert info["misses"] == 2
-        assert info["evictions"] == 0
-        assert info["max_entries"] is None
-
-    def test_max_entries_bounds_memo(self):
-        g = generators.random_graph(10, 16, num_query_labels=2, seed=3)
-        _, bounds = make_bounds(g, ["q0", "q1"], max_entries=4)
-        for v in range(10):
-            bounds.pi(v, 0)
-        info = bounds.cache_info()
-        assert info["size"] <= 4
-        assert info["evictions"] == 10 - 4
-
-    def test_max_entries_validated(self):
-        g = generators.random_graph(8, 12, num_query_labels=2, seed=0)
-        with pytest.raises(ValueError):
-            make_bounds(g, ["q0", "q1"], max_entries=0)
-
-    def test_bounded_memo_still_admissible(self):
-        """Eviction must only re-derive values, never change them."""
-        g = generators.random_graph(
-            9, 14, num_query_labels=3, label_frequency=2, seed=2
-        )
-        labels = ["q0", "q1", "q2"]
-        ctx, unbounded = make_bounds(g, labels)
-        _, bounded = make_bounds(g, labels, max_entries=2)
-        full = ctx.full_mask
-        for v in g.nodes():
-            for covered in range(full):
-                assert bounded.pi(v, covered) == unbounded.pi(v, covered)
-
-    def test_solver_threads_bound_memo_limit(self):
-        from repro.core import PrunedDPPlusPlusSolver
-
-        g = generators.random_graph(
-            20, 40, num_query_labels=3, label_frequency=3, seed=6
-        )
-        solver = PrunedDPPlusPlusSolver(
-            g, ["q0", "q1", "q2"], bound_memo_limit=16
-        )
-        result = solver.solve()
-        baseline = PrunedDPPlusPlusSolver(g, ["q0", "q1", "q2"]).solve()
-        assert result.weight == pytest.approx(baseline.weight)
-        assert result.optimal
+        assert info["evaluations"] == 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import PrunedDPPlusPlusSolver
-from repro.core.cache import LabelDistanceCache, PreparedGraph
+from repro.core.cache import LabelDistanceCache
 from repro.graph import generators
 
 
@@ -46,43 +46,6 @@ class TestLabelDistanceCache:
         cache.distances("q0")
         cache.clear()
         assert len(cache) == 0
-
-
-class TestPreparedGraph:
-    def test_same_answers_as_cold_solver(self, graph):
-        prepared = PreparedGraph(graph)
-        for labels in (["q0", "q1"], ["q1", "q2", "q3"], ["q0", "q3"]):
-            warm = prepared.solve(labels)
-            cold = PrunedDPPlusPlusSolver(graph, labels).solve()
-            assert warm.optimal and cold.optimal
-            assert warm.weight == pytest.approx(cold.weight)
-
-    def test_shared_labels_reuse_dijkstras(self, graph):
-        prepared = PreparedGraph(graph)
-        prepared.solve(["q0", "q1"])
-        misses_before = prepared.cache.misses
-        prepared.solve(["q0", "q2"])  # q0 cached, q2 fresh
-        assert prepared.cache.misses == misses_before + 1
-        assert prepared.cache.hits >= 1
-        assert prepared.cached_labels == 3
-
-    def test_algorithm_selection(self, graph):
-        prepared = PreparedGraph(graph)
-        basic = prepared.solve(["q0", "q1"], algorithm="basic")
-        pp = prepared.solve(["q0", "q1"], algorithm="pruneddp++")
-        assert basic.weight == pytest.approx(pp.weight)
-        with pytest.raises(ValueError):
-            prepared.solve(["q0"], algorithm="magic")
-
-    def test_kwargs_forwarded(self, graph):
-        prepared = PreparedGraph(graph)
-        result = prepared.solve(["q0", "q1", "q2"], epsilon=1.0)
-        assert result.ratio <= 2.0 + 1e-9
-
-    def test_dpbf_with_cache(self, graph):
-        prepared = PreparedGraph(graph)
-        result = prepared.solve(["q0", "q1"], algorithm="dpbf")
-        assert result.optimal
 
 
 class TestCacheGraphBinding:

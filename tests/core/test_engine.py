@@ -90,27 +90,6 @@ class TestEngineKnobValidation:
         assert result.weight == pytest.approx(3.0)
 
 
-class TestProgressiveToggle:
-    def test_non_progressive_mode_skips_feasible_construction(self):
-        g = generators.random_graph(
-            40, 90, num_query_labels=4, label_frequency=4, seed=3
-        )
-        labels = [f"q{i}" for i in range(4)]
-        progressive = BasicSolver(g, labels, progressive=True).solve()
-        pure = BasicSolver(g, labels, progressive=False).solve()
-        assert pure.weight == pytest.approx(progressive.weight)
-        assert pure.stats.feasible_built == 0
-        assert progressive.stats.feasible_built > 0
-
-    def test_non_progressive_still_optimal_and_traced_at_end(self):
-        g = generators.random_graph(
-            30, 60, num_query_labels=3, label_frequency=3, seed=4
-        )
-        result = BasicSolver(g, ["q0", "q1", "q2"], progressive=False).solve()
-        assert result.optimal
-        assert result.trace[-1].ratio == pytest.approx(1.0)
-
-
 class TestOnFeasibleHook:
     def test_hook_sees_valid_covering_trees(self):
         g = generators.random_graph(

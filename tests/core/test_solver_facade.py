@@ -37,12 +37,6 @@ class TestDisconnectedHandling:
         assert result.tree.nodes == frozenset({2, 3, 4})
         result.tree.validate(disconnected_graph, ["x", "y"])
 
-    def test_no_split_still_correct(self, disconnected_graph):
-        result = solve_gst(
-            disconnected_graph, ["x", "y"], split_components=False
-        )
-        assert result.weight == pytest.approx(5.0)
-
     def test_multiple_covering_components_picks_best(self):
         from repro import Graph
 

@@ -434,13 +434,3 @@ class TestConstruction:
         assert updates[0].status == "ok"
         expected = solve_gst(graph, labels)
         assert updates[0].best_weight == pytest.approx(expected.weight)
-
-    def test_executor_and_kwargs_are_exclusive(self, graph):
-        from repro.service import QueryExecutor
-
-        executor = QueryExecutor(graph)
-        try:
-            with pytest.raises(ValueError, match="not both"):
-                GSTServer(graph, executor=executor, max_workers=2)
-        finally:
-            executor.shutdown()

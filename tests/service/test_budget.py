@@ -15,7 +15,6 @@ import pytest
 
 import repro.core.algorithms as algorithms_mod
 from repro.core import Budget, PrunedDPPlusPlusSolver, solve_gst
-from repro.core.cache import PreparedGraph
 from repro.core.dpbf import DPBFSolver
 from repro.core.engine import SearchEngine
 from repro.graph import generators
@@ -35,7 +34,6 @@ class TestBudgetValue:
         assert budget.time_limit is None
         assert budget.epsilon == 0.0
         assert budget.max_states is None
-        assert budget.on_limit == "return"
         assert budget.deadline is None
 
     @pytest.mark.parametrize(
@@ -45,7 +43,6 @@ class TestBudgetValue:
             {"epsilon": -0.1},
             {"max_states": 0},
             {"max_states": -5},
-            {"on_limit": "explode"},
         ],
     )
     def test_validation(self, kwargs):
@@ -67,12 +64,10 @@ class TestBudgetValue:
         assert merged.time_limit == 2.0
         assert merged.epsilon == 0.25
         assert merged.max_states == 100  # untouched field survives
-        assert merged.on_limit == "return"
 
     def test_coalesce_without_base(self):
-        merged = Budget.coalesce(None, max_states=7, on_limit="raise")
+        merged = Budget.coalesce(None, max_states=7)
         assert merged.max_states == 7
-        assert merged.on_limit == "raise"
         assert merged.time_limit is None
 
     def test_coalesce_preserves_deadline(self):
@@ -142,7 +137,6 @@ class TestBudgetValue:
             "time_limit": 3.0,
             "epsilon": 0.1,
             "max_states": 9,
-            "on_limit": "return",
             "cancel_token": None,
         }
 
@@ -172,14 +166,13 @@ def engine_spy(monkeypatch):
     return calls
 
 
-LOOSE = dict(time_limit=5.0, epsilon=0.25, max_states=100_000, on_limit="raise")
+LOOSE = dict(time_limit=5.0, epsilon=0.25, max_states=100_000)
 
 
 def _assert_limits(call: dict) -> None:
     assert call["time_limit"] == 5.0
     assert call["epsilon"] == 0.25
     assert call["max_states"] == 100_000
-    assert call["on_limit"] == "raise"
 
 
 class TestKwargsReachEngine:
@@ -190,14 +183,12 @@ class TestKwargsReachEngine:
             ["q0", "q1"],
             on_progress=progress.append,
             on_feasible=feasible.append,
-            progressive=True,
             **LOOSE,
         ).solve()
         (call,) = engine_spy
         _assert_limits(call)
         assert call["on_progress"] is not None
         assert call["on_feasible"] is not None
-        assert call["progressive"] is True
         assert progress, "on_progress callback never fired"
 
     def test_solver_class_budget(self, graph, engine_spy):
@@ -208,7 +199,7 @@ class TestKwargsReachEngine:
     def test_solver_class_budget_with_loose_override(self, graph, engine_spy):
         budget = Budget(time_limit=99.0, epsilon=0.25, max_states=100_000)
         PrunedDPPlusPlusSolver(
-            graph, ["q0", "q1"], budget=budget, time_limit=5.0, on_limit="raise"
+            graph, ["q0", "q1"], budget=budget, time_limit=5.0
         ).solve()
         _assert_limits(engine_spy[0])
 
@@ -218,14 +209,6 @@ class TestKwargsReachEngine:
 
     def test_solve_gst_budget(self, graph, engine_spy):
         solve_gst(graph, ["q0", "q1"], budget=Budget(**LOOSE))
-        _assert_limits(engine_spy[0])
-
-    def test_solve_gst_progressive_flag(self, graph, engine_spy):
-        solve_gst(graph, ["q0", "q1"], algorithm="pruneddp", progressive=False)
-        assert engine_spy[0]["progressive"] is False
-
-    def test_prepared_graph_passthrough(self, graph, engine_spy):
-        PreparedGraph(graph).solve(["q0", "q1"], **LOOSE)
         _assert_limits(engine_spy[0])
 
     def test_graph_index_passthrough(self, graph, engine_spy):

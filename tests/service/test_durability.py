@@ -82,7 +82,7 @@ def _interrupt(index, tmp_path, *, algorithm="pruneddp++", max_states=150):
         index,
         LABELS,
         algorithm=algorithm,
-        budget=Budget(max_states=max_states, on_limit="return"),
+        budget=Budget(max_states=max_states),
         checkpoint_dir=str(tmp_path),
         policy=policy,
     )
@@ -371,7 +371,6 @@ class TestProcessIsolation:
     def test_memory_watchdog_checkpoint_then_kill(self, index, tmp_path):
         policy = WorkerPolicy(
             max_rss_mb=1.0,  # absurd: trips on the first RSS sample
-            kill_grace_seconds=5.0,
             checkpoint_every_pops=25,
             checkpoint_every_seconds=None,
         )
@@ -432,7 +431,6 @@ class TestProcessIsolation:
         monkeypatch.setitem(solver_mod.ALGORITHMS, "basic", Wedged)
         policy = WorkerPolicy(
             hard_timeout_seconds=0.3,
-            poll_interval=0.02,
             checkpoint_every_pops=None,
             checkpoint_every_seconds=None,
         )

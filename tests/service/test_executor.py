@@ -60,12 +60,6 @@ class TestBatchBasics:
         assert [outcome.query_id for outcome in outcomes] == list(range(24))
         assert [list(outcome.labels) for outcome in outcomes] == queries
 
-    def test_map_returns_weights_and_none(self, index):
-        with QueryExecutor(index, max_workers=2) as executor:
-            weights = executor.map([["q0", "q1"], ["ghost"]])
-        assert weights[0] is not None and weights[0] >= 0.0
-        assert weights[1] is None
-
     def test_submit_future_isolation(self, index):
         with QueryExecutor(index) as executor:
             future = executor.submit(["ghost"], query_id="f1")
@@ -179,25 +173,6 @@ class TestRunBatchFutureLeak:
             executor.shutdown()
 
 
-class TestOnLimitRaise:
-    def test_raise_mode_error_is_isolated_per_query(self, index):
-        """``on_limit='raise'`` through the service path: the limit
-        error rides the heavy query's outcome; the sibling sharing the
-        same batch budget still solves to optimality."""
-        budget = Budget(max_states=1, on_limit="raise")
-        queries = [
-            ["q0", "q1", "q2", "q3"],  # hundreds of pops: hits the check
-            ["q0", "q1"],              # finishes before the first check
-        ]
-        with QueryExecutor(index, max_workers=2, algorithm="basic") as executor:
-            outcomes = executor.run_batch(queries, budget=budget)
-        heavy, light = outcomes
-        assert not heavy.ok
-        assert isinstance(heavy.error, LimitExceededError)
-        assert heavy.trace.status == "error"
-        assert light.ok and light.result.optimal
-
-
 class TestBatchCancellation:
     def test_precancelled_batch_returns_cancelled_outcomes(self, index):
         token = CancellationToken()
@@ -231,6 +206,11 @@ class TestTraceStreaming:
         by_id = {record["query_id"]: record for record in records}
         assert by_id[0]["status"] == "ok"
         assert by_id[1]["status"] == "infeasible"
+        # A default executor records what the resilience pipeline does,
+        # exactly as one with a retry policy or admission control does.
+        assert by_id[0]["requested_algorithm"] == "pruneddp++"
+        assert by_id[0]["attempts"] == 1
+        assert by_id[0]["degraded"] is False
         assert set(by_id[0]["stages"]) == {
             "context_build",
             "bounds_build",

@@ -1,4 +1,4 @@
-"""GraphIndex: shared caches, component decomposition, execute()."""
+"""GraphIndex: shared caches, solving, execute()."""
 
 from __future__ import annotations
 
@@ -56,8 +56,6 @@ class TestConstruction:
     def test_build_seconds_recorded(self, graph):
         index = GraphIndex(graph)
         assert index.build_seconds >= 0.0
-        _ = index.component_ids  # lazy stage folds into build time
-        assert index.build_seconds >= 0.0
 
 
 class TestSolveParity:
@@ -78,6 +76,18 @@ class TestSolveParity:
         reference = weights["pruneddp++"]
         for algorithm, weight in weights.items():
             assert weight == pytest.approx(reference), algorithm
+
+    def test_algorithm_selection(self, graph):
+        index = GraphIndex(graph)
+        basic = index.solve(["q0", "q1"], algorithm="basic")
+        pp = index.solve(["q0", "q1"], algorithm="pruneddp++")
+        assert basic.weight == pytest.approx(pp.weight)
+        with pytest.raises(ValueError):
+            index.solve(["q0"], algorithm="magic")
+
+    def test_kwargs_forwarded(self, graph):
+        result = GraphIndex(graph).solve(["q0", "q1", "q2"], epsilon=1.0)
+        assert result.ratio <= 2.0 + 1e-9
 
     def test_auto_algorithm_resolves(self, graph):
         outcome = GraphIndex(graph).execute(["q0", "q1"], algorithm="auto")
@@ -120,21 +130,6 @@ class TestCacheSharing:
 
 
 class TestComponents:
-    def test_decomposition(self, two_islands):
-        index = GraphIndex(two_islands)
-        assert index.num_components == 2
-        assert index.covering_components(["x", "y"]) != []
-        assert index.covering_components(["x", "z"]) == []
-        assert sorted(index.covering_components(["shared"])) == [0, 1]
-
-    def test_is_feasible(self, two_islands):
-        index = GraphIndex(two_islands)
-        assert index.is_feasible(["x", "y"])
-        assert index.is_feasible(["z", "w"])
-        assert not index.is_feasible(["x", "w"])  # split across islands
-        assert not index.is_feasible(["ghost"])
-        assert not index.is_feasible([])
-
     def test_solve_within_component(self, two_islands):
         result = GraphIndex(two_islands).solve(["z", "w"])
         assert result.optimal

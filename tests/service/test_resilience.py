@@ -16,7 +16,6 @@ import repro.core.solver as solver_mod
 from repro.core import BasicSolver
 from repro.core.budget import Budget, CancellationToken
 from repro.errors import (
-    LimitExceededError,
     QueryCancelledError,
     QueryRejectedError,
 )
@@ -234,21 +233,6 @@ class TestRetryLadder:
         # The degraded answer's recorded guarantee honors the rung's
         # epsilon: the gap never exceeds what the rung asked for.
         assert outcome.result.ratio <= 1 + EPSILON_LADDER[0] + 1e-9
-
-    def test_limit_exceeded_is_retried(self, index, monkeypatch):
-        real = solver_mod.ALGORITHMS["pruneddp++"]
-
-        class LimitBomb(real):
-            def run_search(self, context, prepared=None):
-                raise LimitExceededError("injected pop-limit hit")
-
-        monkeypatch.setitem(solver_mod.ALGORITHMS, "pruneddp++", LimitBomb)
-        with QueryExecutor(
-            index, retry_policy=RetryPolicy(max_retries=1)
-        ) as executor:
-            outcome = executor.run_batch([["q0", "q1"]])[0]
-        assert outcome.ok
-        assert outcome.trace.attempts == 2
 
     def test_infeasible_is_not_retried(self, index):
         with QueryExecutor(

@@ -1,4 +1,4 @@
-"""Epsilon-aware result-cache semantics (the reuse rule), LRU/TTL,
+"""Epsilon-aware result-cache semantics (the reuse rule), LRU eviction,
 and CRC-framed persistence round-trips.
 
 The asymmetric reuse rule under test: an answer *proven* within
@@ -9,12 +9,14 @@ The asymmetric reuse rule under test: an answer *proven* within
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 
 from repro import solve_gst
 from repro.errors import StoreCorruptError
 from repro.graph import generators
+from repro.store import result_cache
 from repro.store.result_cache import CachedAnswer, ResultCache, result_key
 
 
@@ -28,14 +30,6 @@ def graph():
 @pytest.fixture(scope="module")
 def exact_result(graph):
     return solve_gst(graph, ["q0", "q1"])
-
-
-class FakeClock:
-    def __init__(self, now: float = 1000.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def loose_answer(result, labels, algorithm="pruneddp++", epsilon=0.5):
@@ -123,9 +117,10 @@ class TestEpsilonReuseRule:
         assert len(cache) == 0
 
 
-class TestEvictionAndTTL:
-    def test_lru_eviction(self, graph, exact_result):
-        cache = ResultCache(max_entries=2)
+class TestEviction:
+    def test_lru_eviction(self, graph, exact_result, monkeypatch):
+        monkeypatch.setattr(result_cache, "MAX_ENTRIES", 2)
+        cache = ResultCache()
         cache.put(["q0", "q1"], "pruneddp++", exact_result)
         cache.put(["q0", "q2"], "pruneddp++", solve_gst(graph, ["q0", "q2"]))
         cache.lookup(["q0", "q1"], "pruneddp++", 0.0)  # refresh recency
@@ -133,90 +128,6 @@ class TestEvictionAndTTL:
         assert cache.counters()["evictions"] == 1
         assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is not None
         assert cache.lookup(["q0", "q2"], "pruneddp++", 0.0) is None
-
-    def test_ttl_expiry(self, graph, exact_result):
-        clock = FakeClock()
-        cache = ResultCache(ttl_seconds=60.0, clock=clock)
-        cache.put(["q0", "q1"], "pruneddp++", exact_result)
-        clock.now += 59.0
-        assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is not None
-        clock.now += 2.0
-        assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is None
-        counters = cache.counters()
-        assert counters["expirations"] == 1
-        assert counters["entries"] == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_seconds=0.0)
-
-
-class TestMonotonicTTLRegression:
-    """In-memory TTL must age on the monotonic clock, not wall time.
-
-    The historical bug: TTL expiry compared ``time.time()`` against the
-    entry's wall-clock ``created`` stamp, so an NTP step forward
-    mass-expired every live entry (and a step backward immortalized
-    them).  Wall time is only legitimate in *persisted* records.
-    """
-
-    def test_wall_clock_jump_does_not_expire_live_entries(
-        self, exact_result
-    ):
-        # Inject the jumping clock through the wall-clock seam.  On the
-        # buggy version ``clock`` *was* the wall clock and drove TTL, so
-        # the jump mass-expired the entry; now TTL rides the (real,
-        # unjumped) monotonic clock and the entry must survive.
-        wall = FakeClock(now=1_000_000.0)
-        try:
-            cache = ResultCache(ttl_seconds=60.0, wall_clock=wall)
-        except TypeError:  # single-clock signature: wall drove TTL too
-            cache = ResultCache(ttl_seconds=60.0, clock=wall)
-        cache.put(["q0", "q1"], "pruneddp++", exact_result)
-        wall.now += 3600.0  # NTP steps the wall clock forward one hour
-        assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is not None
-        assert cache.counters()["expirations"] == 0
-
-    def test_backward_wall_jump_does_not_immortalize(self, exact_result):
-        mono = FakeClock(now=50.0)
-        wall = FakeClock(now=1_000_000.0)
-        cache = ResultCache(ttl_seconds=60.0, clock=mono, wall_clock=wall)
-        cache.put(["q0", "q1"], "pruneddp++", exact_result)
-        wall.now -= 3600.0  # NTP steps the wall clock *backward*
-        mono.now += 61.0    # ... but 61 real seconds elapse
-        assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is None
-        assert cache.counters()["expirations"] == 1
-
-    def test_persisted_created_is_wall_clock(self, exact_result):
-        mono = FakeClock(now=7.0)
-        wall = FakeClock(now=1_000_000.0)
-        cache = ResultCache(clock=mono, wall_clock=wall)
-        entry = cache.put(["q0", "q1"], "pruneddp++", exact_result)
-        assert entry.created == 1_000_000.0   # absolute, persistable
-        assert entry.stamp == 7.0             # monotonic, process-local
-        assert "stamp" not in entry.to_record()
-
-    def test_load_ages_against_wall_then_ttls_on_monotonic(
-        self, exact_result
-    ):
-        saver = ResultCache(wall_clock=FakeClock(now=1000.0))
-        saver.put(["q0", "q1"], "pruneddp++", exact_result)
-        buf = io.BytesIO()
-        saver.save_to(buf)
-        buf.seek(0)
-        # Loaded 30 wall-seconds after creation with a 60s TTL: the
-        # entry has 30s of monotonic life left, NTP-immune thereafter.
-        mono = FakeClock(now=500.0)
-        wall = FakeClock(now=1030.0)
-        loader = ResultCache(ttl_seconds=60.0, clock=mono, wall_clock=wall)
-        assert loader.load_from(buf) == 1
-        wall.now += 10_000.0  # wall jump after load must not matter
-        mono.now += 29.0
-        assert loader.lookup(["q0", "q1"], "pruneddp++", 0.0) is not None
-        mono.now += 2.0
-        assert loader.lookup(["q0", "q1"], "pruneddp++", 0.0) is None
 
 
 class TestPersistence:
@@ -252,16 +163,10 @@ class TestPersistence:
         assert result.optimal == exact_result.optimal
         assert result.tree.weight == pytest.approx(exact_result.tree.weight)
 
-    def test_load_skips_expired(self, graph, exact_result):
-        clock = FakeClock(now=1000.0)
-        cache = ResultCache(clock=clock)
-        cache.put(["q0", "q1"], "pruneddp++", exact_result)
-        buf = io.BytesIO()
-        cache.save_to(buf)
-        buf.seek(0)
-        late = ResultCache(ttl_seconds=5.0, clock=FakeClock(now=9999.0))
-        assert late.load_from(buf) == 0
-        assert late.counters()["expirations"] == 1
+    def test_persisted_created_is_wall_clock(self, exact_result):
+        before = time.time()
+        entry = ResultCache().put(["q0", "q1"], "pruneddp++", exact_result)
+        assert before <= entry.to_record()["created"] <= time.time()
 
     def test_live_tighter_entry_wins_over_persisted(self, graph, exact_result):
         loose = ResultCache()

@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.graph import generators
 from repro.graph.io import save_graph
+from repro.service.telemetry import STAGES
 from repro.store import PrecomputeStore, build_store
 from repro.store.builder import DISTANCES_NAME, select_labels
 
@@ -234,13 +235,33 @@ class TestResultCacheWiring:
         assert "warm_labels" in record
 
     def test_bounds_cache_in_trace(self, graph):
+        """The trace fields ``perf/layers.py`` reads, for one engine query.
+
+        The serving benchmark computes its per-layer metrics from these
+        keys; renaming one would silently break it.
+        """
         index = GraphIndex(graph)
         outcome = index.execute(
-            ["q0", "q1", "q2"], algorithm="pruneddp++"
+            ["q0", "q1", "q2"], algorithm="pruneddp++", query_id=7
         )
-        info = outcome.trace.bounds_cache
-        assert info is not None
-        assert info["size"] >= 0 and "evictions" in info
+        record = outcome.trace.to_dict()
+        assert record["query_id"] == 7
+        assert record["status"] == "ok"
+        assert record["wall_seconds"] > 0.0
+        assert set(record["stages"]) == set(STAGES)
+        assert record["result_cache"] is None
+        assert record["cache_hits"] + record["cache_misses"] == 3
+        for key in (
+            "states_popped",
+            "states_pushed",
+            "states_pruned",
+            "feasible_built",
+            "incumbent_improvements",
+            "peak_live_states",
+        ):
+            assert isinstance(record["stats"][key], int), key
+        assert isinstance(record["bounds_cache"]["hits"], int)
+        assert isinstance(record["bounds_cache"]["misses"], int)
 
 
 class TestCLI:

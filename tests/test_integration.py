@@ -2,7 +2,7 @@
 
 Each test chains several components the way a downstream user would,
 asserting consistency at every seam: generation → persistence →
-prepared solving → answer rendering → serialization; relational
+indexed solving → answer rendering → serialization; relational
 modelling → both answer models; harness → reporting → plotting.
 """
 
@@ -22,9 +22,10 @@ from repro.apps import Database, ExpertNetwork, KeywordSearchEngine
 from repro.bench import make_workload, run_suite
 from repro.bench.plotting import progressive_chart
 from repro.bench.reporting import suite_to_dict
-from repro.core import PreparedGraph, exact_top_r_trees, steiner_tree
+from repro.core import exact_top_r_trees, steiner_tree
 from repro.graph import generators
 from repro.graph.io import load_graph, save_graph
+from repro.service import GraphIndex
 from repro.viz import trace_to_svg, tree_to_svg
 
 
@@ -36,14 +37,14 @@ class TestGenerateStoreSolveRender:
         )
         stem = str(tmp_path / "net")
         save_graph(g, stem)
-        # 2. Reload and prepare.
+        # 2. Reload and index.
         loaded = load_graph(stem)
-        prepared = PreparedGraph(loaded)
+        index = GraphIndex(loaded)
         # 3. Solve two overlapping queries.
-        first = prepared.solve(["q0", "q1", "q2"])
-        second = prepared.solve(["q1", "q2", "q3"])
+        first = index.solve(["q0", "q1", "q2"])
+        second = index.solve(["q1", "q2", "q3"])
         assert first.optimal and second.optimal
-        assert prepared.cache.hits >= 2  # q1, q2 reused
+        assert index.cache.hits >= 2  # q1, q2 reused
         # 4. Answers validate against the *loaded* graph.
         first.tree.validate(loaded, ["q0", "q1", "q2"])
         # 5. Render every way.

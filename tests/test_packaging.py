@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import inspect
+import pkgutil
+import typing
 
 import pytest
 
@@ -73,3 +76,33 @@ class TestPublicSurface:
         with open("pyproject.toml", "rb") as handle:
             meta = tomllib.load(handle)
         assert meta["project"]["dependencies"] == []
+
+
+def _callables(owner, module_name):
+    """Functions and methods defined in ``module_name``, nested classes too."""
+    for name, value in vars(owner).items():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        elif isinstance(value, property):
+            value = value.fget
+        if inspect.isclass(value):
+            if value.__module__ == module_name and value is not owner:
+                yield from _callables(value, module_name)
+        elif inspect.isfunction(value) and value.__module__ == module_name:
+            yield f"{getattr(owner, '__qualname__', module_name)}.{name}", value
+
+
+class TestAnnotations:
+    def test_every_annotation_resolves(self):
+        """``typing.get_type_hints`` resolves every function and method."""
+        unresolved, checked = [], 0
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for qualname, function in _callables(module, info.name):
+                checked += 1
+                try:
+                    typing.get_type_hints(function)
+                except NameError as exc:
+                    unresolved.append(f"{info.name}:{qualname}: {exc}")
+        assert checked > 500
+        assert not unresolved, unresolved
