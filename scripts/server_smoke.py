@@ -4,7 +4,9 @@
 The :mod:`repro.server` acceptance check, runnable anywhere (CI job,
 cron, laptop): generate a graph, launch a real ``python -m repro
 serve`` subprocess, query it over TCP with the blocking client, then
-SIGTERM it.  The run fails loudly unless
+SIGTERM it.  It does this twice.
+
+The cold leg serves the bare graph.  The run fails loudly unless
 
 * the client observes at least one ``PROGRESS`` frame before the
   ``RESULT`` — the wire actually streams the anytime UB/LB curve, it
@@ -16,6 +18,12 @@ SIGTERM it.  The run fails loudly unless
   :func:`repro.verify.certify_result`;
 * SIGTERM drains gracefully — the server exits 0 after flushing its
   trace sink, and every line in the sink is whole JSON.
+
+The store leg first runs ``precompute --solve`` on the query, then
+serves with ``--store``.  The query must come back as a result-cache
+hit: a lone ``RESULT`` with no ``PROGRESS`` frame, an answer that
+certifies, a trace line whose ``result_cache`` is ``"hit"``, and a
+drain that exits 0.
 
 Exit code 0 on success, 1 with a diagnostic on any violation.
 """
@@ -34,104 +42,162 @@ import time
 QUERY = ["q0", "q1", "q2"]
 
 
+class SmokeFailure(Exception):
+    pass
+
+
 def fail(message: str) -> int:
     print(f"server_smoke: FAIL: {message}", file=sys.stderr)
     return 1
 
 
-def main() -> int:
-    from repro.core.result import GSTResult, SearchStats
-    from repro.core.tree import SteinerTree
-    from repro.graph import generators
-    from repro.graph.io import save_graph
+def stream(serve_args, traces):
+    """Launch ``serve``, stream QUERY, SIGTERM; the updates and traces."""
     from repro.server import GSTClient
-    from repro.verify.certify import certify_result
-
-    tmp = tempfile.mkdtemp(prefix="server-smoke-")
-    stem = os.path.join(tmp, "graph")
-    traces = os.path.join(tmp, "traces.jsonl")
-    graph = generators.random_graph(
-        200, 600, num_query_labels=6, label_frequency=5, seed=11
-    )
-    save_graph(graph, stem)
 
     # --port 0 lets the OS pick; the server announces the bound port on
     # stdout, which is the smoke's only coupling to its output format.
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve",
-            "--graph", stem, "--port", "0",
-            "--algorithm", "basic", "--traces", traces,
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--traces", traces, *serve_args,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
     try:
-        banner = proc.stdout.readline()
-        match = re.search(r"on \S+:(\d+)", banner)
-        if not match:
-            return fail(f"no port announcement in banner: {banner!r}")
-        port = int(match.group(1))
-
-        updates = []
-        with GSTClient("127.0.0.1", port, timeout=60) as client:
-            for update in client.solve_stream(QUERY):
-                updates.append(update)
-        progress = [u for u in updates if not u.final]
-        final = updates[-1]
-        if not progress:
-            return fail("no PROGRESS frame arrived before the RESULT")
-        if not final.final:
-            return fail("stream did not end with a RESULT frame")
-        ratios = [u.ratio for u in updates]
-        if any(b > a + 1e-9 for a, b in zip(ratios, ratios[1:])):
-            return fail(f"UB/LB ratio increased along the stream: {ratios}")
-
-        # Rebuild a GSTResult from the wire payload and certify it
-        # against the live graph — the answer a remote client holds is
-        # exactly as trustworthy as an in-process one.
-        frame = final.result
-        result = GSTResult(
-            algorithm=frame["algorithm"],
-            labels=tuple(QUERY),
-            tree=SteinerTree(
-                [tuple(edge) for edge in frame["tree"]["edges"]],
-                nodes=frame["tree"]["nodes"],
-            ),
-            weight=frame["weight"],
-            lower_bound=frame["lower_bound"],
-            optimal=frame["optimal"],
-            stats=SearchStats(),
-        )
-        certificate = certify_result(graph, result, labels=QUERY)
-        if not certificate.ok:
-            return fail(f"answer failed certification: {certificate.violations}")
-
+        # A store-backed server reports its warm load first.
+        output = []
+        match = None
+        while match is None:
+            line = proc.stdout.readline()
+            if not line:
+                raise SmokeFailure(f"no port announcement in: {output!r}")
+            output.append(line)
+            match = re.search(r"^serving .* on \S+:(\d+)", line)
+        with GSTClient("127.0.0.1", int(match.group(1)), timeout=60) as client:
+            updates = list(client.solve_stream(QUERY))
         proc.send_signal(signal.SIGTERM)
         try:
             returncode = proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            return fail("server did not drain within 60s of SIGTERM")
+            raise SmokeFailure("server did not drain within 60s of SIGTERM")
         if returncode != 0:
-            return fail(f"drain exited {returncode}, expected 0")
-
-        with open(traces, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
-        if len(records) != 1 or records[0]["status"] != "ok":
-            return fail(f"trace sink not flushed correctly: {records}")
-
-        print(
-            f"server_smoke: OK — {len(progress)} progress frames, final "
-            f"weight {final.best_weight:g} certified, drained exit 0 "
-            f"({len(records)} trace record)"
-        )
-        return 0
+            raise SmokeFailure(f"drain exited {returncode}, expected 0")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    if not updates or not updates[-1].final:
+        raise SmokeFailure("stream did not end with a RESULT frame")
+    with open(traces, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    if len(records) != 1 or records[0]["status"] != "ok":
+        raise SmokeFailure(f"trace sink not flushed correctly: {records}")
+    return updates, records[0]
+
+
+def certify(graph, final) -> None:
+    """Rebuild a GSTResult from the wire payload and certify it.
+
+    The answer a remote client holds is exactly as trustworthy as an
+    in-process one.
+    """
+    from repro.core.result import GSTResult, SearchStats
+    from repro.core.tree import SteinerTree
+    from repro.verify.certify import certify_result
+
+    frame = final.result
+    result = GSTResult(
+        algorithm=frame["algorithm"],
+        labels=tuple(QUERY),
+        tree=SteinerTree(
+            [tuple(edge) for edge in frame["tree"]["edges"]],
+            nodes=frame["tree"]["nodes"],
+        ),
+        weight=frame["weight"],
+        lower_bound=frame["lower_bound"],
+        optimal=frame["optimal"],
+        stats=SearchStats(),
+    )
+    certificate = certify_result(graph, result, labels=QUERY)
+    if not certificate.ok:
+        raise SmokeFailure(
+            f"answer failed certification: {certificate.violations}"
+        )
+
+
+def cold_leg(graph, stem, tmp) -> str:
+    updates, _ = stream(
+        ["--graph", stem, "--algorithm", "basic"],
+        os.path.join(tmp, "cold-traces.jsonl"),
+    )
+    progress = updates[:-1]
+    if not progress:
+        raise SmokeFailure("no PROGRESS frame arrived before the RESULT")
+    ratios = [u.ratio for u in updates]
+    if any(b > a + 1e-9 for a, b in zip(ratios, ratios[1:])):
+        raise SmokeFailure(f"UB/LB ratio increased along the stream: {ratios}")
+    certify(graph, updates[-1])
+    return (
+        f"cold: {len(progress)} progress frames, final weight "
+        f"{updates[-1].best_weight:g} certified, drained exit 0"
+    )
+
+
+def store_leg(graph, stem, tmp) -> str:
+    queries = os.path.join(tmp, "queries.txt")
+    store = os.path.join(tmp, "store")
+    with open(queries, "w", encoding="utf-8") as handle:
+        handle.write(",".join(QUERY) + "\n")
+    built = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "precompute", "--graph", stem,
+            "--out", store, "--queries", queries, "--solve",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if built.returncode != 0:
+        raise SmokeFailure(
+            f"precompute --solve exited {built.returncode}: {built.stderr}"
+        )
+    updates, record = stream(
+        ["--graph", stem, "--store", store],
+        os.path.join(tmp, "store-traces.jsonl"),
+    )
+    if len(updates) != 1:
+        raise SmokeFailure(
+            f"a stored answer came with {len(updates) - 1} PROGRESS frames"
+        )
+    certify(graph, updates[-1])
+    if record.get("result_cache") != "hit":
+        raise SmokeFailure(f"the query was not a result-cache hit: {record}")
+    return (
+        f"store: cache hit, final weight {updates[-1].best_weight:g} "
+        "certified, drained exit 0"
+    )
+
+
+def main() -> int:
+    from repro.graph import generators
+    from repro.graph.io import save_graph
+
+    tmp = tempfile.mkdtemp(prefix="server-smoke-")
+    stem = os.path.join(tmp, "graph")
+    graph = generators.random_graph(
+        200, 600, num_query_labels=6, label_frequency=5, seed=11
+    )
+    save_graph(graph, stem)
+    try:
+        cold = cold_leg(graph, stem, tmp)
+        warm = store_leg(graph, stem, tmp)
+    except SmokeFailure as exc:
+        return fail(str(exc))
+    print(f"server_smoke: OK — {cold}; {warm}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -143,7 +143,8 @@ def snapshot_build_seconds(
 def executor_queue_depth(registry: Optional[MetricsRegistry] = None) -> Gauge:
     return _reg(registry).gauge(
         "gst_executor_queue_depth",
-        "Queries submitted to the executor and not yet resolved.",
+        "Solves enqueued on the executor and not yet resolved "
+        "(result-cache hits never queue).",
     )
 
 

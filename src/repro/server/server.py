@@ -13,13 +13,20 @@ like an in-process embedder.
 
 Threading model
 ---------------
-Solves run on the executor's worker threads; the network runs on one
-asyncio event loop.  The engine's ``on_progress`` callback fires on a
-worker thread and is bridged into the loop with
+The network runs on one asyncio event loop.  A ``QUERY`` is validated
+there, then looked up in the result cache there too
+(:meth:`QueryExecutor.cached <repro.service.QueryExecutor.cached>`):
+a hit is answered on the loop at once, with no task, no cancellation
+token, no in-flight slot and no thread hop, and it has no ``PROGRESS``
+frames.  Only a miss becomes a task, and its solve runs on the
+executor's worker threads.  The engine's ``on_progress`` callback
+fires on a worker thread and is bridged into the loop with
 ``loop.call_soon_threadsafe`` — the only thread-crossing point.
 ``call_soon_threadsafe`` is FIFO, and the future's completion callback
 is scheduled *after* the engine's final progress report, so a query's
-``PROGRESS`` frames always precede its ``RESULT`` on the wire.
+``PROGRESS`` frames always precede its ``RESULT`` on the wire.  The
+connection awaits ``drain()`` after each read chunk's frames, so
+answers made inline still respect the client's receive window.
 
 Resilience wiring
 -----------------
@@ -28,8 +35,13 @@ come back as ``ERROR code="rejected"`` (with the cost estimate),
 infeasible queries as ``code="infeasible"``.  A client disconnect fires
 the per-query :class:`~repro.core.budget.CancellationToken` of
 everything it had in flight, so the engine stops within its bounded pop
-interval instead of burning a worker for an audience that left.  Per-connection concurrency
-is capped at ``max_inflight`` (``ERROR code="overloaded"`` beyond it).
+interval instead of burning a worker for an audience that left.
+Per-connection concurrency is capped at ``max_inflight`` (``ERROR
+code="overloaded"`` beyond it); cache hits take no slot.  A malformed
+``QUERY`` — a null, list or object ``id``, bad ``labels``, an unknown
+or non-string ``algorithm``, or a budget override that does not parse
+— is answered with ``ERROR code="bad_request"``; the connection stays
+open.
 
 Shutdown is a graceful *drain*: stop accepting connections, refuse new
 ``QUERY`` frames (``code="draining"``), let in-flight queries finish —
@@ -79,6 +91,9 @@ __all__ = ["GSTServer", "ServerStats", "DEFAULT_MAX_INFLIGHT"]
 DEFAULT_MAX_INFLIGHT = 4
 
 _READ_CHUNK = 1 << 16
+
+# JSON ids that cannot key the per-connection in-flight table.
+_UNHASHABLE_IDS = (list, dict)
 
 
 class ServerStats:
@@ -151,14 +166,16 @@ class GSTServer:
     index:
         A :class:`~repro.service.GraphIndex` (or raw graph; an index is
         built).  Attach a store to the index *before* starting the
-        server to serve warm.
+        server to serve warm: its result-cache hits are answered on the
+        event loop, without a worker thread.
     host, port:
         Bind address.  ``port=0`` picks a free port; read it back from
         :attr:`port` after :meth:`start`.
     algorithm, budget:
         Defaults applied to queries that do not override them.
     max_inflight:
-        Per-connection cap on concurrently running queries.
+        Per-connection cap on concurrently running queries (cache hits
+        never run, so they do not count).
     max_frame_bytes:
         Protocol frame-size guard (both directions).
     drain_grace:
@@ -366,6 +383,10 @@ class GSTServer:
                         direction="received", type=frame["type"]
                     ).inc()
                     self._dispatch(conn, frame)
+                # Cache hits and STATS are answered inline; wait out a
+                # full send buffer before reading more, so a client that
+                # does not read its answers cannot grow it without bound.
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass  # disconnect mid-read; the finally block cleans up
         finally:
@@ -394,52 +415,19 @@ class GSTServer:
         frame_type = frame["type"]
         if frame_type == protocol.QUERY:
             self.stats.inc("queries_received")
-            query_id = frame.get("id")
-            if self._draining:
-                self._send_error(
-                    conn, query_id, "draining",
-                    "server is draining; no new queries accepted",
-                )
-                return
-            if len(conn.inflight) >= self.max_inflight:
-                self._send_error(
-                    conn, query_id, "overloaded",
-                    f"connection already has {len(conn.inflight)} queries "
-                    f"in flight (max_inflight={self.max_inflight})",
-                )
-                return
-            if query_id is None or query_id in conn.inflight:
-                self._send_error(
-                    conn, query_id, "bad_request",
-                    "QUERY needs a fresh non-null id",
-                )
-                return
-            labels = frame.get("labels")
-            if (
-                not isinstance(labels, list)
-                or not labels
-                or not all(isinstance(label, str) for label in labels)
-            ):
-                self._send_error(
-                    conn, query_id, "bad_request",
-                    "QUERY.labels must be a non-empty list of strings",
-                )
-                return
-            token = CancellationToken()
-            conn.inflight[query_id] = token
-            self._update_inflight()
-            task = asyncio.ensure_future(
-                self._run_query(conn, query_id, frame, token)
-            )
-            conn.tasks.add(task)
-            task.add_done_callback(conn.tasks.discard)
+            self._dispatch_query(conn, frame)
         elif frame_type == protocol.CANCEL:
-            token = conn.inflight.get(frame.get("id"))
+            query_id = frame.get("id")
+            token = (
+                None if isinstance(query_id, _UNHASHABLE_IDS)
+                else conn.inflight.get(query_id)
+            )
             if token is not None:
                 self.stats.inc("queries_cancelled")
                 token.cancel("client cancel")
-            # Cancelling an unknown/finished id is a no-op, not an
-            # error: the RESULT may simply have crossed the CANCEL.
+            # Cancelling an unknown/finished (or malformed) id is a
+            # no-op, not an error: the RESULT may simply have crossed
+            # the CANCEL.
         elif frame_type == protocol.STATS:
             # Answered inline on the loop: the per-server counters plus
             # a snapshot of the process-wide registry, echoing the id.
@@ -459,6 +447,70 @@ class GSTServer:
                 conn, frame.get("id"), "protocol",
                 f"unexpected client frame type {frame_type!r}",
             )
+
+    def _dispatch_query(self, conn: _Connection, frame: Dict[str, Any]) -> None:
+        """Validate a QUERY, then answer a cache hit inline or start a task."""
+        query_id = frame.get("id")
+        if self._draining:
+            self._send_error(
+                conn, query_id, "draining",
+                "server is draining; no new queries accepted",
+            )
+            return
+        if (
+            query_id is None
+            or isinstance(query_id, _UNHASHABLE_IDS)
+            or query_id in conn.inflight
+        ):
+            self._send_error(
+                conn, query_id, "bad_request",
+                "QUERY needs a fresh non-null scalar id",
+            )
+            return
+        labels = frame.get("labels")
+        if (
+            not isinstance(labels, list)
+            or not labels
+            or not all(isinstance(label, str) for label in labels)
+        ):
+            self._send_error(
+                conn, query_id, "bad_request",
+                "QUERY.labels must be a non-empty list of strings",
+            )
+            return
+        algorithm = frame.get("algorithm") or self.algorithm
+        try:
+            self.index.resolve_algorithm(algorithm, labels)
+            budget = self._query_budget(frame)
+        except (TypeError, ValueError, OverflowError) as exc:
+            self._send_error(conn, query_id, "bad_request", str(exc))
+            return
+        # A result-cache hit is answered right here on the loop: no
+        # token, no task, no in-flight slot, no thread hop, and no
+        # PROGRESS frames to order.  Everything else is solved by a
+        # task, even a solve that finishes at once, so its RESULT
+        # follows the PROGRESS frames it queued.
+        outcome = self.executor.cached(
+            labels, algorithm=algorithm, budget=budget, query_id=query_id
+        )
+        if outcome is not None:
+            self._send_outcome(conn, query_id, outcome)
+            return
+        if len(conn.inflight) >= self.max_inflight:
+            self._send_error(
+                conn, query_id, "overloaded",
+                f"connection already has {len(conn.inflight)} queries "
+                f"in flight (max_inflight={self.max_inflight})",
+            )
+            return
+        token = CancellationToken()
+        conn.inflight[query_id] = token
+        self._update_inflight()
+        task = asyncio.ensure_future(
+            self._run_query(conn, query_id, labels, algorithm, budget, token)
+        )
+        conn.tasks.add(task)
+        task.add_done_callback(conn.tasks.discard)
 
     # ------------------------------------------------------------------
     # Query execution
@@ -481,9 +533,12 @@ class GSTServer:
         self,
         conn: _Connection,
         query_id,
-        frame: Dict[str, Any],
+        labels,
+        algorithm: str,
+        budget: Optional[Budget],
         token: CancellationToken,
     ) -> None:
+        """Solve a query whose result-cache lookup already missed."""
         loop = asyncio.get_running_loop()
 
         on_progress = None
@@ -498,11 +553,9 @@ class GSTServer:
                     self._send_progress, conn, query_id, point
                 )
 
-        algorithm = frame.get("algorithm") or self.algorithm
         try:
-            budget = self._query_budget(frame)
-            future = self.executor.submit(
-                frame["labels"],
+            future = self.executor.enqueue(
+                labels,
                 algorithm=algorithm,
                 budget=budget,
                 query_id=query_id,
@@ -510,13 +563,23 @@ class GSTServer:
                 on_progress=on_progress,
             )
             outcome: QueryOutcome = await asyncio.wrap_future(future)
-        except Exception as exc:  # bad budget values, shutdown races, ...
+        except Exception as exc:  # shutdown races, ...
             conn.inflight.pop(query_id, None)
             self._update_inflight()
             self._send_error(conn, query_id, "bad_request", str(exc))
             return
         conn.inflight.pop(query_id, None)
         self._update_inflight()
+        self._send_outcome(conn, query_id, outcome)
+        try:
+            await conn.writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+    def _send_outcome(
+        self, conn: _Connection, query_id, outcome: QueryOutcome
+    ) -> None:
+        """The query's terminal frame: RESULT, or its typed ERROR."""
         if outcome.ok:
             status = "cancelled" if outcome.trace.cancelled else "ok"
             self.stats.inc("results_sent")
@@ -527,10 +590,6 @@ class GSTServer:
             self._send_error(
                 conn, query_id, *self._classify_error(outcome.error)
             )
-        try:
-            await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
 
     @staticmethod
     def _classify_error(error: BaseException):

@@ -28,10 +28,12 @@ shared index, with
   :class:`~repro.service.telemetry.QueryTrace`; give the executor a
   :class:`~repro.service.telemetry.TraceSink` to stream them as JSONL.
 
-Solves run on the executor's threads by default: per-label Dijkstras
-and DP searches release no GIL, so the win is cache amortization and
-overlap of waiting, not CPU parallelism.  With ``workers=N`` each
-solve instead runs in one of N persistent pre-forked processes
+A result-cache hit never reaches a pool: :meth:`QueryExecutor.cached`
+serves it on the caller's thread.  Solves run on the executor's
+threads by default: per-label Dijkstras and DP searches release no
+GIL, so the win is cache amortization and overlap of waiting, not CPU
+parallelism.  With ``workers=N`` each solve instead runs in one of N
+persistent pre-forked processes
 (:class:`~repro.service.fleet.FleetPool`) attached zero-copy to one
 shared-memory CSR snapshot — multi-core throughput, and hangs, OOM
 kills, and hard crashes contained to one query.  When a
@@ -152,27 +154,102 @@ class QueryExecutor:
         on_progress: Optional[Callable] = None,
         **solver_kwargs,
     ) -> "Future[QueryOutcome]":
-        """Enqueue one query; the future resolves to a QueryOutcome.
+        """Answer one query; the future resolves to a QueryOutcome.
 
-        The future itself never carries an exception from the solve —
-        errors are captured inside the outcome (isolation contract).
-        ``cancel_token`` (or one already on the budget) cancels the
-        query cooperatively: the engine stops within a bounded number
-        of state pops and the outcome records ``status="cancelled"``.
-        ``on_progress`` receives every improved incumbent as a
+        Two steps: :meth:`cached`, then :meth:`enqueue` on a miss.  A
+        result-cache hit comes back as an already-resolved future,
+        without touching the pool.  The future itself never carries an
+        exception from the solve — errors are captured inside the
+        outcome (isolation contract).  ``cancel_token`` (or one already
+        on the budget) cancels the query cooperatively: the engine
+        stops within a bounded number of state pops and the outcome
+        records ``status="cancelled"``.  ``on_progress`` receives every
+        improved incumbent as a
         :class:`~repro.core.result.ProgressPoint` *on the worker
         thread* — it must be cheap and thread-safe.  Progress streaming
         needs in-thread solves (a callback cannot cross a process
         boundary, so an executor with ``workers=N`` rejects it);
         served-from-cache answers emit no progress.
         """
-        if self._closed:
-            raise RuntimeError("executor is shut down")
-        if on_progress is not None and self.isolation != "thread":
-            raise ValueError(
-                "on_progress needs in-thread solves (no workers=); a "
-                "progress callback cannot cross a process boundary"
+        self._check_submittable(on_progress)
+        labels = tuple(labels)
+        outcome = self.cached(
+            labels,
+            algorithm=algorithm,
+            budget=budget,
+            query_id=query_id,
+            epsilon=solver_kwargs.get("epsilon"),
+        )
+        if outcome is None:
+            return self.enqueue(
+                labels,
+                algorithm=algorithm,
+                budget=budget,
+                query_id=query_id,
+                cancel_token=cancel_token,
+                on_progress=on_progress,
+                **solver_kwargs,
             )
+        future: "Future[QueryOutcome]" = Future()
+        future.set_result(outcome)
+        return future
+
+    def cached(
+        self,
+        labels: Iterable[Hashable],
+        *,
+        algorithm: Optional[str] = None,
+        budget: Optional[Budget] = None,
+        query_id=None,
+        epsilon: Optional[float] = None,
+    ) -> Optional[QueryOutcome]:
+        """The query's answer from the result cache, or None on a miss.
+
+        The executor's one result-cache lookup, run on the caller's
+        thread: :meth:`submit` calls it before enqueueing, and the
+        server calls it on its event loop, so a hit costs no thread
+        hop.  It runs before admission control — a stored answer whose
+        proven epsilon satisfies the request costs nothing to serve, so
+        it must not be rejected or retried.  With
+        ``certify_cache_hits=True`` the hit is certified here first; a
+        failing entry is evicted and None is returned.  A hit is
+        recorded like any finished query (trace sink and registry).  On
+        a miss nothing is recorded yet: :meth:`enqueue` the query, and
+        its solve records it.
+        """
+        if self.index.result_cache is None:
+            return None
+        outcome = self.index.cached_outcome(
+            labels,
+            algorithm=algorithm or self.algorithm,
+            budget=budget if budget is not None else self.budget,
+            epsilon=epsilon,
+            query_id=query_id,
+        )
+        if outcome is None or (
+            self.certify_cache_hits and not self._certified_hit(outcome)
+        ):
+            return None
+        return self._record(outcome)
+
+    def enqueue(
+        self,
+        labels: Iterable[Hashable],
+        *,
+        algorithm: Optional[str] = None,
+        budget: Optional[Budget] = None,
+        query_id=None,
+        cancel_token: Optional[CancellationToken] = None,
+        on_progress: Optional[Callable] = None,
+        **solver_kwargs,
+    ) -> "Future[QueryOutcome]":
+        """Queue one query for a solve, with no result-cache lookup.
+
+        The second step of :meth:`submit` (same arguments), for a
+        caller whose :meth:`cached` already missed: the miss is counted
+        once, and the solve writes a successful answer back.
+        """
+        self._check_submittable(on_progress)
         effective = budget if budget is not None else self.budget
         if cancel_token is not None:
             effective = (effective or Budget()).with_cancellation(cancel_token)
@@ -186,13 +263,22 @@ class QueryExecutor:
             query_id,
             solver_kwargs,
         )
-        # Queue-depth gauge: up on submit, down when the future settles
+        # Queue-depth gauge: up on enqueue, down when the future settles
         # (including cancellation by shutdown(wait=False), which is why
         # the decrement rides the done-callback, not _run_one).
         depth = instruments.executor_queue_depth()
         depth.inc()
         future.add_done_callback(lambda _f: depth.dec())
         return future
+
+    def _check_submittable(self, on_progress: Optional[Callable]) -> None:
+        if self._closed:
+            raise RuntimeError("executor is shut down")
+        if on_progress is not None and self.isolation != "thread":
+            raise ValueError(
+                "on_progress needs in-thread solves (no workers=); a "
+                "progress callback cannot cross a process boundary"
+            )
 
     def run_batch(
         self,
@@ -264,42 +350,25 @@ class QueryExecutor:
         query_id,
         solver_kwargs: dict,
     ) -> QueryOutcome:
-        # Result cache first, *before* admission control: a stored
-        # answer whose proven epsilon satisfies this request costs
-        # nothing to serve, so it must not be rejected or retried.
-        # execute() is told to skip its own lookup (the miss was
-        # already counted here); it still writes successful outcomes
-        # back.
-        outcome: Optional[QueryOutcome] = None
-        if self.index.result_cache is not None:
-            outcome = self.index.cached_outcome(
-                labels,
-                algorithm=algorithm,
-                budget=budget,
-                epsilon=solver_kwargs.get("epsilon"),
-                query_id=query_id,
-            )
-            if (
-                outcome is not None
-                and self.certify_cache_hits
-                and not self._certified_hit(outcome)
-            ):
-                outcome = None
-        if outcome is None:
-            outcome = self._pipeline.run(
-                self.index,
-                labels,
-                algorithm=algorithm,
-                budget=budget,
-                query_id=query_id,
-                use_result_cache=False,
-                execute=self._execute_callable(),
-                **solver_kwargs,
-            )
+        # cached() already missed, so execute() is told to skip its own
+        # lookup; it still writes successful outcomes back.
+        outcome = self._pipeline.run(
+            self.index,
+            labels,
+            algorithm=algorithm,
+            budget=budget,
+            query_id=query_id,
+            use_result_cache=False,
+            execute=self._execute_callable(),
+            **solver_kwargs,
+        )
+        return self._record(outcome)
+
+    def _record(self, outcome: QueryOutcome) -> QueryOutcome:
         if self.trace_sink is not None:
             # A drain (or shutdown(wait=False)) may close the sink while
             # a straggler query is still finishing; the late line is
-            # dropped and counted, never raised out of the worker.
+            # dropped and counted, never raised.
             self.trace_sink.write_or_drop(outcome.trace)
         # The single registry recording point: every executor query —
         # in-thread or on the fleet, cache hit or real solve — folds

@@ -305,8 +305,12 @@ class GraphIndex:
     # Query execution
     # ------------------------------------------------------------------
     def resolve_algorithm(self, algorithm: str, labels: Sequence[Hashable]) -> str:
-        """Canonical solver key for ``algorithm`` (``"auto"`` is planned)."""
-        key = algorithm.lower()
+        """Canonical solver key for ``algorithm`` (``"auto"`` is planned).
+
+        Raises ValueError naming the choices for anything else, a
+        non-string included.
+        """
+        key = algorithm.lower() if isinstance(algorithm, str) else None
         if key == "auto":
             from ..core.planner import plan_algorithm
 

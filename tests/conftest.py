@@ -77,6 +77,20 @@ def disconnected_graph():
     return g
 
 
+@pytest.fixture
+def store_index(graph, tmp_path):
+    """A ``GraphIndex`` on the module's ``graph`` with a freshly built
+    store attached; its result cache starts empty."""
+    from repro.service import GraphIndex
+    from repro.store import build_store
+
+    path = str(tmp_path / "store")
+    build_store(graph, path, top_k=4)
+    index = GraphIndex(graph)
+    index.attach_store(path)
+    return index
+
+
 def small_random_graph(seed: int, n: int = 10, extra_edges: int = 8, k: int = 3):
     """Connected random graph with k query labels, for cross-checks."""
     return generators.random_graph(

@@ -6,10 +6,17 @@ of the corresponding fields over the batch's ``QueryTrace`` records —
 one recording point, no second bookkeeping path to disagree.
 """
 
+import asyncio
+import json
+from collections import Counter as TallyCounter
+from types import SimpleNamespace
+
 import pytest
 
+from repro.errors import RemoteQueryError
 from repro.graph import generators
 from repro.obs import MetricsRegistry, get_registry, instruments
+from repro.server import AsyncGSTClient, GSTServer
 from repro.service import GraphIndex, QueryExecutor
 
 
@@ -76,8 +83,6 @@ def test_batch_counters_match_traces_exactly(graph):
     traces = [outcome.trace for outcome in outcomes]
     # Per (status, algorithm) query counts: registry deltas must equal
     # the tally over traces exactly — no drift, no double counting.
-    from collections import Counter as TallyCounter
-
     expected = TallyCounter(
         (trace.status, trace.algorithm) for trace in traces
     )
@@ -107,6 +112,92 @@ def test_batch_counters_match_traces_exactly(graph):
     # The search actually did work, so the totals are non-trivial.
     assert trace_sum("states_popped") > 0
     assert trace_sum("incumbent_improvements") > 0
+
+
+# Hits and misses: registry deltas against traces, with a store attached.
+HITS_AND_MISSES = (
+    ["q0", "q1"], ["q2", "q3"], ["q0", "q1"], ["q0", "q4", "q5"],
+    ["q2", "q3"], ["q1", "no-such-label"], ["q0", "q1"],
+)
+
+
+def _hit_miss_state():
+    """The counters a mix of hits and misses moves, keyed for deltas."""
+    state = {
+        ("queries", s["labels"]["status"], s["labels"]["algorithm"]): s["value"]
+        for s in instruments.queries_total().samples()
+    }
+    seconds = instruments.query_seconds().samples()
+    state["seconds"] = seconds[0]["count"] if seconds else 0
+    served = instruments.result_cache_served()
+    events = instruments.result_cache_events()
+    for result in ("hit", "miss"):
+        state[("served", result)] = served.labels(result=result).value
+        state[("event", result)] = events.labels(event=result).value
+    return state
+
+
+def _assert_no_drift(before, traces, index):
+    after = _hit_miss_state()
+    delta = {key: after[key] - before.get(key, 0) for key in after}
+    served = TallyCounter(trace.result_cache for trace in traces)
+    assert served["hit"] and served["miss"], "the mix must hold both"
+    assert served["hit"] + served["miss"] == len(traces)
+    expected = TallyCounter(
+        ("queries", trace.status, trace.algorithm) for trace in traces
+    )
+    for key in delta:
+        if key[0] == "queries":
+            assert delta[key] == expected.get(key, 0), key
+    assert delta["seconds"] == len(traces)
+    for result in ("hit", "miss"):
+        assert delta[("served", result)] == served[result]
+        # One lookup per query: a second lookup of a missed query
+        # would count its miss twice.
+        assert delta[("event", result)] == served[result]
+    assert index.result_cache.hits == served["hit"]
+    assert index.result_cache.misses == served["miss"]
+
+
+def test_store_backed_batch_hits_and_misses_match_traces(store_index):
+    before = _hit_miss_state()
+    with QueryExecutor(store_index) as executor:
+        # One batch per query: a repeat then finds the answer its first
+        # occurrence wrote back, whatever the thread timing.
+        outcomes = [
+            outcome
+            for labels in HITS_AND_MISSES
+            for outcome in executor.run_batch([labels])
+        ]
+    traces = [outcome.trace for outcome in outcomes]
+    assert [t.result_cache for t in traces] == [
+        "miss", "miss", "hit", "miss", "hit", "miss", "hit",
+    ]
+    _assert_no_drift(before, traces, store_index)
+
+
+def test_store_backed_server_hits_and_misses_match_traces(
+    store_index, tmp_path
+):
+    sink = str(tmp_path / "traces.jsonl")
+
+    async def scenario():
+        async with GSTServer(store_index, trace_sink=sink) as server:
+            client = await AsyncGSTClient.connect("127.0.0.1", server.port)
+            for labels in HITS_AND_MISSES:
+                try:
+                    await client.solve(labels)
+                except RemoteQueryError as exc:
+                    assert exc.code == "infeasible"
+            await client.close()
+
+    before = _hit_miss_state()
+    asyncio.run(scenario())
+    with open(sink, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    assert len(records) == len(HITS_AND_MISSES)
+    traces = [SimpleNamespace(**record) for record in records]
+    _assert_no_drift(before, traces, store_index)
 
 
 def test_queries_total_delta_matches_batch_size(graph):

@@ -18,8 +18,9 @@ import repro.core.solver as solver_mod
 from repro import solve_gst
 from repro.errors import RemoteQueryError
 from repro.graph import generators
+from repro.obs import instruments
 from repro.server import GSTClient, GSTServer
-from repro.server.protocol import query_frame
+from repro.server.protocol import cancel_frame, query_frame
 
 INF = float("inf")
 
@@ -224,6 +225,59 @@ class TestErrors:
         assert frame["type"] == "error"
         assert frame["code"] == "bad_request"
 
+    @pytest.mark.parametrize("bad_id", [[1], {"a": 1}])
+    def test_non_scalar_id_is_bad_request(self, graph, bad_id):
+        with ServerHarness(graph, algorithm="basic") as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                client._send(query_frame(bad_id, ["q0", "q1"]))
+                frame = _terminal_frame(client, bad_id)
+                assert frame["type"] == "error"
+                assert frame["code"] == "bad_request"
+                # The connection survives and still answers.
+                final = client.solve(["q0", "q1"])
+        assert final.final and final.status == "ok"
+
+    @pytest.mark.parametrize("bad_id", [[1], {"a": 1}])
+    def test_non_scalar_cancel_is_a_noop(self, graph, hanging_pruneddp, bad_id):
+        with ServerHarness(graph) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                client._send(query_frame(1, ["q0", "q1"]))
+                assert _wait_until(
+                    lambda: harness.server.inflight_queries == 1
+                )
+                client._send(cancel_frame(bad_id))
+                # The connection is alive: a STATS round trip answers,
+                # and the query in flight was not cancelled.
+                stats = client.stats()
+                assert stats["inflight"] == 1
+                assert stats["server"]["queries_cancelled"] == 0
+                client.cancel(1)
+                frame = _terminal_frame(client, 1)
+        assert frame["code"] == "cancelled"
+
+    @pytest.mark.parametrize("algorithm", ["nope", 5])
+    def test_bad_algorithm_is_bad_request(self, graph, algorithm):
+        with ServerHarness(graph) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                client._send(query_frame(1, ["q0", "q1"], algorithm=algorithm))
+                frame = _terminal_frame(client, 1)
+        assert frame["type"] == "error"
+        assert frame["code"] == "bad_request"
+        # The message names the choices.
+        assert "'pruneddp++'" in frame["message"]
+        assert "'auto'" in frame["message"]
+
+    @pytest.mark.parametrize(
+        "override", [{"epsilon": "x"}, {"max_states": [1]}, {"epsilon": -1}]
+    )
+    def test_bad_budget_is_bad_request(self, store_index, override):
+        with ServerHarness(store_index) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                client._send(dict(query_frame(1, ["q0", "q1"]), **override))
+                frame = _terminal_frame(client, 1)
+        assert frame["type"] == "error"
+        assert frame["code"] == "bad_request"
+
     def test_overloaded_beyond_max_inflight(self, graph, hanging_pruneddp):
         with ServerHarness(graph, max_inflight=1, max_workers=4) as harness:
             with GSTClient("127.0.0.1", harness.port) as client:
@@ -419,6 +473,68 @@ class TestStatsAndMetrics:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url, timeout=10)
             assert excinfo.value.code == 404
+
+
+class TestResultCacheHits:
+    """A store-backed server answers hits on its event loop."""
+
+    def test_hit_answered_while_every_worker_is_blocked(
+        self, store_index, hanging_pruneddp
+    ):
+        labels = ["q0", "q1", "q2"]
+        depth = instruments.executor_queue_depth()
+        with ServerHarness(
+            store_index, max_workers=1, max_inflight=1
+        ) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                # pruneddp++ wedges, so the first solve uses pruneddp.
+                first = client.solve(labels, algorithm="pruneddp")
+                assert first.result["stats"]["states_popped"] > 0
+                # Wedge the only worker thread and the only slot.
+                client._send(query_frame("wedge", ["q3", "q4"]))
+                assert _wait_until(
+                    lambda: harness.server.inflight_queries == 1
+                )
+                queued = depth.value()
+                client._send(query_frame("hit", labels, algorithm="pruneddp"))
+                frame = client._next_frame()
+                assert depth.value() == queued
+                assert harness.server.inflight_queries == 1
+                client.cancel("wedge")
+                assert _terminal_frame(client, "wedge")["code"] == "cancelled"
+        # The first frame for the hit is its RESULT: no PROGRESS, and
+        # no "overloaded" error though the one slot was taken.
+        assert frame["type"] == "result" and frame["id"] == "hit"
+        assert frame["stats"]["states_popped"] == 0
+        # Same answer; a hit names its cache tier ("pruneddp") where a
+        # solve names its solver ("PrunedDP").
+        skip = ("id", "stats", "algorithm")
+        answer = {k: v for k, v in frame.items() if k not in skip}
+        expected = {k: v for k, v in first.result.items() if k not in skip}
+        assert answer == expected
+
+    def test_certified_hits_evict_a_corrupted_entry(self, store_index):
+        import dataclasses
+
+        labels = ["q0", "q1", "q2"]
+        honest = solve_gst(store_index.graph, labels)
+        assert honest.weight > 0
+        lied = dataclasses.replace(honest, trace=[])
+        lied.weight = honest.weight / 2.0
+        assert store_index.result_cache.put(labels, "pruneddp++", lied)
+        with ServerHarness(store_index, certify_cache_hits=True) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                solved = client.solve(labels)
+                served = list(client.solve_stream(labels))
+        # The lie failed certification, was evicted, and the query was
+        # solved for real; the honest answer written back then served
+        # the repeat as a hit with no PROGRESS frame.
+        assert store_index.result_cache.evictions == 1
+        assert solved.result["stats"]["states_popped"] > 0
+        assert solved.best_weight == pytest.approx(honest.weight)
+        assert len(served) == 1 and served[0].final
+        assert served[0].result["stats"]["states_popped"] == 0
+        assert served[0].best_weight == pytest.approx(honest.weight)
 
 
 class TestConstruction:
