@@ -13,6 +13,7 @@ Run:  python examples/progressive_anytime_demo.py
 from repro.bench import make_workload
 from repro.core import (
     BasicSolver,
+    Budget,
     PrunedDPSolver,
     PrunedDPPlusSolver,
     PrunedDPPlusPlusSolver,
@@ -49,12 +50,14 @@ def main() -> None:
         print()
 
     # Anytime: stop as soon as a 1.5-approximation is proven.
-    result = PrunedDPPlusPlusSolver(graph, labels, epsilon=0.5).solve()
+    result = PrunedDPPlusPlusSolver(graph, labels, budget=Budget(epsilon=0.5)).solve()
     print(f"epsilon=0.5  -> weight={result.weight:g} proven ratio<={result.ratio:.3f} "
           f"after {result.stats.states_popped} states")
 
     # Anytime: hard 50 ms budget.
-    result = PrunedDPPlusPlusSolver(graph, labels, time_limit=0.05).solve()
+    result = PrunedDPPlusPlusSolver(
+        graph, labels, budget=Budget(time_limit=0.05)
+    ).solve()
     print(f"50ms budget  -> weight={result.weight:g} proven ratio<={result.ratio:.3f} "
           f"(optimal proven: {result.optimal})")
 

@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import Graph, solve_gst, top_r_trees
+from repro import Budget, Graph, solve_gst, top_r_trees
 
 
 def main() -> None:
@@ -32,7 +32,9 @@ def main() -> None:
     print()
 
     # Every solver is progressive: ask for an anytime answer instead.
-    anytime = solve_gst(g, ["databases", "ml", "systems"], epsilon=0.5)
+    anytime = solve_gst(
+        g, ["databases", "ml", "systems"], budget=Budget(epsilon=0.5)
+    )
     print(f"anytime weight {anytime.weight:g} with proven ratio <= {anytime.ratio:.2f}")
 
     # Approximate top-r (paper Section 4.2 remark).

@@ -8,6 +8,7 @@ set — a Group Steiner Tree query, solved exactly and progressively.
 Run:  python examples/team_formation_demo.py
 """
 
+from repro import Budget
 from repro.apps import ExpertNetwork
 
 
@@ -55,7 +56,9 @@ def main() -> None:
         print()
 
     # Anytime mode: accept any team within 2x of optimal, instantly.
-    team = net.find_team(["ml", "databases", "security"], epsilon=1.0)
+    team = net.find_team(
+        ["ml", "databases", "security"], budget=Budget(epsilon=1.0)
+    )
     print(f"anytime team within ratio 2: cost={team.communication_cost:g}")
 
 

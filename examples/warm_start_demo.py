@@ -24,7 +24,7 @@ import shutil
 import tempfile
 import time
 
-from repro import GraphIndex, StoreError, build_store
+from repro import Budget, GraphIndex, StoreError, build_store
 from repro.graph import generators
 
 
@@ -71,7 +71,7 @@ def main() -> None:
         repeat = warm_index.execute(queries[0])
         print(f"repeat query         : result_cache={repeat.trace.result_cache} "
               f"in {repeat.trace.wall_seconds * 1e3:.2f} ms")
-        loose = warm_index.execute(queries[0], epsilon=0.25)
+        loose = warm_index.execute(queries[0], budget=Budget(epsilon=0.25))
         print(f"loose (eps=0.25) ask : result_cache={loose.trace.result_cache} "
               "(an exact answer serves any epsilon)")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from ..core.budget import Budget
 from ..core.result import GSTResult
 from ..core.topr import exact_top_r_trees, top_r_trees
 from ..core.tree import SteinerTree
@@ -90,29 +91,23 @@ class KeywordSearchEngine:
         self,
         keywords: Iterable[str],
         *,
-        time_limit: Optional[float] = None,
-        epsilon: float = 0.0,
+        budget: Optional[Budget] = None,
         **solver_kwargs,
     ) -> KeywordAnswer:
-        """Best connected-tuple answer covering every keyword."""
+        """Best connected-tuple answer covering every keyword.
+
+        ``budget`` carries the query's limits to either answer model.
+        """
         terms = self.normalize(keywords)
         if self.directed:
             from ..core.directed import DirectedGSTSolver
 
             result = DirectedGSTSolver(
-                self.graph,
-                terms,
-                time_limit=time_limit,
-                epsilon=epsilon,
-                **solver_kwargs,
+                self.graph, terms, budget=budget, **solver_kwargs
             ).solve()
         else:
             result = self.index.solve(
-                terms,
-                algorithm=self.algorithm,
-                time_limit=time_limit,
-                epsilon=epsilon,
-                **solver_kwargs,
+                terms, algorithm=self.algorithm, budget=budget, **solver_kwargs
             )
         return self._to_answer(terms, result)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+from ..core.budget import Budget
 from ..core.result import GSTResult
 from ..errors import GraphError, InfeasibleQueryError
 from ..graph.graph import Graph
@@ -100,8 +101,7 @@ class ExpertNetwork:
         required_skills: Iterable[str],
         *,
         algorithm: str = "pruneddp++",
-        time_limit: Optional[float] = None,
-        epsilon: float = 0.0,
+        budget: Optional[Budget] = None,
         **solver_kwargs,
     ) -> Team:
         """The minimum-communication-cost team covering the skills.
@@ -114,11 +114,7 @@ class ExpertNetwork:
             raise InfeasibleQueryError("at least one skill is required")
         labels = [f"skill:{s}" for s in skills]
         result: GSTResult = self.index.solve(
-            labels,
-            algorithm=algorithm,
-            time_limit=time_limit,
-            epsilon=epsilon,
-            **solver_kwargs,
+            labels, algorithm=algorithm, budget=budget, **solver_kwargs
         )
         if result.tree is None:
             raise InfeasibleQueryError(

@@ -20,6 +20,7 @@ import time
 from heapq import heappop, heappush
 from typing import Hashable, Iterable, List, Optional, Tuple, Union
 
+from ..core.budget import Budget
 from ..core.context import QueryContext
 from ..core.feasible import steiner_tree_from_edges, prune_redundant_leaves
 from ..core.query import GSTQuery
@@ -42,15 +43,16 @@ class Banks1Solver:
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
         max_candidates: int = 32,
-        time_limit: Optional[float] = None,
+        budget: Optional[Budget] = None,
     ) -> None:
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
         self.max_candidates = max_candidates
-        self.time_limit = time_limit
+        self.budget = budget if budget is not None else Budget()
 
     def solve(self) -> GSTResult:
         started = time.perf_counter()
+        time_limit = self.budget.effective_time_limit()
         context = QueryContext.build(self.graph, self.query)
         context.require_feasible()
         stats = SearchStats(init_seconds=context.build_seconds)
@@ -81,8 +83,8 @@ class Banks1Solver:
 
         while heap and candidates < self.max_candidates:
             if (
-                self.time_limit is not None
-                and time.perf_counter() - started >= self.time_limit
+                time_limit is not None
+                and time.perf_counter() - started >= time_limit
             ):
                 break
             d, i, node = heappop(heap)

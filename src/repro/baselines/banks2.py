@@ -32,6 +32,7 @@ import time
 from heapq import heappop, heappush
 from typing import Hashable, Iterable, List, Optional, Tuple, Union
 
+from ..core.budget import Budget
 from ..core.context import QueryContext
 from ..core.feasible import prune_redundant_leaves, steiner_tree_from_edges
 from ..core.query import GSTQuery
@@ -55,7 +56,7 @@ class Banks2Solver:
         *,
         max_candidates: int = 64,
         degree_penalty: float = 0.3,
-        time_limit: Optional[float] = None,
+        budget: Optional[Budget] = None,
     ) -> None:
         """``degree_penalty`` scales the log-degree activation damping
         (0 disables it, recovering distance-ordered expansion)."""
@@ -63,11 +64,12 @@ class Banks2Solver:
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
         self.max_candidates = max_candidates
         self.degree_penalty = degree_penalty
-        self.time_limit = time_limit
+        self.budget = budget if budget is not None else Budget()
 
     # ------------------------------------------------------------------
     def solve(self) -> GSTResult:
         started = time.perf_counter()
+        time_limit = self.budget.effective_time_limit()
         context = QueryContext.build(self.graph, self.query)
         context.require_feasible()
         stats = SearchStats(init_seconds=context.build_seconds)
@@ -98,8 +100,8 @@ class Banks2Solver:
             if candidates >= self.max_candidates and best_tree is not None:
                 break
             if (
-                self.time_limit is not None
-                and time.perf_counter() - started >= self.time_limit
+                time_limit is not None
+                and time.perf_counter() - started >= time_limit
             ):
                 break
             _, d, i, node = heappop(heap)

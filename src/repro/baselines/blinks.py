@@ -31,6 +31,7 @@ import time
 from heapq import heappop, heappush
 from typing import Hashable, Iterable, List, Optional, Set, Tuple, Union
 
+from ..core.budget import Budget
 from ..core.feasible import prune_redundant_leaves, steiner_tree_from_edges
 from ..core.query import GSTQuery
 from ..core.result import GSTResult, ProgressPoint, SearchStats
@@ -115,7 +116,7 @@ class BlinksSolver:
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
         k_answers: int = 10,
-        time_limit: Optional[float] = None,
+        budget: Optional[Budget] = None,
         index: Optional[BlinksIndex] = None,
     ) -> None:
         if k_answers < 1:
@@ -125,7 +126,7 @@ class BlinksSolver:
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
         self.k_answers = k_answers
-        self.time_limit = time_limit
+        self.budget = budget if budget is not None else Budget()
         self.index = index
         self._answers: List[RootAnswer] = []
 
@@ -138,6 +139,7 @@ class BlinksSolver:
         node reaches every keyword group.
         """
         started = time.perf_counter()
+        time_limit = self.budget.effective_time_limit()
         groups = self.query.groups(self.graph)
         stats = SearchStats()
         k = self.query.k
@@ -229,8 +231,8 @@ class BlinksSolver:
         timed_out = False
         while True:
             if (
-                self.time_limit is not None
-                and time.perf_counter() - started >= self.time_limit
+                time_limit is not None
+                and time.perf_counter() - started >= time_limit
             ):
                 timed_out = True
                 break

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.banks2 import Banks2Solver
 from ..core.algorithms import PrunedDPPlusPlusSolver
+from ..core.budget import Budget
 from .datasets import DEFAULT_KWF, KWF_VALUES
 from .metrics import format_bytes, format_seconds, format_table, mean
 from .runner import (
@@ -74,7 +75,7 @@ def figure_time_vs_ratio_knum(
     num_queries: int = 3,
     algorithms: Sequence[str] = PROGRESSIVE_ALGORITHMS,
     seed: int = 0,
-    time_limit: Optional[float] = None,
+    budget: Optional[Budget] = None,
 ) -> FigureResult:
     """Time to each approximation ratio, one panel per ``knum``.
 
@@ -88,7 +89,7 @@ def figure_time_vs_ratio_knum(
             dataset, scale=scale, knum=knum, kwf=kwf,
             num_queries=num_queries, seed=seed,
         )
-        suite = run_suite(graph, list(queries), algorithms, time_limit=time_limit)
+        suite = run_suite(graph, list(queries), algorithms, budget=budget)
         out.suites[(knum,)] = suite
         rows = []
         for algorithm in algorithms:
@@ -124,7 +125,7 @@ def figure_time_vs_ratio_kwf(
     num_queries: int = 3,
     algorithms: Sequence[str] = PROGRESSIVE_ALGORITHMS,
     seed: int = 0,
-    time_limit: Optional[float] = None,
+    budget: Optional[Budget] = None,
 ) -> FigureResult:
     """Time to each ratio, one panel per label frequency ``kwf``.
 
@@ -137,7 +138,7 @@ def figure_time_vs_ratio_kwf(
             dataset, scale=scale, knum=knum, kwf=kwf,
             num_queries=num_queries, seed=seed,
         )
-        suite = run_suite(graph, list(queries), algorithms, time_limit=time_limit)
+        suite = run_suite(graph, list(queries), algorithms, budget=budget)
         out.suites[(kwf,)] = suite
         rows = []
         for algorithm in algorithms:
@@ -308,7 +309,7 @@ def figure_large_knum(
     knums: Sequence[int] = (7, 8),
     kwf: int = DEFAULT_KWF,
     seed: int = 0,
-    time_limit: Optional[float] = None,
+    budget: Optional[Budget] = None,
 ) -> FigureResult:
     """PrunedDP++ alone at the largest query sizes (paper Fig 16)."""
     blocks: List[str] = []
@@ -318,7 +319,7 @@ def figure_large_knum(
             dataset, scale=scale, knum=knum, kwf=kwf, num_queries=1, seed=seed
         )
         labels = list(queries)[0]
-        run = run_query("PrunedDP++", graph, labels, time_limit=time_limit)
+        run = run_query("PrunedDP++", graph, labels, budget=budget)
         trace = run.result.trace
         out.series[(knum, "PrunedDP++")] = [
             (p.elapsed, p.best_weight, p.lower_bound) for p in trace

@@ -147,7 +147,12 @@ def run_query(
     labels: Sequence[Hashable],
     **solver_kwargs,
 ) -> QueryRun:
-    """Run one algorithm on one query, capturing the progressive trace."""
+    """Run one algorithm on one query, capturing the progressive trace.
+
+    ``solver_kwargs`` go to every class alike: the paper's solvers,
+    DPBF and the BANKS-I/II and BLINKS baselines all take ``budget=``
+    (the one-shot ``DistanceNetwork`` scan takes no limit).
+    """
     try:
         solver_cls = _SOLVERS[algorithm]
     except KeyError:

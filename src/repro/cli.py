@@ -41,6 +41,7 @@ import time as _time
 from typing import List, Optional
 
 from .bench import figures
+from .core.budget import Budget
 from .core.solver import ALGORITHMS, solve_gst
 from .core.topr import top_r_trees
 from .errors import ReproError, StoreError
@@ -384,9 +385,19 @@ def _index_with_store(graph, store_path: str):
     return index
 
 
+def _budget(args: argparse.Namespace) -> Budget:
+    """The query limits a command's flags set (a flag it lacks sets none)."""
+    return Budget(
+        time_limit=getattr(args, "time_limit", None),
+        epsilon=getattr(args, "epsilon", 0.0),
+        max_states=getattr(args, "max_states", None),
+    )
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     labels = [token for token in args.labels.split(",") if token]
+    budget = _budget(args)
 
     on_progress = None
     if args.progress:
@@ -402,9 +413,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from .core.topr import exact_top_r_trees
 
         top_fn = exact_top_r_trees if args.exact_top else top_r_trees
+        # Top-r answers are not an anytime solve: only the time limit
+        # applies.
         trees = top_fn(
-            graph, labels, args.top,
-            time_limit=args.time_limit,
+            graph, labels, args.top, budget=budget.replace(epsilon=0.0)
         )
         for i, tree in enumerate(trees, 1):
             print(f"# answer {i}: weight={tree.weight:g}")
@@ -412,21 +424,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print(tree.render(graph))
         return 0
 
-    solver_kwargs = {}
-    if args.time_limit is not None:
-        solver_kwargs["time_limit"] = args.time_limit
-    if args.algorithm == "dpbf":
-        # DPBF is the non-progressive prior art: no epsilon/progress.
-        if args.epsilon or on_progress is not None:
-            print(
-                "note: dpbf is not progressive; ignoring --epsilon/--progress",
-                file=sys.stderr,
-            )
-    else:
-        if args.epsilon:
-            solver_kwargs["epsilon"] = args.epsilon
-        if on_progress is not None:
-            solver_kwargs["on_progress"] = on_progress
     profiler = None
     if args.profile:
         import cProfile
@@ -436,11 +433,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         if args.store is not None:
             index = _index_with_store(graph, args.store)
-            result = index.solve(labels, algorithm=args.algorithm, **solver_kwargs)
+            result = index.solve(
+                labels,
+                algorithm=args.algorithm,
+                budget=budget,
+                on_progress=on_progress,
+            )
             index.save_results()
         else:
             result = solve_gst(
-                graph, labels, algorithm=args.algorithm, **solver_kwargs
+                graph,
+                labels,
+                algorithm=args.algorithm,
+                budget=budget,
+                on_progress=on_progress,
             )
     finally:
         if profiler is not None:
@@ -509,7 +515,7 @@ def _read_query_file(path: str) -> List[List[str]]:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import signal
 
-    from .core.budget import Budget, CancellationToken
+    from .core.budget import CancellationToken
     from .service import (
         AdmissionPolicy,
         GraphIndex,
@@ -528,11 +534,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     graph = load_graph(args.graph)
     queries = _read_query_file(args.queries)
-    budget = Budget(
-        time_limit=args.time_limit,
-        epsilon=args.epsilon,
-        max_states=args.max_states,
-    )
+    budget = _budget(args)
     if args.retries < 0:
         raise ReproError("--retries must be >= 0")
     retry_policy = None
@@ -700,7 +702,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .core.budget import Budget
     from .server import GSTServer
     from .service import AdmissionPolicy, GraphIndex
 
@@ -709,13 +710,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         index = _index_with_store(graph, args.store)
     else:
         index = GraphIndex(graph)
-    budget = None
-    if args.epsilon or args.time_limit is not None or args.max_states is not None:
-        budget = Budget(
-            time_limit=args.time_limit,
-            epsilon=args.epsilon,
-            max_states=args.max_states,
-        )
+    budget = _budget(args)
     admission = (
         AdmissionPolicy(max_estimated_states=args.admission)
         if args.admission is not None
@@ -809,7 +804,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     import glob
     import os
 
-    from .core.budget import Budget
     from .service import GraphIndex, resume_query
     from .service.durability import CHECKPOINT_SUFFIX
 
@@ -833,11 +827,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             return 0
     graph = load_graph(args.graph)
     index = GraphIndex(graph)
-    budget = (
-        Budget(time_limit=args.time_limit)
-        if args.time_limit is not None
-        else None
-    )
+    budget = _budget(args)
     ok = failed = 0
     for path in paths:
         try:
@@ -901,11 +891,11 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
     print(report.summary())
     if args.solve:
         index = _index_with_store(graph, args.out)
-        solver_kwargs = {"epsilon": args.epsilon} if args.epsilon else {}
+        budget = _budget(args)
         ok = 0
         for labels_q in workload:
             outcome = index.execute(
-                labels_q, algorithm=args.algorithm, **solver_kwargs
+                labels_q, algorithm=args.algorithm, budget=budget
             )
             ok += outcome.ok
         saved = index.save_results()

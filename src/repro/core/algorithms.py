@@ -5,25 +5,20 @@ AllPaths route tables), configures the shared
 :class:`~repro.core.engine.SearchEngine` with the algorithm's policy,
 and returns a :class:`~repro.core.result.GSTResult`.
 
-All solvers accept the same keyword arguments, resource limits being
-bundled in a single :class:`~repro.core.budget.Budget` (the loose
-equivalents remain accepted and win over the budget's fields):
+All solvers accept the same keyword arguments, every resource limit
+arriving in one :class:`~repro.core.budget.Budget`:
 
 ``budget``
-    A :class:`Budget` carrying ``time_limit`` / ``epsilon`` /
-    ``max_states`` (and, for batch execution, an
-    absolute deadline and/or a cooperative
-    :class:`~repro.core.budget.CancellationToken`; a fired token stops
-    the engine within a bounded number of state pops, returning the
-    best feasible answer so far with ``result.stats.cancelled`` set).
-``time_limit``
-    Seconds after which the best feasible answer so far is returned
-    (``result.optimal`` tells whether optimality was proven anyway).
-``epsilon``
-    Stop as soon as the proven ratio reaches ``1 + epsilon`` — the
-    anytime mode the paper's progressive framework enables.
-``max_states``
-    Cap on popped states; the best feasible answer so far is returned.
+    A :class:`Budget` carrying ``time_limit`` (seconds after which the
+    best feasible answer so far is returned; ``result.optimal`` tells
+    whether optimality was proven anyway), ``epsilon`` (stop as soon
+    as the proven ratio reaches ``1 + epsilon`` — the anytime mode the
+    paper's progressive framework enables) and ``max_states`` (a cap
+    on popped states), and, for batch execution, an absolute deadline
+    and/or a cooperative :class:`~repro.core.budget.CancellationToken`
+    (a fired token stops the engine within a bounded number of state
+    pops, returning the best feasible answer so far with
+    ``result.stats.cancelled`` set).  None means no limit.
 ``on_progress``
     Callback invoked with every :class:`ProgressPoint` (UB/LB event).
 ``on_event``
@@ -85,9 +80,6 @@ class _ProgressiveSolverBase:
         query: QueryLike,
         *,
         budget: Optional[Budget] = None,
-        time_limit: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_states: Optional[int] = None,
         on_progress: Optional[Callable[[ProgressPoint], None]] = None,
         on_feasible=None,
         on_event: Optional[Callable[[str, dict], None]] = None,
@@ -98,12 +90,7 @@ class _ProgressiveSolverBase:
     ) -> None:
         self.graph = graph
         self.query = _coerce_query(query)
-        self.budget = Budget.coalesce(
-            budget,
-            time_limit=time_limit,
-            epsilon=epsilon,
-            max_states=max_states,
-        )
+        self.budget = budget
         self.on_progress = on_progress
         self.on_feasible = on_feasible
         self.on_event = on_event
@@ -164,8 +151,8 @@ class _ProgressiveSolverBase:
             on_event=self.on_event,
             init_seconds=context.build_seconds + extra_init,
             table_entries=table_entries,
+            budget=self.budget,
             checkpointer=self.checkpointer,
-            **self.budget.engine_kwargs(),
         )
         if self.restore_state is not None:
             engine.restore(self.restore_state)

@@ -1,11 +1,10 @@
 """The per-query resource budget shared by every entry point.
 
-Historically each layer (``solve_gst``, the solver classes, the
-benchmark runner) threaded ``time_limit`` / ``epsilon`` /
-``max_states`` through as loose keyword arguments, and each accepted a
-slightly different subset.  A :class:`Budget` is the single value
-object all of them now share: build one, pass it anywhere, and the
-same limits reach the search engine.
+A :class:`Budget` is the one way a query's limits reach a solve: the
+solver classes, the search engine, the query service, the server and
+the CLI all take (or build) one and forward it unchanged, so the same
+``time_limit`` / ``epsilon`` / ``max_states`` reach the search engine
+whichever door a query came in by.
 
 Budgets are immutable; ``replace`` derives variants.  A budget may also
 carry an absolute *deadline* (a ``time.perf_counter`` timestamp), which
@@ -104,29 +103,6 @@ class Budget:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def coalesce(
-        cls,
-        budget: Optional["Budget"] = None,
-        *,
-        time_limit: Optional[float] = None,
-        epsilon: Optional[float] = None,
-        max_states: Optional[int] = None,
-    ) -> "Budget":
-        """Merge a base budget with legacy loose keyword arguments.
-
-        Explicitly-passed loose kwargs win over the base budget's
-        fields, so both calling styles keep working during migration.
-        """
-        base = budget if budget is not None else cls()
-        return cls(
-            time_limit=time_limit if time_limit is not None else base.time_limit,
-            epsilon=epsilon if epsilon is not None else base.epsilon,
-            max_states=max_states if max_states is not None else base.max_states,
-            deadline=base.deadline,
-            cancel_token=base.cancel_token,
-        )
-
     def replace(self, **changes) -> "Budget":
         """A copy with the given fields changed (budgets are frozen)."""
         return dataclasses.replace(self, **changes)
@@ -186,15 +162,6 @@ class Budget:
         return min(self.time_limit, remaining)
 
     # ------------------------------------------------------------------
-    def engine_kwargs(self) -> dict:
-        """The keyword arguments the search engine understands."""
-        return {
-            "time_limit": self.effective_time_limit(),
-            "epsilon": self.epsilon,
-            "max_states": self.max_states,
-            "cancel_token": self.cancel_token,
-        }
-
     def to_dict(self) -> dict:
         """JSON-friendly record (deadlines reported as remaining secs)."""
         return {

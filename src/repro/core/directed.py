@@ -43,6 +43,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tup
 from ..errors import InfeasibleQueryError
 from ..graph.digraph import DiGraph
 from ..graph.heap import IndexedHeap
+from .budget import Budget
 from .query import GSTQuery
 from .result import GSTResult, ProgressPoint, SearchStats
 from .state import StateStore, iter_bits
@@ -207,21 +208,18 @@ class DirectedGSTSolver:
         graph: DiGraph,
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
-        time_limit: Optional[float] = None,
-        epsilon: float = 0.0,
-        max_states: Optional[int] = None,
+        budget: Optional[Budget] = None,
     ) -> None:
-        if epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
-        self.time_limit = time_limit
-        self.epsilon = epsilon
-        self.max_states = max_states
+        self.budget = budget if budget is not None else Budget()
 
     # ------------------------------------------------------------------
     def solve(self) -> GSTResult:
         started = time.perf_counter()
+        time_limit = self.budget.effective_time_limit()
+        epsilon = self.budget.epsilon
+        max_states = self.budget.max_states
         graph = self.graph
         query = self.query
         groups = query.groups(graph)
@@ -341,18 +339,18 @@ class DirectedGSTSolver:
             pops += 1
             if pops % 256 == 0:
                 if (
-                    self.time_limit is not None
-                    and time.perf_counter() - started >= self.time_limit
+                    time_limit is not None
+                    and time.perf_counter() - started >= time_limit
                 ):
                     break
-                if self.max_states is not None and pops >= self.max_states:
+                if max_states is not None and pops >= max_states:
                     break
             if (
                 best < INF
                 and global_lb > 0.0
-                and best <= (1.0 + self.epsilon) * global_lb + _COST_EPS
+                and best <= (1.0 + epsilon) * global_lb + _COST_EPS
             ):
-                optimal = self.epsilon == 0.0
+                optimal = epsilon == 0.0
                 break
 
             key, f_value = queue.pop()

@@ -45,19 +45,15 @@ class DPBFSolver:
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
         budget: Optional[Budget] = None,
-        time_limit: Optional[float] = None,
-        max_states: Optional[int] = None,
         distance_cache=None,
         on_event=None,
         on_progress=None,
     ) -> None:
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
-        # DPBF is non-progressive: epsilon in the budget is meaningless
-        # here and simply ignored (the CLI warns about it).
-        self.budget = Budget.coalesce(
-            budget, time_limit=time_limit, max_states=max_states
-        )
+        # DPBF is non-progressive: the budget's epsilon is meaningless
+        # here and simply ignored; its time limit and state cap apply.
+        self.budget = budget if budget is not None else Budget()
         self.distance_cache = distance_cache
         self.on_event = on_event
         # DPBF has no incumbent stream; the callback is accepted for

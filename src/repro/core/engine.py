@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..graph.heap import IndexedHeap
 from .bounds import LowerBounds
+from .budget import Budget
 from .context import QueryContext
 from .feasible import (
     build_feasible_tree,
@@ -83,10 +84,7 @@ class SearchEngine:
         prune_half: bool = False,
         merge_factor: Optional[float] = None,
         complement_shortcut: bool = False,
-        time_limit: Optional[float] = None,
-        epsilon: float = 0.0,
-        max_states: Optional[int] = None,
-        cancel_token=None,
+        budget: Optional[Budget] = None,
         checkpointer=None,
         debug_certify: bool = False,
         on_progress: Optional[Callable[[ProgressPoint], None]] = None,
@@ -95,8 +93,6 @@ class SearchEngine:
         init_seconds: float = 0.0,
         table_entries: int = 0,
     ) -> None:
-        if epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
         if merge_factor is not None and not 0.0 < merge_factor <= 1.0:
             raise ValueError("merge_factor must be in (0, 1]")
         self.context = context
@@ -105,10 +101,14 @@ class SearchEngine:
         self.prune_half = prune_half
         self.merge_factor = merge_factor
         self.complement_shortcut = complement_shortcut
-        self.time_limit = time_limit
-        self.epsilon = epsilon
-        self.max_states = max_states
-        self.cancel_token = cancel_token
+        # The limits are read off the budget once, here: the time limit
+        # is its own, clamped by whatever remains of its deadline.
+        if budget is None:
+            budget = Budget()
+        self.time_limit = budget.effective_time_limit()
+        self.epsilon = budget.epsilon
+        self.max_states = budget.max_states
+        self.cancel_token = budget.cancel_token
         # Durability hook (see :mod:`repro.service.durability`): an
         # object with ``maybe_checkpoint(engine)`` called once per loop
         # iteration at a consistent point (before the pop), and invoked

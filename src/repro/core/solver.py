@@ -1,8 +1,9 @@
 """One-call facade: :func:`solve_gst`.
 
 Downstream users (and the applications in :mod:`repro.apps`) usually
-just want "the best tree covering these labels, within this budget".
-This module maps algorithm names to solver classes and delegates the
+just want "the best tree covering these labels, within this budget" —
+the budget being one :class:`~repro.core.budget.Budget`, which every
+solver class takes the same way.  This module maps algorithm names to solver classes and delegates the
 actual execution to the query service
 (:class:`repro.service.GraphIndex`): each call builds a transient index
 over the graph — or adopts the caller's ``distance_cache`` — and runs
@@ -73,8 +74,8 @@ def solve_gst(
         (see :mod:`repro.core.planner`).
     budget:
         A :class:`~repro.core.budget.Budget` bundling ``time_limit`` /
-        ``epsilon`` / ``max_states``; the loose keyword
-        equivalents below remain accepted and win over its fields.
+        ``epsilon`` / ``max_states`` — the only way a limit reaches the
+        solve.  None means no limit.
     on_progress:
         Called with a :class:`~repro.core.result.ProgressPoint` each
         time the incumbent improves — the paper's anytime UB/LB stream.
@@ -82,8 +83,8 @@ def solve_gst(
         increases, ``lower_bound`` never decreases.  The
         non-progressive ``dpbf`` emits a single terminal point.
     solver_kwargs:
-        Forwarded to the solver: ``time_limit``, ``epsilon``,
-        ``max_states``, ``on_event``, ``distance_cache``, ...
+        Forwarded to the solver: ``on_event``, ``distance_cache``,
+        ``debug_certify``, ...
 
     Raises
     ------

@@ -49,7 +49,7 @@ def top_r_trees(
     Sorted by weight; the first is the proven optimum when the solve
     completed.  Fewer than ``r`` trees are returned if the search did
     not encounter that many distinct feasible solutions.  Extra keyword
-    arguments are forwarded to the solver (e.g. ``time_limit``).
+    arguments are forwarded to the solver (e.g. ``budget``).
     """
     if r <= 0:
         raise ValueError("r must be positive")

@@ -517,17 +517,16 @@ class GSTServer:
     # ------------------------------------------------------------------
     def _query_budget(self, frame: Dict[str, Any]) -> Optional[Budget]:
         """The request's budget overrides merged over the server default."""
-        epsilon = frame.get("epsilon")
-        time_limit = frame.get("time_limit")
-        max_states = frame.get("max_states")
-        if epsilon is None and time_limit is None and max_states is None:
+        overrides = {}
+        if frame.get("epsilon") is not None:
+            overrides["epsilon"] = float(frame["epsilon"])
+        if frame.get("time_limit") is not None:
+            overrides["time_limit"] = float(frame["time_limit"])
+        if frame.get("max_states") is not None:
+            overrides["max_states"] = int(frame["max_states"])
+        if not overrides:
             return self.budget
-        return Budget.coalesce(
-            self.budget,
-            epsilon=float(epsilon) if epsilon is not None else None,
-            time_limit=float(time_limit) if time_limit is not None else None,
-            max_states=int(max_states) if max_states is not None else None,
-        )
+        return (self.budget or Budget()).replace(**overrides)
 
     async def _run_query(
         self,

@@ -335,16 +335,13 @@ def checkpointed_execute(
     kwargs = dict(solver_kwargs)
     checkpointer: Optional[Checkpointer] = None
     if key is not None:
-        epsilon = budget.epsilon if budget is not None else float(
-            kwargs.get("epsilon") or 0.0
-        )
         checkpointer = Checkpointer(
             path,
             checkpoint_meta(
                 fingerprint,
                 labels,
                 key,
-                epsilon=epsilon,
+                epsilon=budget.epsilon if budget is not None else 0.0,
                 query_id=query_id,
             ),
             every_pops=policy.checkpoint_every_pops,

@@ -178,7 +178,6 @@ class QueryExecutor:
             algorithm=algorithm,
             budget=budget,
             query_id=query_id,
-            epsilon=solver_kwargs.get("epsilon"),
         )
         if outcome is None:
             return self.enqueue(
@@ -201,7 +200,6 @@ class QueryExecutor:
         algorithm: Optional[str] = None,
         budget: Optional[Budget] = None,
         query_id=None,
-        epsilon: Optional[float] = None,
     ) -> Optional[QueryOutcome]:
         """The query's answer from the result cache, or None on a miss.
 
@@ -223,7 +221,6 @@ class QueryExecutor:
             labels,
             algorithm=algorithm or self.algorithm,
             budget=budget if budget is not None else self.budget,
-            epsilon=epsilon,
             query_id=query_id,
         )
         if outcome is None or (

@@ -543,8 +543,9 @@ class FleetPool:
         respawn-and-resume all per the pool's
         :class:`~repro.service.durability.WorkerPolicy`.  The parent
         index's result cache is consulted first (unless
-        ``use_result_cache=False``) and filled with every ``ok``
-        answer, as :meth:`GraphIndex.execute
+        ``use_result_cache=False``); every outcome a worker delivers
+        is traced as a miss and every ``ok`` answer fills the cache,
+        as :meth:`GraphIndex.execute
         <repro.service.index.GraphIndex.execute>` does in-thread.
         """
         labels = tuple(labels)
@@ -553,7 +554,6 @@ class FleetPool:
                 labels,
                 algorithm=algorithm,
                 budget=budget,
-                epsilon=solver_kwargs.get("epsilon"),
                 query_id=query_id,
             )
             if cached is not None:
@@ -570,11 +570,6 @@ class FleetPool:
             )
         finally:
             self._release(slot)
-        result_cache = self.index.result_cache
-        if result_cache is not None and outcome.trace.status == "ok":
-            outcome.trace.result_cache = "miss"
-            if outcome.result is not None:
-                result_cache.put(labels, outcome.algorithm, outcome.result)
         return outcome
 
     def _acquire(self) -> Optional[FleetWorker]:
@@ -629,6 +624,13 @@ class FleetPool:
                 outcome = attempt.outcome
                 outcome.trace.worker_restarts += restarts
                 outcome.trace.fleet_worker = slot.worker_id
+                result_cache = self.index.result_cache
+                if result_cache is not None:
+                    # Workers have no result cache: the parent traces
+                    # the miss its lookup counted and writes back.
+                    outcome.trace.result_cache = "miss"
+                    if outcome.trace.status == "ok" and outcome.result is not None:
+                        result_cache.put(labels, outcome.algorithm, outcome.result)
                 slot.queries += 1
                 instruments.fleet_queries_total().labels(
                     worker=str(slot.worker_id)

@@ -211,13 +211,12 @@ class GraphIndex:
         *,
         algorithm: str = "pruneddp++",
         budget: Optional[Budget] = None,
-        epsilon: Optional[float] = None,
         query_id: Optional[Union[int, str]] = None,
     ) -> Optional["QueryOutcome"]:
         """A :class:`QueryOutcome` served from the result cache, or None.
 
         The epsilon-aware reuse rule: a cached answer proven within
-        ``(1+ε)`` serves this request only when the requested
+        ``(1+ε)`` serves this request only when the budget's
         ``ε' ≥ ε`` (same label set, same resolved algorithm tier).
         Never raises — any resolution error means "no cached answer"
         and the caller runs the normal path.
@@ -230,12 +229,11 @@ class GraphIndex:
             key = self.resolve_algorithm(algorithm, labels)
         except ValueError:
             return None
-        if epsilon is None:
-            epsilon = budget.epsilon if budget is not None else 0.0
+        epsilon = budget.epsilon if budget is not None else 0.0
         entry = self.result_cache.lookup(labels, key, epsilon)
         if entry is None:
             return None
-        result = entry.to_result(labels)
+        result = entry.to_result(labels, ALGORITHMS[key].algorithm_name)
         trace = QueryTrace(
             query_id=query_id,
             labels=labels,
@@ -363,7 +361,6 @@ class GraphIndex:
                 labels,
                 algorithm=algorithm,
                 budget=budget,
-                epsilon=solver_kwargs.get("epsilon"),
                 query_id=query_id,
             )
             if cached is not None:
@@ -407,7 +404,7 @@ class GraphIndex:
                 trace.result_cache = "miss"
             # Everything from here to a built context is per-query
             # preprocessing: label-cache accounting, solver construction
-            # (query coercion, budget coalescing) and the label
+            # (query coercion) and the label
             # Dijkstras.  Timing all of it as context_build keeps the
             # four stages a partition of the wall time on fast queries.
             stage_started = time.perf_counter()

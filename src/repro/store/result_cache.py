@@ -84,11 +84,17 @@ class CachedAnswer:
         return self.epsilon <= requested_epsilon + _EPS_SLACK
 
     # ------------------------------------------------------------------
-    def to_result(self, requested_labels: Iterable[Hashable]) -> GSTResult:
-        """Rehydrate a :class:`GSTResult` (zeroed search counters)."""
+    def to_result(
+        self, requested_labels: Iterable[Hashable], algorithm_name: str
+    ) -> GSTResult:
+        """Rehydrate a :class:`GSTResult` (zeroed search counters).
+
+        ``algorithm_name`` is the solver's name (``"PrunedDP++"``), which
+        a live solve reports; ``self.algorithm`` is the cache tier key.
+        """
         tree = SteinerTree(self.tree_edges, nodes=self.tree_nodes)
         return GSTResult(
-            algorithm=self.algorithm,
+            algorithm=algorithm_name,
             labels=tuple(requested_labels),
             tree=tree,
             weight=self.weight,

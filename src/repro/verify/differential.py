@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.bruteforce import brute_force_gst
+from ..core.budget import Budget
 from ..core.result import GSTResult
 from ..core.solver import ALGORITHMS, solve_gst
 from ..errors import InfeasibleQueryError, ReproError
@@ -179,13 +180,17 @@ def _run_tier(
             run.infeasible = weight == INF
             return run
         kwargs = {}
-        if algorithm != "dpbf":
-            # DPBF is non-progressive: it takes no epsilon and cannot
-            # certify incumbents (it has none until it terminates).
-            kwargs["epsilon"] = epsilon
-            if debug_certify:
-                kwargs["debug_certify"] = True
-        result: GSTResult = solve_gst(graph, labels, algorithm=algorithm, **kwargs)
+        if debug_certify and algorithm != "dpbf":
+            # DPBF is non-progressive: it has no incumbents to certify
+            # until it terminates.
+            kwargs["debug_certify"] = True
+        result: GSTResult = solve_gst(
+            graph,
+            labels,
+            algorithm=algorithm,
+            budget=Budget(epsilon=epsilon),
+            **kwargs,
+        )
     except InfeasibleQueryError:
         run.infeasible = True
         return run

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleQueryError
+from repro import Budget, InfeasibleQueryError
 from repro.apps import Database, KeywordSearchEngine
 
 
@@ -79,7 +79,9 @@ class TestSearch:
         assert answer.weight == pytest.approx(4.0)
 
     def test_anytime_epsilon(self, engine):
-        answer = engine.search(["knuth", "dijkstra", "hoare"], epsilon=1.0)
+        answer = engine.search(
+            ["knuth", "dijkstra", "hoare"], budget=Budget(epsilon=1.0)
+        )
         assert answer.weight <= 14.0 + 1e-9  # within 2x of 7
 
 

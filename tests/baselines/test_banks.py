@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleQueryError
+from repro import Budget, InfeasibleQueryError
 from repro.baselines import Banks1Solver, Banks2Solver
 from repro.core import DPBFSolver, brute_force_gst
 from repro.graph import generators
@@ -112,6 +112,6 @@ class TestProgressiveTrace:
     def test_time_limit_respected(self):
         g = generators.powerlaw(500, num_query_labels=6, label_frequency=6, seed=1)
         labels = [f"q{i}" for i in range(5)]
-        result = Banks2Solver(g, labels, time_limit=0.01).solve()
+        result = Banks2Solver(g, labels, budget=Budget(time_limit=0.01)).solve()
         # Either finished very fast or stopped near the limit.
         assert result.stats.total_seconds < 2.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleQueryError
+from repro import Budget, InfeasibleQueryError
 from repro.baselines import DistanceNetworkSolver
 from repro.baselines.blinks import BlinksSolver
 from repro.core import brute_force_gst
@@ -151,7 +151,7 @@ class TestEarlyTermination:
             600, num_query_labels=6, label_frequency=5, seed=5
         )
         labels = [f"q{i}" for i in range(5)]
-        result = BlinksSolver(g, labels, time_limit=0.005).solve()
+        result = BlinksSolver(g, labels, budget=Budget(time_limit=0.005)).solve()
         # Either finished or stopped; no exception, stats sane.
         assert result.stats.total_seconds < 2.0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, GraphError, InfeasibleQueryError
+from repro import Budget, Graph, GraphError, InfeasibleQueryError
 from repro.core import (
     BasicSolver,
     DPBFSolver,
@@ -230,14 +230,14 @@ class TestAnytimeKnobs:
         )
         labels = [f"q{i}" for i in range(5)]
         exact = PrunedDPPlusPlusSolver(g, labels).solve()
-        approx = PrunedDPPlusPlusSolver(g, labels, epsilon=0.5).solve()
+        approx = PrunedDPPlusPlusSolver(g, labels, budget=Budget(epsilon=0.5)).solve()
         assert approx.weight <= (1.5 + 1e-9) * exact.weight
         assert approx.ratio <= 1.5 + 1e-9
         assert approx.stats.states_popped <= exact.stats.states_popped
 
     def test_epsilon_zero_still_exact(self, star_graph):
         result = PrunedDPPlusPlusSolver(
-            star_graph, ["x", "y", "z"], epsilon=0.0
+            star_graph, ["x", "y", "z"], budget=Budget(epsilon=0.0)
         ).solve()
         assert result.optimal
         assert result.weight == pytest.approx(6.0)
@@ -249,7 +249,7 @@ class TestAnytimeKnobs:
 
         ctx = QueryContext.build(star_graph, GSTQuery(["x", "y"]))
         with pytest.raises(ValueError):
-            SearchEngine(ctx, algorithm_name="t", epsilon=-0.1)
+            SearchEngine(ctx, algorithm_name="t", budget=Budget(epsilon=-0.1))
 
     def test_time_limit_returns_sound_answer(self):
         g = generators.dblp_like(
@@ -257,7 +257,7 @@ class TestAnytimeKnobs:
             num_query_labels=12, label_frequency=6, seed=6,
         )
         labels = [f"q{i}" for i in range(6)]
-        result = BasicSolver(g, labels, time_limit=0.02).solve()
+        result = BasicSolver(g, labels, budget=Budget(time_limit=0.02)).solve()
         # Whatever it returned is a real covering tree (or nothing yet),
         # and the proven ratio is honest.
         if result.tree is not None:
@@ -272,7 +272,7 @@ class TestAnytimeKnobs:
             40, 80, num_query_labels=4, label_frequency=4, seed=3
         )
         labels = [f"q{i}" for i in range(4)]
-        result = BasicSolver(g, labels, max_states=300).solve()
+        result = BasicSolver(g, labels, budget=Budget(max_states=300)).solve()
         assert result.stats.states_popped <= 300 + 256  # check interval slack
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import GraphError, InfeasibleQueryError
+from repro import Budget, GraphError, InfeasibleQueryError
 from repro.core.directed import (
     DirectedGSTSolver,
     DirectedSteinerTree,
@@ -201,7 +201,7 @@ class TestDirectedSolver:
         g = random_digraph(9, n=30, extra=60, k=4)
         labels = [f"q{i}" for i in range(4)]
         exact = DirectedGSTSolver(g, labels).solve()
-        anytime = DirectedGSTSolver(g, labels, epsilon=1.0).solve()
+        anytime = DirectedGSTSolver(g, labels, budget=Budget(epsilon=1.0)).solve()
         assert anytime.weight <= 2.0 * exact.weight + 1e-9
         assert anytime.stats.states_popped <= exact.stats.states_popped
 

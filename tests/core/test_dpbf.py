@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleQueryError
+from repro import Budget, InfeasibleQueryError
 from repro.core import DPBFSolver, brute_force_gst, dpbf_optimal_weight
 from repro.graph import generators
 
@@ -38,7 +38,7 @@ class TestDPBF:
             50, 120, num_query_labels=4, label_frequency=4, seed=0
         )
         labels = [f"q{i}" for i in range(4)]
-        result = DPBFSolver(g, labels, max_states=5).solve()
+        result = DPBFSolver(g, labels, budget=Budget(max_states=5)).solve()
         assert result.tree is None
         assert result.weight == float("inf")
         assert not result.optimal

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, QueryError
+from repro import Budget, Graph, QueryError
 from repro.core import (
     BasicSolver,
     DPBFSolver,
@@ -65,7 +65,7 @@ class TestLargeK:
             PrunedDPPlusPlusSolver(g, labels).solve()
         # ...but the bound-free algorithms still produce anytime
         # answers under a state budget.
-        result = BasicSolver(g, labels, max_states=3000).solve()
+        result = BasicSolver(g, labels, budget=Budget(max_states=3000)).solve()
         assert result.tree is not None
         result.tree.validate(g, labels)
         assert result.weight == pytest.approx(k)  # the star is forced
@@ -75,7 +75,8 @@ class TestLargeK:
         k = MAX_ALLPATHS_LABELS + 1
         g, labels = self._labelled_star(k)
         result = PrunedDPPlusPlusSolver(
-            g, labels, use_tour1=False, use_tour2=False, max_states=3000
+            g, labels, use_tour1=False, use_tour2=False,
+            budget=Budget(max_states=3000),
         ).solve()
         assert result.tree is not None
         assert result.weight == pytest.approx(k)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleQueryError, solve_gst
+from repro import Budget, InfeasibleQueryError, solve_gst
 from repro.core.solver import ALGORITHMS, default_algorithm
 from repro.graph import generators
 
@@ -64,7 +64,7 @@ class TestKwargsForwarding:
             40, 90, num_query_labels=4, label_frequency=4, seed=2
         )
         labels = [f"q{i}" for i in range(4)]
-        result = solve_gst(g, labels, epsilon=1.0)
+        result = solve_gst(g, labels, budget=Budget(epsilon=1.0))
         assert result.ratio <= 2.0 + 1e-9
 
     def test_on_progress_forwarded(self, path_graph):

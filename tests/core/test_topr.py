@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph
+from repro import Budget, Graph
 from repro.core import BasicSolver, PrunedDPPlusPlusSolver, top_r_trees
 from repro.graph import generators
 
@@ -66,6 +66,6 @@ class TestTopR:
 
     def test_solver_kwargs_forwarded(self, diamond_graph):
         trees = top_r_trees(
-            diamond_graph, ["x", "y"], 2, max_states=10_000
+            diamond_graph, ["x", "y"], 2, budget=Budget(max_states=10_000)
         )
         assert trees

@@ -159,9 +159,9 @@ def _assert_no_drift(before, traces, index):
     assert index.result_cache.misses == served["miss"]
 
 
-def test_store_backed_batch_hits_and_misses_match_traces(store_index):
+def _check_store_backed_batch(store_index, workers):
     before = _hit_miss_state()
-    with QueryExecutor(store_index) as executor:
+    with QueryExecutor(store_index, workers=workers) as executor:
         # One batch per query: a repeat then finds the answer its first
         # occurrence wrote back, whatever the thread timing.
         outcomes = [
@@ -174,6 +174,16 @@ def test_store_backed_batch_hits_and_misses_match_traces(store_index):
         "miss", "miss", "hit", "miss", "hit", "miss", "hit",
     ]
     _assert_no_drift(before, traces, store_index)
+
+
+def test_store_backed_batch_hits_and_misses_match_traces(store_index):
+    _check_store_backed_batch(store_index, workers=None)
+
+
+def test_store_backed_fleet_batch_hits_and_misses_match_traces(store_index):
+    """The same mix on a one-worker fleet: its infeasible query's miss
+    is traced like an ok query's, as it is in-thread."""
+    _check_store_backed_batch(store_index, workers=1)
 
 
 def test_store_backed_server_hits_and_misses_match_traces(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Graph
+from repro import Budget, Graph
 from repro.baselines import Banks1Solver, Banks2Solver
 from repro.core import (
     BasicSolver,
@@ -142,7 +142,9 @@ def test_epsilon_contract(case, epsilon):
     """Anytime answers honour their advertised guarantee."""
     graph, labels = case
     expected, _ = brute_force_gst(graph, labels)
-    result = PrunedDPPlusPlusSolver(graph, labels, epsilon=epsilon).solve()
+    result = PrunedDPPlusPlusSolver(
+        graph, labels, budget=Budget(epsilon=epsilon)
+    ).solve()
     assert result.tree is not None
     result.tree.validate(graph, labels)
     assert result.weight <= (1.0 + epsilon) * expected + 1e-6

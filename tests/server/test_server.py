@@ -506,9 +506,8 @@ class TestResultCacheHits:
         # no "overloaded" error though the one slot was taken.
         assert frame["type"] == "result" and frame["id"] == "hit"
         assert frame["stats"]["states_popped"] == 0
-        # Same answer; a hit names its cache tier ("pruneddp") where a
-        # solve names its solver ("PrunedDP").
-        skip = ("id", "stats", "algorithm")
+        # Same answer, under the same solver name ("PrunedDP").
+        skip = ("id", "stats")
         answer = {k: v for k, v in frame.items() if k not in skip}
         expected = {k: v for k, v in first.result.items() if k not in skip}
         assert answer == expected

@@ -1,10 +1,10 @@
-"""Budget semantics + the kwargs-passthrough regression suite.
+"""Budget semantics + the budget-passthrough regression suite.
 
-The second half pins down the historical drift bug: every documented
-keyword argument, passed through any public entry point, must reach the
-search engine.  A spy engine records the kwargs it was constructed
-with; each test drives one entry point and asserts the engine saw the
-limits the caller asked for.
+The second half pins down the historical drift bug: a budget passed
+through any public entry point must reach the search engine.  A spy
+engine records every engine constructed; each test drives one entry
+point and asserts the engine runs under the limits the caller asked
+for.
 """
 
 from __future__ import annotations
@@ -58,23 +58,6 @@ class TestBudgetValue:
         assert derived.time_limit == 2.0
         assert derived.epsilon == 0.5
 
-    def test_coalesce_loose_kwargs_win(self):
-        base = Budget(time_limit=10.0, epsilon=0.5, max_states=100)
-        merged = Budget.coalesce(base, time_limit=2.0, epsilon=0.25)
-        assert merged.time_limit == 2.0
-        assert merged.epsilon == 0.25
-        assert merged.max_states == 100  # untouched field survives
-
-    def test_coalesce_without_base(self):
-        merged = Budget.coalesce(None, max_states=7)
-        assert merged.max_states == 7
-        assert merged.time_limit is None
-
-    def test_coalesce_preserves_deadline(self):
-        base = Budget().with_deadline(60.0)
-        merged = Budget.coalesce(base, time_limit=1.0)
-        assert merged.deadline == base.deadline
-
     def test_deadline_arithmetic(self):
         budget = Budget(time_limit=100.0).with_deadline(60.0)
         remaining = budget.remaining()
@@ -117,28 +100,10 @@ class TestBudgetValue:
         budget = Budget(time_limit=1.0).with_cancellation(token)
         assert budget.cancel_token is token
         assert not budget.cancelled()
-        assert budget.engine_kwargs()["cancel_token"] is token
         token.cancel("because")
         assert budget.cancelled()
         assert token.reason == "because"
         assert budget.to_dict()["cancelled"] is True
-
-    def test_coalesce_preserves_cancel_token(self):
-        from repro.core.budget import CancellationToken
-
-        token = CancellationToken()
-        base = Budget().with_cancellation(token)
-        merged = Budget.coalesce(base, time_limit=1.0)
-        assert merged.cancel_token is token
-
-    def test_engine_kwargs_keys(self):
-        kwargs = Budget(time_limit=3.0, epsilon=0.1, max_states=9).engine_kwargs()
-        assert kwargs == {
-            "time_limit": 3.0,
-            "epsilon": 0.1,
-            "max_states": 9,
-            "cancel_token": None,
-        }
 
     def test_to_dict_is_json_friendly(self):
         import json
@@ -150,84 +115,66 @@ class TestBudgetValue:
 
 
 # ----------------------------------------------------------------------
-# Kwargs-passthrough regression: every entry point → the engine.
+# Budget-passthrough regression: every entry point → the engine.
 # ----------------------------------------------------------------------
 @pytest.fixture
 def engine_spy(monkeypatch):
-    """Record the kwargs every SearchEngine is constructed with."""
-    calls = []
+    """Record every SearchEngine constructed."""
+    engines = []
 
     class SpyEngine(SearchEngine):
         def __init__(self, context, **kwargs):
-            calls.append(dict(kwargs))
             super().__init__(context, **kwargs)
+            engines.append(self)
 
     monkeypatch.setattr(algorithms_mod, "SearchEngine", SpyEngine)
-    return calls
+    return engines
 
 
-LOOSE = dict(time_limit=5.0, epsilon=0.25, max_states=100_000)
+LIMITS = dict(time_limit=5.0, epsilon=0.25, max_states=100_000)
 
 
-def _assert_limits(call: dict) -> None:
-    assert call["time_limit"] == 5.0
-    assert call["epsilon"] == 0.25
-    assert call["max_states"] == 100_000
+def _assert_limits(engine: SearchEngine) -> None:
+    assert engine.time_limit == 5.0
+    assert engine.epsilon == 0.25
+    assert engine.max_states == 100_000
 
 
 class TestKwargsReachEngine:
-    def test_solver_class_loose_kwargs(self, graph, engine_spy):
+    def test_solver_class_budget(self, graph, engine_spy):
         progress, feasible = [], []
         PrunedDPPlusPlusSolver(
             graph,
             ["q0", "q1"],
+            budget=Budget(**LIMITS),
             on_progress=progress.append,
             on_feasible=feasible.append,
-            **LOOSE,
         ).solve()
-        (call,) = engine_spy
-        _assert_limits(call)
-        assert call["on_progress"] is not None
-        assert call["on_feasible"] is not None
+        (engine,) = engine_spy
+        _assert_limits(engine)
+        assert engine.on_progress is not None
+        assert engine.on_feasible is not None
         assert progress, "on_progress callback never fired"
 
-    def test_solver_class_budget(self, graph, engine_spy):
-        budget = Budget(**LOOSE)
-        PrunedDPPlusPlusSolver(graph, ["q0", "q1"], budget=budget).solve()
-        _assert_limits(engine_spy[0])
-
-    def test_solver_class_budget_with_loose_override(self, graph, engine_spy):
-        budget = Budget(time_limit=99.0, epsilon=0.25, max_states=100_000)
-        PrunedDPPlusPlusSolver(
-            graph, ["q0", "q1"], budget=budget, time_limit=5.0
-        ).solve()
-        _assert_limits(engine_spy[0])
-
-    def test_solve_gst_loose_kwargs(self, graph, engine_spy):
-        solve_gst(graph, ["q0", "q1"], algorithm="pruneddp++", **LOOSE)
-        _assert_limits(engine_spy[0])
-
     def test_solve_gst_budget(self, graph, engine_spy):
-        solve_gst(graph, ["q0", "q1"], budget=Budget(**LOOSE))
-        _assert_limits(engine_spy[0])
-
-    def test_graph_index_passthrough(self, graph, engine_spy):
-        GraphIndex(graph).solve(["q0", "q1"], **LOOSE)
+        solve_gst(graph, ["q0", "q1"], budget=Budget(**LIMITS))
         _assert_limits(engine_spy[0])
 
     def test_graph_index_budget(self, graph, engine_spy):
-        GraphIndex(graph).solve(["q0", "q1"], budget=Budget(**LOOSE))
+        GraphIndex(graph).solve(["q0", "q1"], budget=Budget(**LIMITS))
         _assert_limits(engine_spy[0])
 
     @pytest.mark.parametrize("algorithm", ["basic", "pruneddp", "pruneddp+"])
     def test_every_engine_algorithm(self, graph, engine_spy, algorithm):
-        solve_gst(graph, ["q0", "q1"], algorithm=algorithm, **LOOSE)
+        solve_gst(
+            graph, ["q0", "q1"], algorithm=algorithm, budget=Budget(**LIMITS)
+        )
         _assert_limits(engine_spy[0])
 
     def test_deadline_clamps_engine_time_limit(self, graph, engine_spy):
         budget = Budget(time_limit=100.0).with_deadline(10.0)
         GraphIndex(graph).solve(["q0", "q1"], budget=budget)
-        assert engine_spy[0]["time_limit"] <= 10.0
+        assert engine_spy[0].time_limit <= 10.0
 
 
 class TestExpiredDeadlineRegression:
@@ -266,10 +213,10 @@ class TestExpiredDeadlineRegression:
 
     def test_expired_deadline_entering_engine(self, graph, engine_spy):
         budget = self._expired_budget()
-        # The engine-facing kwargs carry a zero (not negative) limit.
-        assert budget.engine_kwargs()["time_limit"] == 0.0
+        # The engine runs under a zero (not negative) limit.
+        assert budget.effective_time_limit() == 0.0
         PrunedDPPlusPlusSolver(graph, ["q0", "q1"], budget=budget).solve()
-        assert engine_spy[0]["time_limit"] == 0.0
+        assert engine_spy[0].time_limit == 0.0
 
     def test_expired_deadline_fail_fasts_at_index(self, graph):
         from repro.errors import LimitExceededError
@@ -284,11 +231,6 @@ class TestDPBFBudget:
     def test_max_states_interrupts(self, graph):
         result = DPBFSolver(graph, ["q0", "q1"], budget=Budget(max_states=1)).solve()
         assert not result.optimal
-
-    def test_loose_kwargs_still_work(self, graph):
-        solver = DPBFSolver(graph, ["q0", "q1"], time_limit=5.0, max_states=123)
-        assert solver.budget.time_limit == 5.0
-        assert solver.budget.max_states == 123
 
     def test_matches_progressive_optimum(self, graph):
         dpbf = DPBFSolver(graph, ["q0", "q2"]).solve()

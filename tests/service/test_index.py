@@ -86,7 +86,9 @@ class TestSolveParity:
             index.solve(["q0"], algorithm="magic")
 
     def test_kwargs_forwarded(self, graph):
-        result = GraphIndex(graph).solve(["q0", "q1", "q2"], epsilon=1.0)
+        result = GraphIndex(graph).solve(
+            ["q0", "q1", "q2"], budget=Budget(epsilon=1.0)
+        )
         assert result.ratio <= 2.0 + 1e-9
 
     def test_auto_algorithm_resolves(self, graph):

@@ -158,7 +158,8 @@ class TestPersistence:
         fresh = ResultCache()
         fresh.load_from(buf)
         entry = fresh.lookup(["q0", "q1"], "pruneddp++", 0.0)
-        result = entry.to_result(("q0", "q1"))
+        result = entry.to_result(("q0", "q1"), "PrunedDP++")
+        assert result.algorithm == "PrunedDP++"
         assert result.weight == exact_result.weight
         assert result.optimal == exact_result.optimal
         assert result.tree.weight == pytest.approx(exact_result.tree.weight)

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro import GraphIndex, QueryExecutor
+from repro import Budget, GraphIndex, QueryExecutor
 from repro.errors import (
     StoreCorruptError,
     StoreError,
@@ -187,7 +187,7 @@ class TestResultCacheWiring:
         index = GraphIndex(graph)
         index.attach_store(store_dir)
         index.execute(["q0", "q1"])  # exact answer cached
-        hit = index.execute(["q0", "q1"], epsilon=0.5)
+        hit = index.execute(["q0", "q1"], budget=Budget(epsilon=0.5))
         assert hit.trace.result_cache == "hit"  # exact serves loose
 
     def test_persistence_across_indexes(self, graph, store_dir):
@@ -277,15 +277,14 @@ class TestCLI:
         path.write_text("q0,q1\nq2,q3\n", encoding="utf-8")
         return str(path)
 
-    def test_precompute_solve_roundtrip(
-        self, stem, query_file, tmp_path, capsys
-    ):
+    @staticmethod
+    def _precompute_solve_roundtrip(stem, query_file, tmp_path, capsys, limits):
         from repro.cli import main
 
         out = str(tmp_path / "store")
         code = main([
             "precompute", "--graph", stem, "--out", out,
-            "--queries", query_file, "--solve", "--top-k", "4",
+            "--queries", query_file, "--solve", "--top-k", "4", *limits,
         ])
         assert code == 0
         assert "pre-solved 2/2" in capsys.readouterr().out
@@ -293,7 +292,7 @@ class TestCLI:
         traces = str(tmp_path / "traces.jsonl")
         code = main([
             "batch", "--graph", stem, "--queries", query_file,
-            "--store", out, "--traces", traces, "--quiet",
+            "--store", out, "--traces", traces, "--quiet", *limits,
         ])
         assert code == 0
         assert "2 result-cache hits" in capsys.readouterr().out
@@ -302,6 +301,21 @@ class TestCLI:
         ]
         assert all(r["result_cache"] == "hit" for r in records)
         assert all(r["store_hit"] for r in records)
+
+    def test_precompute_solve_roundtrip(
+        self, stem, query_file, tmp_path, capsys
+    ):
+        self._precompute_solve_roundtrip(stem, query_file, tmp_path, capsys, [])
+
+    def test_precompute_solve_roundtrip_dpbf_epsilon(
+        self, stem, query_file, tmp_path, capsys
+    ):
+        """DPBF takes an epsilon in its budget like every solver (and
+        ignores it: its answers are exact)."""
+        self._precompute_solve_roundtrip(
+            stem, query_file, tmp_path, capsys,
+            ["--algorithm", "dpbf", "--epsilon", "0.3"],
+        )
 
     def test_solve_store_matches_cold(self, stem, tmp_path, capsys):
         from repro.cli import main

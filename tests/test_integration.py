@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import (
+    Budget,
     PrunedDPPlusPlusSolver,
     SteinerTree,
     solve_gst,
@@ -152,7 +153,7 @@ class TestTopRConsistencyChain:
             num_query_labels=8, label_frequency=5, seed=74,
         )
         labels = ["q0", "q1", "q2", "q3"]
-        quick = PrunedDPPlusPlusSolver(g, labels, epsilon=1.0).solve()
+        quick = PrunedDPPlusPlusSolver(g, labels, budget=Budget(epsilon=1.0)).solve()
         exact = PrunedDPPlusPlusSolver(g, labels).solve()
         assert quick.weight <= 2.0 * exact.weight + 1e-9
         assert exact.weight <= quick.weight + 1e-9

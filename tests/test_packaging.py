@@ -106,3 +106,62 @@ class TestAnnotations:
                     unresolved.append(f"{info.name}:{qualname}: {exc}")
         assert checked > 500
         assert not unresolved, unresolved
+
+
+def _limit_entry_points():
+    """Every solver and service entry point a query's limits pass."""
+    from repro.apps import ExpertNetwork, KeywordSearchEngine
+    from repro.baselines import Banks1Solver, Banks2Solver
+    from repro.baselines.blinks import BlinksSolver
+    from repro.bench import run_query, run_suite
+    from repro.core import exact_top_r_trees, solve_gst, top_r_trees
+    from repro.core.directed import DirectedGSTSolver
+    from repro.core.engine import SearchEngine
+    from repro.core.solver import ALGORITHMS
+    from repro.service import (
+        FleetPool,
+        GraphIndex,
+        QueryExecutor,
+        checkpointed_execute,
+        resume_query,
+    )
+
+    return [
+        *ALGORITHMS.values(),
+        DirectedGSTSolver,
+        Banks1Solver,
+        Banks2Solver,
+        BlinksSolver,
+        SearchEngine,
+        solve_gst,
+        top_r_trees,
+        exact_top_r_trees,
+        run_query,
+        run_suite,
+        GraphIndex.solve,
+        GraphIndex.execute,
+        GraphIndex.cached_outcome,
+        QueryExecutor.submit,
+        QueryExecutor.cached,
+        QueryExecutor.enqueue,
+        QueryExecutor.run_batch,
+        FleetPool.execute,
+        checkpointed_execute,
+        resume_query,
+        KeywordSearchEngine.search,
+        ExpertNetwork.find_team,
+    ]
+
+
+class TestOneWayIn:
+    def test_limits_arrive_only_in_a_budget(self):
+        """No entry point takes ``time_limit``/``epsilon``/``max_states``
+        beside ``budget=``: with a second way in, a layer that reads one
+        (a retry rung, a checkpoint's meta) disagrees with the other."""
+        loose = {"time_limit", "epsilon", "max_states"}
+        offenders = []
+        for entry in _limit_entry_points():
+            taken = loose & set(inspect.signature(entry).parameters)
+            if taken:
+                offenders.append((entry.__qualname__, sorted(taken)))
+        assert offenders == []

@@ -16,6 +16,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.budget import Budget
 from repro.core.bruteforce import brute_force_gst
 from repro.core.result import GSTResult, ProgressPoint, SearchStats
 from repro.core.solver import ALGORITHMS, solve_gst
@@ -82,7 +83,9 @@ class TestZeroWeightOptimal:
             node = graph.add_node(labels=["x"])
             graph.add_edge(previous, node, 1.0)
             previous = node
-        result = solve_gst(graph, ["x", "y"], algorithm="basic", max_states=64)
+        result = solve_gst(
+            graph, ["x", "y"], algorithm="basic", budget=Budget(max_states=64)
+        )
         assert result.weight == 0.0
         assert result.optimal
         assert result.stats.states_popped < 64
@@ -123,7 +126,7 @@ class TestLowerBoundClamping:
                     graph,
                     ["q0", "q1", "q2", "q3"],
                     algorithm=algorithm,
-                    epsilon=epsilon,
+                    budget=Budget(epsilon=epsilon),
                 )
                 assert result.lower_bound <= result.weight
                 for point in result.trace:
