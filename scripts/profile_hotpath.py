@@ -5,8 +5,9 @@ Runs cProfile over a batch of solves on the DBLP-like generator and
 prints the top functions by cumulative time.  Every solve runs on the
 graph's frozen CSR snapshot (packed state keys, flat adjacency,
 bucket-queue Dijkstra preprocessing, memoized feasible construction);
-the snapshot is built once up front, and its build time and bucket
-width are printed separately.
+the snapshot is built once up front, and its build time, bucket
+width and the bytes one cached label's distance table takes are
+printed separately.
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --solves 5 --top 40
@@ -21,6 +22,7 @@ import sys
 import time
 
 from repro.core.algorithms import PrunedDPPlusPlusSolver
+from repro.core.cache import LabelDistanceCache
 from repro.graph import generators
 
 GRAPH_KW = dict(
@@ -47,9 +49,14 @@ def main(argv=None) -> int:
     freeze_started = time.perf_counter()
     snapshot = graph.freeze()
     freeze_seconds = time.perf_counter() - freeze_started
+    cache = LabelDistanceCache(graph)
+    for label in QUERY:
+        cache.distances(label)
+    label_bytes = cache.counters()["table_bytes"] // len(QUERY)
     print(f"freeze(): {freeze_seconds * 1e3:.1f} ms "
           f"({snapshot.num_nodes} nodes, {snapshot.num_edges} edges, "
-          f"bucket_width {snapshot.bucket_width:g})")
+          f"bucket_width {snapshot.bucket_width:g}, "
+          f"{label_bytes} bytes per cached label)")
 
     profiler = cProfile.Profile()
     started = time.perf_counter()

@@ -14,14 +14,16 @@ Guarantee: for any node ``v`` on the optimal tree ``T*``, each
 weighs at most ``k · w(T*)`` — a provable ``k``-approximation, which
 the test suite asserts.  Runtime is the ``k`` Dijkstras of the shared
 preprocessing plus an ``O(n k)`` scan: by far the fastest baseline,
-with the weakest answers.
+with the weakest answers.  The scan has no anytime point to stop at,
+so it reads no limit from its ``budget``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Hashable, Iterable, List, Union
+from typing import Hashable, Iterable, List, Optional, Union
 
+from ..core.budget import Budget
 from ..core.context import QueryContext
 from ..core.feasible import prune_redundant_leaves, steiner_tree_from_edges
 from ..core.query import GSTQuery
@@ -44,14 +46,21 @@ class DistanceNetworkSolver:
         graph: Graph,
         query: Union[GSTQuery, Iterable[Hashable]],
         *,
+        budget: Optional[Budget] = None,
         num_roots: int = 1,
     ) -> None:
         """``num_roots`` > 1 tries the that many best connection nodes
-        and keeps the lightest answer (a cheap quality knob)."""
+        and keeps the lightest answer (a cheap quality knob).
+
+        ``budget`` is taken like every other solver class takes it, so
+        one set of keywords runs any of them; the one-shot scan reads
+        none of its limits.
+        """
         if num_roots < 1:
             raise ValueError("num_roots must be >= 1")
         self.graph = graph
         self.query = query if isinstance(query, GSTQuery) else GSTQuery(query)
+        self.budget = budget
         self.num_roots = num_roots
 
     def solve(self) -> GSTResult:

@@ -149,9 +149,10 @@ def run_query(
 ) -> QueryRun:
     """Run one algorithm on one query, capturing the progressive trace.
 
-    ``solver_kwargs`` go to every class alike: the paper's solvers,
-    DPBF and the BANKS-I/II and BLINKS baselines all take ``budget=``
-    (the one-shot ``DistanceNetwork`` scan takes no limit).
+    ``solver_kwargs`` go to every class alike, and every class takes
+    ``budget=``: the paper's solvers, DPBF, and the BANKS-I/II, BLINKS
+    and ``DistanceNetwork`` baselines (the one-shot scan reads none of
+    the budget's limits).
     """
     try:
         solver_cls = _SOLVERS[algorithm]

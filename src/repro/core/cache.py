@@ -19,6 +19,16 @@ bounded cache, shares it across a worker pool, and adds telemetry)::
     result = index.solve(["db", "ml"])        # caches as it goes
     result = index.solve(["db", "graphs"])    # 'db' Dijkstra reused
 
+Each entry is the label's ``(dist, parent)`` pair as the Dijkstra
+kernel returns it: an ``array('d')`` and an ``array('i')``, 12 bytes
+per graph node (two lists of Python floats would take about 40).  So
+the count bound is also a byte bound: ``max_labels`` tables of an
+``n``-node graph hold at most ``12 * n * max_labels`` bytes of table
+data, e.g. 141 MiB for
+:data:`~repro.service.index.DEFAULT_MAX_CACHED_LABELS` (4,096) labels
+of a 3,000-node graph.  :meth:`LabelDistanceCache.counters` reports
+the live figure as ``table_bytes``.
+
 The cache is LRU-bounded (``max_labels``; ``None`` = unbounded) and
 thread-safe: lookups/insertions take an internal lock, while the
 Dijkstra itself runs outside it so concurrent misses on *different*
@@ -31,8 +41,9 @@ every index structure in the literature).
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from ..graph.shortest_paths import multi_source_dijkstra
@@ -60,9 +71,7 @@ class LabelDistanceCache:
             raise ValueError("max_labels must be positive (or None)")
         self.graph = graph
         self.max_labels = max_labels
-        self._entries: "OrderedDict[Hashable, Tuple[List[float], List[int]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Hashable, Tuple[array, array]]" = OrderedDict()
         # Labels whose arrays came from a persistent store (preload)
         # rather than a live Dijkstra — telemetry distinguishes them.
         self._warm: set = set()
@@ -72,8 +81,12 @@ class LabelDistanceCache:
         self.evictions = 0
         self.warm_loads = 0
 
-    def distances(self, label: Hashable) -> Tuple[List[float], List[int]]:
-        """``(dist, parent)`` arrays for the label's virtual node."""
+    def distances(self, label: Hashable) -> Tuple[array, array]:
+        """``(dist, parent)`` arrays for the label's virtual node.
+
+        ``dist`` is an ``array('d')``, ``parent`` an ``array('i')``;
+        callers share them and must not write to them.
+        """
         with self._lock:
             entry = self._entries.get(label)
             if entry is not None:
@@ -98,16 +111,24 @@ class LabelDistanceCache:
             self._evict_over_bound()
         return entry
 
-    def preload(self, label: Hashable, entry: Tuple[List[float], List[int]]) -> None:
+    def preload(
+        self, label: Hashable, entry: Tuple[Sequence[float], Sequence[int]]
+    ) -> None:
         """Insert precomputed ``(dist, parent)`` arrays (store warm-load).
 
         Unlike a miss-driven insert this counts as a ``warm_load``, not
         a miss, and marks the label *warm* so telemetry can attribute
         later hits to the store.  The arrays must be sized for this
         cache's graph; a live entry for the label is kept (it is
-        identical by the immutable-graph contract).
+        identical by the immutable-graph contract).  Any other sequence
+        is converted to ``array('d')``/``array('i')``, so every entry
+        has the layout the Dijkstra kernel returns.
         """
         dist, parent = entry
+        if not (isinstance(dist, array) and dist.typecode == "d"):
+            dist = array("d", dist)
+        if not (isinstance(parent, array) and parent.typecode == "i"):
+            parent = array("i", parent)
         if len(dist) != self.graph.num_nodes or len(parent) != self.graph.num_nodes:
             raise ValueError(
                 f"preloaded arrays for label {label!r} have "
@@ -135,7 +156,11 @@ class LabelDistanceCache:
             return label in self._warm and label in self._entries
 
     def counters(self) -> dict:
-        """Snapshot of the hit/miss/eviction counters (telemetry)."""
+        """Snapshot of the hit/miss/eviction counters (telemetry).
+
+        ``table_bytes`` is the memory the cached tables' values take:
+        ``itemsize * len`` summed over every cached array.
+        """
         with self._lock:
             return {
                 "hits": self.hits,
@@ -145,6 +170,10 @@ class LabelDistanceCache:
                 "warm_labels": len(self._warm & set(self._entries)),
                 "cached_labels": len(self._entries),
                 "max_labels": self.max_labels,
+                "table_bytes": sum(
+                    dist.itemsize * len(dist) + parent.itemsize * len(parent)
+                    for dist, parent in self._entries.values()
+                ),
             }
 
     def __contains__(self, label: Hashable) -> bool:

@@ -24,6 +24,7 @@ search loop itself run over that snapshot.
 from __future__ import annotations
 
 import time
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import GraphError, InfeasibleQueryError
@@ -55,8 +56,8 @@ class QueryContext:
         graph: Graph,
         query: GSTQuery,
         groups: Sequence[Sequence[int]],
-        dist: List[List[float]],
-        parent: List[List[int]],
+        dist: List[array],
+        parent: List[array],
         node_masks: List[int],
         build_seconds: float,
         snapshot,
@@ -64,6 +65,8 @@ class QueryContext:
         self.graph = graph
         self.query = query
         self.groups = groups
+        # One array('d') / array('i') per label, shared with the label
+        # cache: read them by index, never write to them.
         self.dist = dist            # dist[i][v] = dist(v, ṽ_{p_i})
         self.parent = parent        # parent[i][v] = next hop toward V_{p_i}
         self.node_masks = node_masks  # query-label bitmask per node
@@ -95,8 +98,8 @@ class QueryContext:
         started = time.perf_counter()
         snapshot = graph.freeze()
         groups = query.groups(graph)
-        dist: List[List[float]] = []
-        parent: List[List[int]] = []
+        dist: List[array] = []
+        parent: List[array] = []
         for label, members in zip(query.labels, groups):
             if cache is not None:
                 d, p = cache.distances(label)

@@ -27,10 +27,21 @@ every finite non-negative weight.  A search costs O(m + n + D/Δ),
 with D the largest finite distance, plus one rescan per re-queue.  The
 tests compare distances and parent trees with a plain binary-heap
 Dijkstra and with networkx.
+
+Tables
+------
+Every function returns ``(dist, parent)`` as ``array('d')`` and
+``array('i')``: 12 bytes a node, against about 40 for two Python lists
+of boxed floats, so the label cache holds three times the tables in
+the same memory.  The kernel relaxes arcs over plain lists (a list
+store is cheaper than an array store) and packs them once, after the
+last bucket; the packed values are bit-identical to the lists'.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NodeRangeError
@@ -60,14 +71,16 @@ def dijkstra(
     source: int,
     *,
     targets: Optional[Iterable[int]] = None,
-) -> Tuple[List[float], List[int]]:
+) -> Tuple[array, array]:
     """Single-source Dijkstra.
 
-    Returns ``(dist, parent)`` where ``parent[v]`` is the predecessor of
-    ``v`` on a shortest path from ``source`` (``-1`` for the source and
-    unreached nodes).  If ``targets`` is given the search stops once it
-    has finished the bucket in which the last target settled; the
-    targets' entries are then final, other nodes' may not be.
+    Returns ``(dist, parent)``, an ``array('d')`` and an ``array('i')``
+    of ``graph.num_nodes`` entries, where ``parent[v]`` is the
+    predecessor of ``v`` on a shortest path from ``source`` (``-1`` for
+    the source, and for unreached nodes, whose ``dist`` is ``inf``).  If
+    ``targets`` is given the search stops once it has finished the
+    bucket in which the last target settled; the targets' entries are
+    then final, other nodes' may not be.
     """
     return multi_source_dijkstra(graph, [source], targets=targets)
 
@@ -77,7 +90,7 @@ def dijkstra_csr(
     source: int,
     *,
     targets: Optional[Iterable[int]] = None,
-) -> Tuple[List[float], List[int]]:
+) -> Tuple[array, array]:
     """Single-source Dijkstra over a frozen CSR snapshot."""
     return multi_source_dijkstra_csr(csr, [source], targets=targets)
 
@@ -87,7 +100,7 @@ def multi_source_dijkstra(
     sources: Sequence[int],
     *,
     targets: Optional[Iterable[int]] = None,
-) -> Tuple[List[float], List[int]]:
+) -> Tuple[array, array]:
     """Dijkstra from a set of sources, all starting at distance 0.
 
     This is the paper's virtual-node search: the virtual node ``ṽ_p`` is
@@ -111,8 +124,11 @@ def multi_source_dijkstra_csr(
     sources: Sequence[int],
     *,
     targets: Optional[Iterable[int]] = None,
-) -> Tuple[List[float], List[int]]:
-    """Multi-source Dijkstra over the frozen snapshot (see module docstring)."""
+) -> Tuple[array, array]:
+    """Multi-source Dijkstra over the frozen snapshot (see module docstring).
+
+    Returns ``(dist, parent)`` as ``array('d')`` and ``array('i')``.
+    """
     n = csr.num_nodes
     _check_nodes(sources, n, "source")
     remaining = None
@@ -162,7 +178,18 @@ def multi_source_dijkstra_csr(
         if remaining is not None and not remaining:
             break
         i += 1
-    return dist, parent
+    return _packed("d", dist), _packed("i", parent)
+
+
+def _packed(typecode: str, values: List) -> array:
+    """``values`` in an ``array(typecode)`` of exactly their length.
+
+    ``pack_into`` writes the C values in one pass; building the array
+    from bytes would over-allocate it by a sixteenth.
+    """
+    table = array(typecode, [0]) * len(values)
+    struct.pack_into(f"{len(values)}{typecode}", table, 0, *values)
+    return table
 
 
 def reconstruct_path(parent: Sequence[int], node: int) -> List[int]:

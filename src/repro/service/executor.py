@@ -43,6 +43,7 @@ latest engine checkpoint instead of restarting cold.
 
 from __future__ import annotations
 
+import inspect
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (
@@ -56,6 +57,7 @@ from typing import (
 )
 
 from ..core.budget import Budget, CancellationToken
+from ..core.solver import ALGORITHMS
 from ..graph.graph import Graph
 from ..obs import instruments
 from .index import GraphIndex, QueryOutcome
@@ -72,6 +74,28 @@ __all__ = ["QueryExecutor"]
 
 def _default_workers() -> int:
     return min(8, os.cpu_count() or 1)
+
+
+# GraphIndex.execute passes these to the solver itself.
+_INDEX_KEYWORDS = frozenset({"budget", "distance_cache", "on_event"})
+
+
+def _solver_keywords(solver_cls: type) -> frozenset:
+    """Keywords a caller may pass ``solver_cls`` through the executor.
+
+    Follows the MRO while an ``__init__`` forwards ``**kwargs``, so the
+    keywords PrunedDP++ hands to the progressive base count too.
+    """
+    names = set()
+    for klass in solver_cls.__mro__:
+        init = vars(klass).get("__init__")
+        if init is None:
+            continue
+        params = inspect.signature(init).parameters.values()
+        names.update(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(names - _INDEX_KEYWORDS)
 
 
 class QueryExecutor:
@@ -169,10 +193,13 @@ class QueryExecutor:
         thread* — it must be cheap and thread-safe.  Progress streaming
         needs in-thread solves (a callback cannot cross a process
         boundary, so an executor with ``workers=N`` rejects it);
-        served-from-cache answers emit no progress.
+        served-from-cache answers emit no progress.  A keyword in
+        ``solver_kwargs`` that the query's solver class does not take
+        raises ``TypeError`` here, on a hit and a miss alike.
         """
         self._check_submittable(on_progress)
         labels = tuple(labels)
+        self._check_solver_kwargs(labels, algorithm, solver_kwargs)
         outcome = self.cached(
             labels,
             algorithm=algorithm,
@@ -242,11 +269,14 @@ class QueryExecutor:
     ) -> "Future[QueryOutcome]":
         """Queue one query for a solve, with no result-cache lookup.
 
-        The second step of :meth:`submit` (same arguments), for a
-        caller whose :meth:`cached` already missed: the miss is counted
-        once, and the solve writes a successful answer back.
+        The second step of :meth:`submit` (same arguments, same
+        keyword check), for a caller whose :meth:`cached` already
+        missed: the miss is counted once, and the solve writes a
+        successful answer back.
         """
         self._check_submittable(on_progress)
+        labels = tuple(labels)
+        self._check_solver_kwargs(labels, algorithm, solver_kwargs)
         effective = budget if budget is not None else self.budget
         if cancel_token is not None:
             effective = (effective or Budget()).with_cancellation(cancel_token)
@@ -254,7 +284,7 @@ class QueryExecutor:
             solver_kwargs = dict(solver_kwargs, on_progress=on_progress)
         future = self._pool.submit(
             self._run_one,
-            tuple(labels),
+            labels,
             algorithm or self.algorithm,
             effective,
             query_id,
@@ -276,6 +306,30 @@ class QueryExecutor:
                 "on_progress needs in-thread solves (no workers=); a "
                 "progress callback cannot cross a process boundary"
             )
+
+    def _check_solver_kwargs(
+        self, labels: tuple, algorithm: Optional[str], solver_kwargs: dict
+    ) -> None:
+        """Raise ``TypeError`` for a keyword the solver class does not take.
+
+        Inside the solve that ``TypeError`` would count as retryable,
+        and a result-cache hit never builds a solver, so the same call
+        would fail after every retry on a miss yet succeed on a hit.
+        """
+        if not solver_kwargs:
+            return
+        try:
+            key = self.index.resolve_algorithm(algorithm or self.algorithm, labels)
+        except ValueError:
+            return  # execute() reports an unknown algorithm in its outcome
+        solver_cls = ALGORITHMS[key]
+        accepted = _solver_keywords(solver_cls)
+        for name in solver_kwargs:
+            if name not in accepted:
+                raise TypeError(
+                    f"{solver_cls.__name__} got an unexpected keyword "
+                    f"argument {name!r}"
+                )
 
     def run_batch(
         self,

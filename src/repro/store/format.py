@@ -18,9 +18,11 @@ surface testable.
 Two payload encodings ride the same frames:
 
 * **label distance tables** (:func:`pack_label_table`): the label as
-  UTF-8, then ``n`` float64 distances and ``n`` int32 parent pointers —
-  the exact ``(dist, parent)`` arrays
-  :class:`~repro.core.cache.LabelDistanceCache` holds in memory;
+  UTF-8, then ``n`` little-endian float64 distances and ``n`` int32
+  parent pointers — the bytes of the exact ``array('d')``/``array('i')``
+  pair :class:`~repro.core.cache.LabelDistanceCache` holds in memory,
+  so encoding is ``tobytes()`` and decoding ``frombytes()`` (byteswapped
+  on a big-endian host), with no per-element parse;
 * **JSON records** (:func:`pack_json`): result-cache entries and any
   future sidecar metadata.
 """
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
-from typing import Any, BinaryIO, Iterator, List, Tuple
+from array import array
+from typing import Any, BinaryIO, Iterator, Sequence, Tuple
 
 from ..errors import StoreCorruptError, StoreVersionError
 
@@ -52,9 +56,12 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<8sI")
 _FRAME = struct.Struct("<II")
+_TABLE_HEAD = struct.Struct("<HI")
 # Distances can be +inf (unreachable nodes); float64 round-trips them.
 _F64 = struct.Struct("<d")
 _I32 = struct.Struct("<i")
+# Tables are little-endian on disk whatever the host's byte order.
+_SWAP = sys.byteorder == "big"
 
 
 # ----------------------------------------------------------------------
@@ -114,37 +121,61 @@ def iter_records(fh: BinaryIO, *, what: str = "store file") -> Iterator[bytes]:
 # Label distance-table payloads
 # ----------------------------------------------------------------------
 def pack_label_table(
-    label: str, dist: List[float], parent: List[int]
+    label: str, dist: Sequence[float], parent: Sequence[int]
 ) -> bytes:
-    """Encode one per-label ``(dist, parent)`` pair."""
+    """Encode one per-label ``(dist, parent)`` pair.
+
+    ``dist`` and ``parent`` are the kernel's ``array('d')`` and
+    ``array('i')``; any other sequence is converted first.
+    """
     if len(dist) != len(parent):
         raise ValueError("dist and parent arrays must have equal length")
     encoded = str(label).encode("utf-8")
-    parts = [struct.pack("<HI", len(encoded), len(dist)), encoded]
-    parts.append(struct.pack(f"<{len(dist)}d", *dist))
-    parts.append(struct.pack(f"<{len(parent)}i", *parent))
-    return b"".join(parts)
+    # Copies, so a byteswap never touches the caller's arrays.
+    dist, parent = array("d", dist), array("i", parent)
+    if _SWAP:
+        dist.byteswap()
+        parent.byteswap()
+    return b"".join(
+        (
+            _TABLE_HEAD.pack(len(encoded), len(dist)),
+            encoded,
+            dist.tobytes(),
+            parent.tobytes(),
+        )
+    )
 
 
 def unpack_label_table(
     payload: bytes, *, what: str = "store file"
-) -> Tuple[str, List[float], List[int]]:
-    """Decode a :func:`pack_label_table` payload (fail-closed)."""
+) -> Tuple[str, array, array]:
+    """Decode a :func:`pack_label_table` payload (fail-closed).
+
+    Returns the label and the table as ``array('d')``/``array('i')``.
+    """
     try:
-        label_len, n = struct.unpack_from("<HI", payload, 0)
-        offset = struct.calcsize("<HI")
+        label_len, n = _TABLE_HEAD.unpack_from(payload, 0)
+        offset = _TABLE_HEAD.size
         label = payload[offset:offset + label_len].decode("utf-8")
-        offset += label_len
-        dist = list(struct.unpack_from(f"<{n}d", payload, offset))
-        offset += n * _F64.size
-        parent = list(struct.unpack_from(f"<{n}i", payload, offset))
-        offset += n * _I32.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise StoreCorruptError(f"{what}: malformed label table: {exc}") from None
-    if offset != len(payload):
+    offset += label_len
+    split = offset + n * _F64.size
+    end = split + n * _I32.size
+    if end > len(payload):
         raise StoreCorruptError(
-            f"{what}: label table has {len(payload) - offset} trailing bytes"
+            f"{what}: malformed label table: {n} nodes need {end} bytes, "
+            f"payload has {len(payload)}"
         )
+    if end != len(payload):
+        raise StoreCorruptError(
+            f"{what}: label table has {len(payload) - end} trailing bytes"
+        )
+    dist = array("d", payload[offset:split])
+    parent = array("i", payload[split:end])
+    if _SWAP:
+        dist.byteswap()
+        parent.byteswap()
     return label, dist, parent
 
 

@@ -12,6 +12,7 @@ layer's fall-back-to-cold-solve paths rely on.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.cache import LabelDistanceCache
@@ -96,14 +97,17 @@ class PrecomputeStore:
         """Labels whose distance tables this store holds."""
         return list(self.manifest.labels)
 
-    def load_tables(self) -> Dict[str, Tuple[List[float], List[int]]]:
+    def load_tables(self) -> Dict[str, Tuple[array, array]]:
         """Stream the distance file into ``{label: (dist, parent)}``.
+
+        Each table comes back as the ``array('d')``/``array('i')`` pair
+        the label cache holds, so :meth:`warm` inserts it uncopied.
 
         Truncation, checksum and shape problems raise typed errors.
         """
         path = os.path.join(self.path, DISTANCES_NAME)
         what = f"store {self.path!r} distances"
-        tables: Dict[str, Tuple[List[float], List[int]]] = {}
+        tables: Dict[str, Tuple[array, array]] = {}
         try:
             handle = open(path, "rb")
         except OSError as exc:

@@ -63,6 +63,17 @@ class TestRunSuite:
             for target in RATIO_CHECKPOINTS:
                 assert suite.mean_time_to_ratio(algorithm, target) >= 0
 
+    def test_every_algorithm_takes_one_budget(self, workload):
+        from repro.core.budget import Budget
+
+        graph, queries = workload
+        budget = Budget(time_limit=60.0, max_states=100_000)
+        suite = run_suite(graph, list(queries), ALL_ALGORITHMS, budget=budget)
+        assert suite.algorithms() == list(ALL_ALGORITHMS)
+        for algorithm in ALL_ALGORITHMS:
+            assert len(suite.runs[algorithm]) == len(queries)
+            assert all(r.result.tree is not None for r in suite.runs[algorithm])
+
     def test_same_weights_across_exact_algorithms(self, workload):
         graph, queries = workload
         suite = run_suite(graph, list(queries), PROGRESSIVE_ALGORITHMS)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.core import PrunedDPPlusPlusSolver
@@ -137,7 +140,60 @@ class TestLRUBound:
             "max_labels": 2,
             "warm_loads": 0,
             "warm_labels": 0,
+            "table_bytes": 2 * 12 * graph.num_nodes,
         }
+
+
+class TestFootprint:
+    """Tables are array('d') + array('i'): 12 bytes per node, whatever
+    filled the cache."""
+
+    def test_table_bytes_counts_twelve_per_node(self, graph):
+        from repro.service import GraphIndex
+
+        index = GraphIndex(graph)
+        for count, label in enumerate(["q0", "q1", "q2", "q3"], start=1):
+            index.cache.distances(label)
+            assert index.cache_info()["table_bytes"] == count * 12 * graph.num_nodes
+        index.cache.clear()
+        assert index.cache_info()["table_bytes"] == 0
+
+    def test_every_entry_has_the_kernel_layout(self, graph):
+        from repro.graph.shortest_paths import multi_source_dijkstra
+
+        cache = LabelDistanceCache(graph)
+        dist, parent = multi_source_dijkstra(
+            graph, list(graph.nodes_with_label("q1"))
+        )
+        cache.preload("q1", (list(dist), list(parent)))
+        cache.preload("q2", multi_source_dijkstra(
+            graph, list(graph.nodes_with_label("q2"))
+        ))
+        cache.distances("q0")
+        for label in ("q0", "q1", "q2"):
+            got_dist, got_parent = cache.distances(label)
+            assert isinstance(got_dist, array) and got_dist.typecode == "d"
+            assert isinstance(got_parent, array) and got_parent.typecode == "i"
+        assert cache.distances("q1") == (dist, parent)
+
+    def test_traced_growth_per_label_is_at_most_16_bytes_a_node(self):
+        graph = generators.random_graph(
+            4000, 9000, num_query_labels=7, label_frequency=8, seed=5
+        )
+        graph.freeze()
+        cache = LabelDistanceCache(graph)
+        cache.distances("q0")  # first-call set-up is not per-label growth
+        labels = [f"q{i}" for i in range(1, 7)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for label in labels:
+                cache.distances(label)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 1 + len(labels)
+        assert grown / len(labels) <= 16 * graph.num_nodes
 
 
 class TestPreload:

@@ -19,8 +19,8 @@ def build(graph, labels):
 class TestDistances:
     def test_path_graph(self, path_graph):
         ctx = build(path_graph, ["x", "y"])
-        assert ctx.dist[0] == [0.0, 1.0, 3.0]   # to label x at node 0
-        assert ctx.dist[1] == [3.0, 2.0, 0.0]   # to label y at node 2
+        assert list(ctx.dist[0]) == [0.0, 1.0, 3.0]   # to label x at node 0
+        assert list(ctx.dist[1]) == [3.0, 2.0, 0.0]   # to label y at node 2
         assert ctx.k == 2
         assert ctx.full_mask == 0b11
 

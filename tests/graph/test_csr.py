@@ -153,7 +153,7 @@ class TestBucketWidth:
         csr = graph.freeze()
         assert csr.bucket_width == 1000.0 / BUCKET_SPAN
         # Both 1.0 arcs are lighter than the raised width: exact anyway.
-        assert dijkstra_csr(csr, 0)[0] == [0.0, 1.0, 1001.0, 1002.0]
+        assert list(dijkstra_csr(csr, 0)[0]) == [0.0, 1.0, 1001.0, 1002.0]
 
 
 class TestDialLane:
@@ -168,9 +168,9 @@ class TestDialLane:
     def test_dial_and_heap_agree_with_zero_weight_edges(self, reference_dijkstra):
         graph = path_graph([0.0, 1.0, 0.0, 2.0])
         dist, parent = dijkstra_csr(graph.freeze(), 0)
-        assert dist == [0.0, 0.0, 1.0, 1.0, 3.0]
-        assert dist == reference_dijkstra(graph, [0])
-        assert parent == [-1, 0, 1, 2, 3]
+        assert list(dist) == [0.0, 0.0, 1.0, 1.0, 3.0]
+        assert list(dist) == reference_dijkstra(graph, [0])
+        assert list(parent) == [-1, 0, 1, 2, 3]
 
     def test_targets_early_exit_matches(self, reference_dijkstra):
         graph = path_graph([1.0, 1.0, 1.0, 1.0])
@@ -178,7 +178,7 @@ class TestDialLane:
         assert dist[2] == reference_dijkstra(graph, [0])[2] == 2.0
         # The search stops once target 2's bucket is done: node 3 was
         # queued from it, node 4 never.
-        assert dist[3:] == [3.0, float("inf")]
+        assert list(dist[3:]) == [3.0, float("inf")]
 
 
 class TestNodeRangeError:

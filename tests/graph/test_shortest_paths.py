@@ -37,7 +37,7 @@ def to_networkx(graph: Graph) -> nx.Graph:
 class TestSingleSource:
     def test_path_graph(self, path_graph):
         dist, parent = dijkstra(path_graph, 0)
-        assert dist == [0.0, 1.0, 3.0]
+        assert list(dist) == [0.0, 1.0, 3.0]
         assert parent[0] == -1
         assert reconstruct_path(parent, 2) == [2, 1, 0]
 
@@ -46,7 +46,7 @@ class TestSingleSource:
         g.add_node()
         g.add_node()
         dist, parent = dijkstra(g, 0)
-        assert dist == [0.0, INF]
+        assert list(dist) == [0.0, INF]
         assert parent[1] == -1
 
     def test_early_stop_with_targets(self, star_graph):

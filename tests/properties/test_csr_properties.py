@@ -132,8 +132,8 @@ def networkx_distances(graph, sources):
 def check_kernel(where, graph, csr, sources, reference_dijkstra):
     """Exact distances, and a tight parent tree rooted at the sources."""
     dist, parent = multi_source_dijkstra_csr(csr, sources)
-    assert dist == reference_dijkstra(graph, sources), where
-    assert dist == networkx_distances(graph, sources), where
+    assert list(dist) == reference_dijkstra(graph, sources), where
+    assert list(dist) == networkx_distances(graph, sources), where
     for v in graph.nodes():
         if v in sources or dist[v] == INF:
             assert parent[v] == -1, (where, v)

@@ -78,6 +78,52 @@ class TestBatchBasics:
             QueryExecutor(index, max_workers=0)
 
 
+class TestSolverKeywords:
+    """A keyword the solver class does not take fails once, up front."""
+
+    @pytest.fixture
+    def store_executor(self, graph, tmp_path):
+        from repro.service import RetryPolicy
+        from repro.store import build_store
+
+        store_dir = str(tmp_path / "store")
+        build_store(graph, store_dir, top_k=2)
+        index = GraphIndex(graph)
+        index.attach_store(store_dir)
+        with QueryExecutor(
+            index, retry_policy=RetryPolicy(max_retries=2)
+        ) as executor:
+            yield executor
+
+    def test_stray_keyword_fails_alike_on_miss_and_hit(self, store_executor):
+        labels = ["q0", "q1"]
+        with pytest.raises(TypeError, match="'epsilon'"):
+            store_executor.submit(labels, epsilon=0.1)  # a miss
+        assert store_executor.submit(labels).result().ok  # store it
+        assert store_executor.cached(labels) is not None
+        with pytest.raises(TypeError, match="'epsilon'"):
+            store_executor.submit(labels, epsilon=0.1)  # a hit
+        with pytest.raises(TypeError, match="'epsilon'"):
+            store_executor.enqueue(labels, epsilon=0.1)
+
+    def test_keywords_the_solver_forwards_to_its_base_pass(self, index):
+        with QueryExecutor(index, algorithm="pruneddp++") as executor:
+            outcome = executor.submit(
+                ["q0", "q1"], use_tour2=False, debug_certify=True
+            ).result()
+        assert outcome.ok and outcome.trace.attempts == 1
+
+    def test_index_supplied_keyword_is_refused(self, index):
+        with QueryExecutor(index) as executor:
+            with pytest.raises(TypeError, match="'distance_cache'"):
+                executor.submit(["q0", "q1"], distance_cache=None)
+
+    def test_keyword_of_another_class_is_refused(self, index):
+        with QueryExecutor(index, algorithm="dpbf") as executor:
+            with pytest.raises(TypeError, match="DPBFSolver.*'use_tour2'"):
+                executor.submit(["q0", "q1"], use_tour2=False)
+
+
 class TestDeadlines:
     def test_already_expired_deadline_skips_whole_batch(self, index):
         expired = Budget().replace(deadline=time.perf_counter() - 1.0)

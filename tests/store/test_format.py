@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import io
 import struct
+from array import array
 
 import pytest
 
 from repro.errors import StoreCorruptError, StoreError, StoreVersionError
+from repro.store import format as store_format
 from repro.store.format import (
     FORMAT_VERSION,
     MAGIC,
@@ -116,8 +118,53 @@ class TestLabelTablePayload:
             pack_label_table("q0", dist, parent)
         )
         assert label == "q0"
-        assert got_dist == dist  # inf survives float64 framing
-        assert got_parent == parent
+        assert list(got_dist) == dist  # inf survives float64 framing
+        assert list(got_parent) == parent
+
+    def test_round_trip_to_kernel_arrays(self):
+        dist = array("d", [0.0, 1.5, INF, 2.25, 1e-300])
+        parent = array("i", [-1, 0, -1, 1, 2**31 - 1])
+        label, got_dist, got_parent = unpack_label_table(
+            pack_label_table("q0", dist, parent)
+        )
+        assert label == "q0"
+        assert got_dist.typecode == "d" and got_dist == dist
+        assert got_parent.typecode == "i" and got_parent == parent
+
+    def test_bytes_are_the_little_endian_struct_layout(self):
+        """Arrays and lists encode to the same bytes as per-element
+        little-endian packing, so stores stay readable both ways."""
+        dist = [0.0, 1.5, INF, 2.25]
+        parent = [-1, 0, -1, 1]
+        expected = (
+            struct.pack("<HI", 2, 4)
+            + b"q0"
+            + struct.pack("<4d", *dist)
+            + struct.pack("<4i", *parent)
+        )
+        assert pack_label_table("q0", dist, parent) == expected
+        assert (
+            pack_label_table("q0", array("d", dist), array("i", parent))
+            == expected
+        )
+
+    def test_big_endian_host_swaps_a_copy(self, monkeypatch):
+        monkeypatch.setattr(store_format, "_SWAP", True)
+        dist = array("d", [0.0, 1.5, INF])
+        parent = array("i", [-1, 0, 1])
+        payload = pack_label_table("q0", dist, parent)
+        assert payload.endswith(
+            struct.pack(">3d", *dist) + struct.pack(">3i", *parent)
+        )
+        assert list(dist) == [0.0, 1.5, INF]  # the caller's array is untouched
+        _, got_dist, got_parent = unpack_label_table(payload)
+        assert got_dist == dist and got_parent == parent
+
+    def test_every_truncation_fails_closed(self):
+        payload = pack_label_table("q0", array("d", [0.0, 2.0]), array("i", [-1, 0]))
+        for cut in range(len(payload)):
+            with pytest.raises(StoreCorruptError):
+                unpack_label_table(payload[:cut])
 
     def test_unicode_label(self):
         payload = pack_label_table("ε-läbel", [0.0], [-1])

@@ -113,6 +113,7 @@ def _limit_entry_points():
     from repro.apps import ExpertNetwork, KeywordSearchEngine
     from repro.baselines import Banks1Solver, Banks2Solver
     from repro.baselines.blinks import BlinksSolver
+    from repro.baselines.distance_network import DistanceNetworkSolver
     from repro.bench import run_query, run_suite
     from repro.core import exact_top_r_trees, solve_gst, top_r_trees
     from repro.core.directed import DirectedGSTSolver
@@ -132,6 +133,7 @@ def _limit_entry_points():
         Banks1Solver,
         Banks2Solver,
         BlinksSolver,
+        DistanceNetworkSolver,
         SearchEngine,
         solve_gst,
         top_r_trees,
