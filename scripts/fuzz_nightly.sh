@@ -4,7 +4,8 @@
 # The CI smoke step covers a few hundred seeded rounds in ~30 s; this
 # script is the deep end: thousands of rounds, larger graphs, the
 # metamorphic transforms on every 10th round, engine-level incumbent
-# certification, and an epsilon (anytime-mode) sweep.  Minimized
+# certification, an epsilon (anytime-mode) sweep, and the parser
+# properties under a fresh hypothesis seed.  Minimized
 # reproducers for any failure land in $OUT_DIR; replay one with the
 # `repro verify` command printed inside its .json record.
 #
@@ -31,6 +32,14 @@ python -m repro fuzz --seed "$SEED" --rounds "$ROUNDS" \
 echo "== anytime-mode sweep (epsilon 0.5) =="
 python -m repro fuzz --seed "$((SEED + ROUNDS))" --rounds "$((ROUNDS / 4))" \
     --max-nodes "$MAX_NODES" --epsilon 0.5 --out "$OUT_DIR"
+
+echo "== parser properties (hypothesis seed $SEED) =="
+# The shared-memory segment and store-manifest parsers under mutated
+# bytes: each must load or raise a typed ReproError.  Seeded from
+# $SEED, so each night draws fresh mutations.
+python -m pytest -q -p no:cacheprovider --hypothesis-seed "$SEED" \
+    "tests/graph/test_shm.py::test_mutated_header_and_metadata_load_the_donor_or_raise_typed" \
+    "tests/store/test_manifest.py::test_every_manifest_edit_loads_or_raises_a_store_error"
 
 echo "== crash-recovery rounds (kill -9 + checkpoint resume) =="
 # Each round SIGKILLs a process worker mid-search and requires the

@@ -22,6 +22,11 @@ locks.  :class:`CSRGraph` is that view:
   raised to ``max_weight / BUCKET_SPAN`` when the weights span more
   than ``BUCKET_SPAN``-fold, and 1.0 when no arc is positive.
 
+:attr:`CSRGraph.fingerprint` is the graph's one identity: store
+manifests record it, checkpoints are bound to it, and a shared-memory
+attach re-derives it with the same :func:`snapshot_digest` before it
+trusts the mapped bytes.
+
 A ``CSRGraph`` is never mutated after construction, so it is safe to
 share across threads without locking; :meth:`Graph.freeze`
 caches one per graph and drops it on any mutation.
@@ -34,13 +39,35 @@ import time
 from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
-__all__ = ["CSRGraph", "BUCKET_SPAN"]
+__all__ = ["CSRGraph", "BUCKET_SPAN", "snapshot_digest"]
 
 # The Dijkstra kernel keeps one bucket per Δ of distance up to the
 # largest settled one (<= max_weight * (n - 1)).  Capping the heaviest
 # arc at BUCKET_SPAN buckets keeps that list O(n) whatever the weights'
 # range; arcs lighter than Δ then cost re-queues, never wrong answers.
 BUCKET_SPAN = 64
+
+
+def snapshot_digest(
+    num_nodes: int, num_edges: int, indptr, indices, weights, label_members
+) -> str:
+    """sha256 over the flat buffers and label groups of one snapshot.
+
+    ``indptr``/``indices``/``weights`` are anything exposing the buffer
+    protocol (the arrays of :meth:`CSRGraph.from_graph` or the mapped
+    views of a shared segment); ``label_members`` maps each label to
+    its member ids.  Two snapshots agree iff they describe the same
+    structure *in the same construction order*.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"csr;n={num_nodes};m={num_edges};".encode())
+    digest.update(indptr)
+    digest.update(indices)
+    digest.update(weights)
+    for label in sorted(label_members, key=str):
+        members = label_members[label]
+        digest.update(f"l={label!s}:{','.join(map(str, members))};".encode())
+    return digest.hexdigest()
 
 
 def _bucket_width(weights) -> float:
@@ -133,10 +160,9 @@ class CSRGraph:
 
         Returns the owner-side :class:`~repro.graph.shm.SharedCSR`
         handle; worker processes attach by ``handle.name`` via
-        :meth:`from_shared`.  The handle must be :meth:`closed
-        <repro.graph.shm.SharedCSR.close>` when serving ends — the
-        segment is refcounted, so the unlink happens once the owner
-        *and* every attached worker have detached.
+        :meth:`from_shared`.  The owner's :meth:`close
+        <repro.graph.shm.SharedCSR.close>` unlinks the segment; mappings
+        attached before that stay valid until they are closed.
         """
         from .shm import SharedCSR
 
@@ -151,11 +177,11 @@ class CSRGraph:
         Returns ``(csr, handle)``: the :class:`CSRGraph` whose flat
         buffers are zero-copy views into the mapped segment, and the
         :class:`~repro.graph.shm.SharedCSR` handle keeping the mapping
-        (and the segment's refcount) alive — close it only after the
-        returned graph is no longer used.  The attach is fingerprint
-        verified; pass ``expect_fingerprint`` to additionally pin the
-        exact snapshot identity (raises
-        :class:`~repro.errors.StoreFingerprintError` on any mismatch).
+        alive — close it only after the returned graph is no longer
+        used.  The attach is fingerprint verified; pass
+        ``expect_fingerprint`` to additionally pin the exact snapshot
+        identity (raises :class:`~repro.errors.StoreFingerprintError`
+        on any mismatch).
         """
         from .shm import SharedCSR
 
@@ -186,26 +212,16 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> str:
-        """sha256 over the flat buffers + label groups (lazy, cached).
-
-        Hashes the CSR arrays byte-for-byte plus every label's member
-        array, so two snapshots agree iff they describe the same
-        structure *in the same construction order* — strictly finer
-        than :func:`repro.store.manifest.graph_fingerprint`, which
-        sorts edges first.  The store records both.
-        """
+        """The graph's identity: :func:`snapshot_digest` (lazy, cached)."""
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(f"csr;n={self.num_nodes};m={self.num_edges};".encode())
-            digest.update(self.indptr.tobytes())
-            digest.update(self.indices.tobytes())
-            digest.update(self.weights.tobytes())
-            for label in sorted(self._label_members, key=str):
-                members = self._label_members[label]
-                digest.update(
-                    f"l={label!s}:{','.join(map(str, members))};".encode()
-                )
-            self._fingerprint = digest.hexdigest()
+            self._fingerprint = snapshot_digest(
+                self.num_nodes,
+                self.num_edges,
+                self.indptr,
+                self.indices,
+                self.weights,
+                self._label_members,
+            )
         return self._fingerprint
 
     # ------------------------------------------------------------------

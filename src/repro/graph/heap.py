@@ -1,10 +1,12 @@
 """Addressable binary min-heap with decrease-key.
 
-Every algorithm in this package — Dijkstra, the parameterized DP (DPBF),
-Basic, PrunedDP and the A*-search variants — is driven by a priority
-queue whose entries must be updatable in place: when a DP state is
-reached along a cheaper path its priority must *decrease* without
-leaving a stale duplicate behind.  The classic ``heapq`` lazy-deletion
+The DP searches of this package — the parameterized DP (DPBF), Basic,
+PrunedDP and the A*-search variants, and the directed solver — are
+driven by a priority queue whose entries must be updatable in place:
+when a DP state is reached along a cheaper path its priority must
+*decrease* without leaving a stale duplicate behind.  (Dijkstra does
+not use it: its kernel in :mod:`repro.graph.shortest_paths` runs a
+bucket queue.)  The classic ``heapq`` lazy-deletion
 idiom works but inflates the queue (and therefore the memory numbers the
 paper reports), so we implement a proper addressable heap.
 

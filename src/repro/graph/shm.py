@@ -14,43 +14,37 @@ read-only.
   :class:`SharedCSR` handle.
 * :meth:`CSRGraph.from_shared <repro.graph.csr.CSRGraph.from_shared>` /
   :func:`SharedCSR.attach` attach by name.  The attach is
-  **fingerprint-verified**: the stored snapshot fingerprint is
-  recomputed over the mapped bytes and label table, so a torn write, a
-  recycled segment name, or a hostile neighbour can never smuggle a
-  different graph into a worker.  Mismatches raise the same typed
+  **fingerprint-verified**: :func:`~repro.graph.csr.snapshot_digest`,
+  the function behind :attr:`CSRGraph.fingerprint
+  <repro.graph.csr.CSRGraph.fingerprint>`, is recomputed over the
+  mapped bytes and label table, so a torn write, a recycled segment
+  name, or a hostile neighbour can never smuggle a different graph
+  into a worker.  Mismatches raise the same typed
   :class:`~repro.errors.StoreFingerprintError` the store layer uses.
-* Lifetime is **refcounted**: the segment header carries an attach
-  count and an ``owner-closed`` flag.  :meth:`SharedCSR.close` on the
-  owner unlinks immediately when no worker is attached, and otherwise
-  defers the unlink to the last detaching worker — so a graceful fleet
-  shutdown never yanks the mapping out from under an in-flight
-  checkpoint, and the segment still disappears once everyone is done.
+* Lifetime has one owner, the creating process: its
+  :meth:`SharedCSR.close` unlinks the name, an attacher's only
+  detaches.  POSIX keeps a live mapping valid after the unlink, so an
+  owner that closes first never pulls the graph out from under an
+  attached worker; only new attaches fail.
 
 Failure modes are typed (:class:`~repro.errors.ShmAttachError` /
 :class:`~repro.errors.ShmLayoutError` /
 :class:`~repro.errors.StoreFingerprintError`), never a
-``BufferError`` or a bare ``FileNotFoundError``: a worker that loses
-its segment surfaces a crashed *query*, not a crashed *process*.
+``BufferError``, ``KeyError`` or a bare ``FileNotFoundError``: every
+count, buffer offset and length, and label record of the metadata is
+checked before it is used, so a worker that loses or misreads its
+segment surfaces a crashed *query*, not a crashed *process*.
 
 Segment layout (little-endian)::
 
-    0   8   magic  b"GSTSHM01"
-    8   8   u64    refcount (owner + live attachers; advisory, see below)
-    16  8   u64    flags (bit 0: owner closed)
-    24  8   u64    metadata length in bytes
-    32  ..  utf-8 JSON metadata (sizes, offsets, labels, fingerprint)
+    0   8   magic  b"GSTSHM02"
+    8   8   u64    metadata length in bytes
+    16  ..  utf-8 JSON metadata (counts, buffer offsets, labels, fingerprint)
     ..  ..  indptr bytes | indices bytes | weights bytes (8-aligned)
-
-The refcount is maintained with plain read-modify-write on the mapped
-header.  That is race-free under the fleet's actual contract — the
-owner forks every attacher and serializes attach/detach around its own
-lifecycle — and merely advisory for out-of-band attachers (a debugging
-``repro`` shell attaching a live fleet's graph).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import secrets
 import struct
@@ -62,14 +56,12 @@ from ..errors import ShmAttachError, ShmLayoutError, StoreFingerprintError
 
 __all__ = ["SharedCSR", "SHM_MAGIC", "SHM_VERSION"]
 
-SHM_MAGIC = b"GSTSHM01"
-SHM_VERSION = 1  # encoded in the magic's trailing digits
+SHM_MAGIC = b"GSTSHM02"
+SHM_VERSION = 2  # encoded in the magic's trailing digits
 
-_HEADER = struct.Struct("<8sQQQ")  # magic, refcount, flags, meta_len
-_REFCOUNT_OFFSET = 8
-_FLAGS_OFFSET = 16
-_FLAG_OWNER_CLOSED = 1
-_ALIGN = 8
+_HEADER = struct.Struct("<8sQ")  # magic, meta_len
+_ALIGN = 8  # also the item size of all three buffers ('q', 'q', 'd')
+_BUFFERS = (("indptr", "q"), ("indices", "q"), ("weights", "d"))
 
 # Label keys are persisted as (kind, value) pairs so the common
 # hashable types round-trip exactly instead of being coerced to str by
@@ -79,6 +71,10 @@ _LABEL_KINDS = {"str": str, "int": int, "float": float}
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 def _encode_label(label: Hashable):
@@ -91,12 +87,32 @@ def _encode_label(label: Hashable):
     )
 
 
-def _decode_label(pair) -> Hashable:
-    try:
-        kind, value = pair
-        return _LABEL_KINDS[kind](value)
-    except (KeyError, TypeError, ValueError):
-        raise ShmLayoutError(f"malformed label record {pair!r}") from None
+def _decode_labels(
+    records, num_nodes: int, name: str
+) -> Dict[Hashable, Tuple[int, ...]]:
+    """The metadata's label records → ``{label: member ids}``.
+
+    A record is ``[kind, value, [member, ...]]``; JSON round-trips each
+    kind exactly, so ``value`` must already have the kind's type, and
+    every member must be a node id below ``num_nodes``.
+    """
+    if not isinstance(records, list):
+        raise ShmLayoutError(f"segment {name!r}: labels is not a list")
+    label_members: Dict[Hashable, Tuple[int, ...]] = {}
+    for position, record in enumerate(records):
+        if not (
+            isinstance(record, list)
+            and len(record) == 3
+            and isinstance(record[0], str)
+            and type(record[1]) is _LABEL_KINDS.get(record[0])
+            and isinstance(record[2], list)
+            and all(_is_count(m) and m < num_nodes for m in record[2])
+        ):
+            raise ShmLayoutError(
+                f"segment {name!r}: label record {position} is malformed"
+            )
+        label_members[record[1]] = tuple(record[2])
+    return label_members
 
 
 _attach_lock = threading.Lock()
@@ -132,9 +148,9 @@ class SharedCSR:
 
     Owners come from :meth:`create` (or ``csr.to_shared()``);
     attachers from :meth:`attach`.  Both sides call :meth:`close` when
-    done; the last handle out (with the owner already closed) unlinks
-    the segment.  :meth:`load` materializes the
-    :class:`~repro.graph.csr.CSRGraph`, verifying the fingerprint.
+    done; the owner's close also unlinks the segment.  :meth:`load`
+    materializes the :class:`~repro.graph.csr.CSRGraph`, verifying the
+    fingerprint.
     """
 
     def __init__(
@@ -158,9 +174,6 @@ class SharedCSR:
     @classmethod
     def create(cls, csr) -> "SharedCSR":
         """Export ``csr`` into a fresh segment (the owner-side handle)."""
-        indptr_bytes = csr.indptr.tobytes()
-        indices_bytes = csr.indices.tobytes()
-        weights_bytes = csr.weights.tobytes()
         meta = {
             "num_nodes": csr.num_nodes,
             "num_edges": csr.num_edges,
@@ -174,11 +187,9 @@ class SharedCSR:
         # Two-pass: offsets depend on the meta length, which depends on
         # the offsets' textual width.  Lay out with placeholder offsets,
         # then re-encode; widths are padded stable by the alignment.
-        payloads = (
-            ("indptr", indptr_bytes),
-            ("indices", indices_bytes),
-            ("weights", weights_bytes),
-        )
+        payloads = [
+            (key, getattr(csr, key).tobytes()) for key, _typecode in _BUFFERS
+        ]
         for attempt in range(3):
             blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
             offset = _align(_HEADER.size + len(blob))
@@ -193,7 +204,7 @@ class SharedCSR:
         name = f"gst-csr-{secrets.token_hex(6)}"
         shm = shared_memory.SharedMemory(name=name, create=True, size=total)
         buf = shm.buf
-        _HEADER.pack_into(buf, 0, SHM_MAGIC, 1, 0, len(blob))
+        _HEADER.pack_into(buf, 0, SHM_MAGIC, len(blob))
         buf[_HEADER.size:_HEADER.size + len(blob)] = blob
         for key, payload in payloads:
             start = meta["buffers"][key][0]
@@ -219,23 +230,22 @@ class SharedCSR:
         except Exception:
             shm.close()
             raise
-        handle = cls(shm, meta, owner=False)
-        handle._bump_refcount(+1)
-        return handle
+        return cls(shm, meta, owner=False)
 
     @staticmethod
     def _read_meta(shm: shared_memory.SharedMemory, name: str) -> dict:
+        """The header's metadata, its counts and buffer table checked."""
         buf = shm.buf
         if buf.nbytes < _HEADER.size:
             raise ShmLayoutError(
                 f"segment {name!r} is {buf.nbytes} bytes — too small to be "
                 "a CSR export"
             )
-        magic, _refs, _flags, meta_len = _HEADER.unpack_from(buf, 0)
+        magic, meta_len = _HEADER.unpack_from(buf, 0)
         if magic != SHM_MAGIC:
             raise ShmLayoutError(
                 f"segment {name!r} has magic {magic!r}, expected "
-                f"{SHM_MAGIC!r} — not a shared CSR snapshot"
+                f"{SHM_MAGIC!r} — not a shared CSR snapshot of this layout"
             )
         if _HEADER.size + meta_len > buf.nbytes:
             raise ShmLayoutError(
@@ -248,18 +258,29 @@ class SharedCSR:
             raise ShmLayoutError(
                 f"segment {name!r}: metadata is not valid JSON"
             ) from None
-        if not isinstance(meta, dict) or "buffers" not in meta:
+        if not isinstance(meta, dict):
             raise ShmLayoutError(f"segment {name!r}: malformed metadata")
-        for key in ("indptr", "indices", "weights"):
-            entry = meta["buffers"].get(key)
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or entry[0] + entry[1] > buf.nbytes
+        for key in ("num_nodes", "num_edges"):
+            if not _is_count(meta.get(key)):
+                raise ShmLayoutError(
+                    f"segment {name!r}: {key} is not a non-negative integer"
+                )
+        if not isinstance(meta.get("fingerprint"), str):
+            raise ShmLayoutError(f"segment {name!r}: fingerprint is not a string")
+        buffers = meta.get("buffers")
+        for key, _typecode in _BUFFERS:
+            entry = buffers.get(key) if isinstance(buffers, dict) else None
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and _is_count(entry[0])
+                and _is_count(entry[1])
+                and entry[1] % _ALIGN == 0
+                and entry[0] + entry[1] <= buf.nbytes
             ):
                 raise ShmLayoutError(
-                    f"segment {name!r}: buffer {key!r} lies outside the "
-                    "segment"
+                    f"segment {name!r}: buffer {key!r} is not a run of "
+                    f"{_ALIGN}-byte items inside the segment"
                 )
         return meta
 
@@ -275,46 +296,33 @@ class SharedCSR:
         attach, amortized over every query the worker will ever serve.
 
         The snapshot fingerprint is always re-derived from the mapped
-        bytes and compared to the stored one (and to
-        ``expect_fingerprint`` when given); any mismatch raises
-        :class:`~repro.errors.StoreFingerprintError` before a single
-        adjacency tuple is built.
+        bytes with :func:`~repro.graph.csr.snapshot_digest` and compared
+        to the stored one (and to ``expect_fingerprint`` when given);
+        any mismatch raises :class:`~repro.errors.StoreFingerprintError`
+        before a single adjacency tuple is built.
         """
-        from .csr import CSRGraph
+        from .csr import CSRGraph, snapshot_digest
 
         self._require_open()
         meta = self._meta
         n = meta["num_nodes"]
-        indptr = self._buffer_view("indptr", "q")
-        indices = self._buffer_view("indices", "q")
-        weights = self._buffer_view("weights", "d")
+        label_members = _decode_labels(meta.get("labels"), n, self.name)
+        indptr, indices, weights = (
+            self._buffer_view(key, typecode) for key, typecode in _BUFFERS
+        )
         if len(indptr) != n + 1:
             raise ShmLayoutError(
                 f"segment {self.name!r}: indptr has {len(indptr)} entries "
                 f"for {n} nodes"
             )
-        label_members = {
-            _decode_label(entry[:2]): tuple(entry[2])
-            for entry in meta.get("labels", ())
-        }
-        stored = meta.get("fingerprint")
-        digest = hashlib.sha256()
-        digest.update(
-            f"csr;n={n};m={meta['num_edges']};".encode()
+        stored = meta["fingerprint"]
+        derived = snapshot_digest(
+            n, meta["num_edges"], indptr, indices, weights, label_members
         )
-        digest.update(indptr)
-        digest.update(indices)
-        digest.update(weights)
-        for label in sorted(label_members, key=str):
-            members = label_members[label]
-            digest.update(
-                f"l={label!s}:{','.join(map(str, members))};".encode()
-            )
-        derived = digest.hexdigest()
         if derived != stored:
             raise StoreFingerprintError(
                 f"segment {self.name!r}: mapped bytes hash to "
-                f"{derived[:12]}… but the segment claims {str(stored)[:12]}… "
+                f"{derived[:12]}… but the segment claims {stored[:12]}… "
                 "— torn write or foreign segment; refusing to load"
             )
         if expect_fingerprint is not None and derived != expect_fingerprint:
@@ -358,23 +366,6 @@ class SharedCSR:
     def closed(self) -> bool:
         return self._shm is None
 
-    def refcount(self) -> int:
-        """Live handles on the segment (owner included until closed)."""
-        shm = self._require_open()
-        return struct.unpack_from("<Q", shm.buf, _REFCOUNT_OFFSET)[0]
-
-    def owner_closed(self) -> bool:
-        shm = self._require_open()
-        flags = struct.unpack_from("<Q", shm.buf, _FLAGS_OFFSET)[0]
-        return bool(flags & _FLAG_OWNER_CLOSED)
-
-    def _bump_refcount(self, delta: int) -> int:
-        shm = self._require_open()
-        value = struct.unpack_from("<Q", shm.buf, _REFCOUNT_OFFSET)[0]
-        value = max(0, value + delta)
-        struct.pack_into("<Q", shm.buf, _REFCOUNT_OFFSET, value)
-        return value
-
     def _require_open(self) -> shared_memory.SharedMemory:
         if self._shm is None:
             raise ShmAttachError(
@@ -383,32 +374,21 @@ class SharedCSR:
         return self._shm
 
     def close(self) -> None:
-        """Detach; unlink iff this was the last handle out.
+        """Detach; the owner's close also unlinks the name.  Idempotent.
 
-        Owner close sets the owner-closed flag first, so the unlink is
-        deferred to the last live attacher when workers are still
-        mapped — every exported memoryview is released before the
-        mapping goes, so this can never raise ``BufferError``.
-        Idempotent.
+        Every memoryview exported into a loaded graph is released
+        before the mapping goes, so this never raises ``BufferError``.
+        An attacher's mapping stays valid after the owner's unlink;
+        only new attaches fail.
         """
         shm = self._shm
         if shm is None:
             return
-        if self.owner:
-            flags = struct.unpack_from("<Q", shm.buf, _FLAGS_OFFSET)[0]
-            struct.pack_into(
-                "<Q", shm.buf, _FLAGS_OFFSET, flags | _FLAG_OWNER_CLOSED
-            )
-            remaining = self._bump_refcount(-1)
-            last_out = remaining == 0
-        else:
-            remaining = self._bump_refcount(-1)
-            last_out = remaining == 0 and self.owner_closed()
         for view in self._views:
             view.release()
         self._views.clear()
         self._shm = None
-        if last_out:
+        if self.owner:
             self._unlink(shm)
         try:
             shm.close()
@@ -416,12 +396,11 @@ class SharedCSR:
             pass
 
     def unlink(self) -> None:
-        """Force-remove the segment name now (destructive; owner only).
+        """Remove the segment name now, keeping this mapping (owner only).
 
         Live mappings stay valid on POSIX; *new* attaches fail with
-        :class:`~repro.errors.ShmAttachError`.  Used by abandon-ship
-        paths (``shutdown(wait=False)``); graceful shutdown goes
-        through :meth:`close`.
+        :class:`~repro.errors.ShmAttachError`.  The owner's
+        :meth:`close` unlinks too, so calling both is harmless.
         """
         shm = self._shm
         if shm is not None:

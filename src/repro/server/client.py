@@ -101,6 +101,18 @@ def _raise_remote(frame: Dict[str, Any]) -> None:
     )
 
 
+def _check_hello(hello: Dict[str, Any]) -> Dict[str, Any]:
+    """``hello`` if it is a HELLO of this protocol version, else raise."""
+    if hello.get("type") != protocol.HELLO:
+        raise ProtocolError(f"expected HELLO, got {hello.get('type')!r}")
+    if hello.get("version") != protocol.PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"server speaks protocol {hello.get('version')}, "
+            f"client speaks {protocol.PROTOCOL_VERSION}"
+        )
+    return hello
+
+
 class GSTClient:
     """Blocking client for a :class:`~repro.server.GSTServer`.
 
@@ -123,16 +135,11 @@ class GSTClient:
         self._frames: list = []
         self._ids = itertools.count(1)
         self._closed = False
-        self.hello = self._next_frame()
-        if self.hello.get("type") != protocol.HELLO:
-            raise ProtocolError(
-                f"expected HELLO, got {self.hello.get('type')!r}"
-            )
-        if self.hello.get("version") != protocol.PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"server speaks protocol {self.hello.get('version')}, "
-                f"client speaks {protocol.PROTOCOL_VERSION}"
-            )
+        try:
+            self.hello = _check_hello(self._next_frame())
+        except ProtocolError:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     def _next_frame(self) -> Dict[str, Any]:
@@ -285,11 +292,11 @@ class AsyncGSTClient:
     ) -> "AsyncGSTClient":
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, max_frame_bytes=max_frame_bytes)
-        client.hello = await client._next_frame()
-        if client.hello.get("type") != protocol.HELLO:
-            raise ProtocolError(
-                f"expected HELLO, got {client.hello.get('type')!r}"
-            )
+        try:
+            client.hello = _check_hello(await client._next_frame())
+        except ProtocolError:
+            await client.close()
+            raise
         return client
 
     async def _next_frame(self) -> Dict[str, Any]:

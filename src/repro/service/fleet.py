@@ -38,13 +38,16 @@ fills :attr:`GraphIndex.result_cache
 <repro.service.index.GraphIndex.result_cache>`, so answers solved in
 a worker are persisted by ``save_results()`` like in-thread ones.
 
-Shutdown ordering is load-bearing: ``shutdown(wait=True)`` first
-**drains** — waits for every in-flight query (and therefore every
-in-flight checkpoint write) to deliver — then stops the workers, and
-only then releases the shared segment.  Unlinking first would turn a
-graceful drain into a race against the kernel.  ``wait=False`` is the
-abandon-ship path: workers are killed outright and the segment is
-force-unlinked.
+The pool owns the segment: its one
+:meth:`~repro.graph.shm.SharedCSR.close` unlinks it, and a worker's
+close only detaches, so a SIGKILLed worker leaks nothing.  Shutdown
+ordering is still load-bearing:
+``shutdown(wait=True)`` first **drains** — waits for every in-flight
+query (and therefore every in-flight checkpoint write) to deliver —
+then stops the workers, and only then closes the segment, so a worker
+respawned mid-drain can still attach.  ``wait=False`` is the
+abandon-ship path: workers are killed outright, then the segment is
+closed.
 
 Wire-in: ``QueryExecutor(workers=N)`` routes every attempt through
 :meth:`FleetPool.execute`, and ``python -m repro batch|serve
@@ -163,7 +166,7 @@ def _fleet_worker_entry(
     *current* query's token (the worker survives and serves the next
     job); ``SIGTERM`` cancels it *and* marks the worker draining, so it
     exits cleanly after delivering.  Every exit path detaches the
-    shared segment, keeping the owner's refcount honest.
+    shared segment.
     """
     draining = threading.Event()
     current_token: List[Optional[CancellationToken]] = [None]
@@ -408,7 +411,6 @@ class FleetPool:
             self._closed = True
             for slot in self._slots:
                 self._kill_slot(slot)
-            self.shared.unlink()
             self.shared.close()
             raise
         instruments.fleet_workers().set(len(self._slots))
@@ -820,10 +822,9 @@ class FleetPool:
 
         ``wait=True`` drains: in-flight queries (and their in-flight
         checkpoint writes) deliver before any worker is stopped, and
-        the shared segment is released only after every worker has
-        exited — a graceful shutdown can never yank the mapping out
-        from under a live search.  ``wait=False`` kills workers
-        outright and force-unlinks.  Idempotent.
+        the shared segment is closed (and so unlinked) only after every
+        worker has exited.  ``wait=False`` kills workers outright, then
+        closes the segment.  Idempotent.
         """
         with self._cond:
             if self._closed:
@@ -861,10 +862,6 @@ class FleetPool:
             self._kill_slot(slot)
         instruments.fleet_workers().set(0)
         instruments.fleet_shm_bytes().set(0)
-        # Workers have all exited (or been killed): force the unlink so
-        # a kill -9'd worker's never-decremented refcount cannot leak
-        # the segment, then drop the owner mapping.
-        self.shared.unlink()
         self.shared.close()
 
     def __enter__(self) -> "FleetPool":

@@ -117,7 +117,6 @@ class GraphIndex:
         self.store = None
         self.result_cache = None
         self.warm_loaded = 0
-        self._fingerprint: Optional[str] = None
         self.build_seconds = time.perf_counter() - started
 
     @classmethod
@@ -130,20 +129,10 @@ class GraphIndex:
     # ------------------------------------------------------------------
     # Persistent precompute store (repro.store)
     # ------------------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """The graph's structural fingerprint (computed once, cached)."""
-        with self._lock:
-            if self._fingerprint is None:
-                from ..store.manifest import graph_fingerprint
-
-                self._fingerprint = graph_fingerprint(self.graph)
-            return self._fingerprint
-
     def attach_store(self, store) -> int:
         """Bind a :class:`~repro.store.PrecomputeStore` to this index.
 
-        Verifies the store's graph fingerprint (raising a typed
+        Verifies the store's snapshot fingerprint (raising a typed
         :class:`~repro.errors.StoreError` on mismatch — fail closed),
         warm-loads the label-Dijkstra cache from every stored distance
         table, and loads the persisted epsilon-aware result cache.
@@ -173,13 +162,13 @@ class GraphIndex:
         With no ``graph``, the graph is reloaded from the
         ``graph_stem`` the builder recorded in the manifest (a missing
         stem fails closed with :class:`~repro.errors.StoreError`).
-        Either way the fingerprint must match before any artifact is
-        trusted.
+        Either way :meth:`attach_store` checks the fingerprint before
+        any artifact is trusted.
         """
         from ..graph.io import load_graph
         from ..store.store import PrecomputeStore
 
-        store = PrecomputeStore.open(path, graph)
+        store = PrecomputeStore.open(path)
         if graph is None:
             stem = store.manifest.graph_stem
             if not stem:
@@ -194,7 +183,6 @@ class GraphIndex:
                     f"store {path!r}: cannot reload graph from stem "
                     f"{stem!r}: {exc}"
                 ) from None
-            store.check_graph(graph)
         index = cls(graph, **index_kwargs)
         index.attach_store(store)
         return index
@@ -287,7 +275,7 @@ class GraphIndex:
         info["store"] = (
             {
                 "path": self.store.path,
-                "fingerprint": self.store.manifest.fingerprint,
+                "fingerprint": self.store.manifest.snapshot_fingerprint,
                 "stored_labels": len(self.store.manifest.labels),
                 "warm_loaded": self.warm_loaded,
             }

@@ -73,23 +73,18 @@ class AdmissionPolicy:
     """Limits for :class:`AdmissionController`; a query over any is rejected.
 
     ``max_estimated_states``
-        Hard ceiling on the estimated DP state space.
-    ``max_k``
-        Most distinct labels a query may have — the ``2^k`` factor
-        makes ``k`` the single most dangerous dimension.
+        Hard ceiling on the estimated DP state space, whose ``2^k - 1``
+        factor makes it grow fastest with the label count ``k``.
 
-    Independently of both, a query whose estimated run time exceeds
+    Independently of it, a query whose estimated run time exceeds
     what remains of its budget's deadline is rejected.
     """
 
     max_estimated_states: Optional[int] = None
-    max_k: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_estimated_states is not None and self.max_estimated_states <= 0:
             raise ValueError("max_estimated_states must be positive")
-        if self.max_k is not None and self.max_k <= 0:
-            raise ValueError("max_k must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,15 +166,11 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Decide admit or reject for one query (never raises)."""
         policy = self.policy
-        distinct = tuple(dict.fromkeys(labels))
-        k = len(distinct)
-        states = self.estimate_states(distinct)
+        states = self.estimate_states(labels)
         seconds = states / self.STATES_PER_SECOND
         remaining = budget.remaining() if budget is not None else None
 
-        if policy.max_k is not None and k > policy.max_k:
-            reason = f"query has k={k} labels; policy allows max_k={policy.max_k}"
-        elif (
+        if (
             policy.max_estimated_states is not None
             and states > policy.max_estimated_states
         ):

@@ -9,7 +9,7 @@ restarts*, not just in the per-process LRU the service already has.
 * :func:`build_store` / ``repro precompute`` — offline builder that
   materializes per-label virtual-node distance tables for the top-K
   hottest labels, plus label statistics, into a versioned store
-  directory with a graph-fingerprint manifest;
+  directory whose manifest records the graph's snapshot fingerprint;
 * :class:`PrecomputeStore` — validated handle: open (fail-closed on
   corruption / version skew / fingerprint mismatch, all typed
   :class:`~repro.errors.StoreError`), warm-load a live
@@ -45,7 +45,7 @@ from .builder import (
     select_labels,
 )
 from .format import FORMAT_VERSION, MAGIC
-from .manifest import MANIFEST_NAME, Manifest, graph_fingerprint
+from .manifest import MANIFEST_NAME, Manifest
 from .result_cache import CachedAnswer, ResultCache, result_key
 from .store import PrecomputeStore
 
@@ -62,7 +62,6 @@ __all__ = [
     "RESULTS_NAME",
     "ResultCache",
     "build_store",
-    "graph_fingerprint",
     "result_key",
     "select_labels",
 ]

@@ -23,8 +23,8 @@ from ..graph.shortest_paths import multi_source_dijkstra
 from .format import pack_label_table, write_header, write_record
 from .manifest import Manifest
 
-__all__ = ["BuildReport", "select_labels", "build_store", "DISTANCES_NAME",
-           "RESULTS_NAME"]
+__all__ = ["BuildReport", "select_labels", "build_store", "resolve_label",
+           "DISTANCES_NAME", "RESULTS_NAME"]
 
 DISTANCES_NAME = "distances.bin"
 RESULTS_NAME = "results.bin"
@@ -46,6 +46,20 @@ class BuildReport:
             f"store {self.path}: {len(self.labels)} label tables, "
             f"{self.bytes_written / 1024:.1f} KiB in {self.seconds:.2f}s"
         )
+
+
+def resolve_label(graph: Graph, text: str) -> Optional[Hashable]:
+    """A stored (string) label → the graph's own label, ``None`` if absent.
+
+    Stores keep labels as strings; a graph with non-string labels (ints
+    from a generator, say) is matched by ``str(label)``.
+    """
+    if graph.label_frequency(text) > 0:
+        return text
+    for label in graph.all_labels():
+        if str(label) == text:
+            return label
+    return None
 
 
 def select_labels(
@@ -103,37 +117,23 @@ def build_store(
         chosen = []
         for label in labels:
             text = str(label)
-            if graph.label_frequency(text) == 0 and graph.label_frequency(label) == 0:
+            if resolve_label(graph, text) is None:
                 raise ValueError(f"label {label!r} occurs on no node")
             chosen.append(text)
     else:
         chosen = select_labels(graph, top_k, workload)
 
     os.makedirs(path, exist_ok=True)
-    # Freeze before the Dijkstra sweep: the tables below are then
-    # computed on the CSR kernels, and the snapshot's fingerprint is
-    # recorded so warm starts can verify the flat arrays byte-for-byte.
-    snapshot = graph.freeze()
     bytes_written = 0
     with open(os.path.join(path, DISTANCES_NAME), "wb") as handle:
         write_header(handle)
         for label in chosen:
-            members = list(graph.nodes_with_label(label))
-            if not members:
-                # Stored labels are strings; fall back to the raw label
-                # for graphs using non-string hashables.
-                members = list(graph.nodes_with_label(_raw(graph, label)))
+            members = list(graph.nodes_with_label(resolve_label(graph, label)))
             dist, parent = multi_source_dijkstra(graph, members)
             bytes_written += write_record(
                 handle, pack_label_table(label, dist, parent)
             )
-    manifest = Manifest.for_graph(
-        graph,
-        chosen,
-        graph_stem=graph_stem,
-        snapshot_fingerprint=snapshot.fingerprint,
-    )
-    manifest.save(path)
+    Manifest.for_graph(graph, chosen, graph_stem=graph_stem).save(path)
     return BuildReport(
         path=path,
         labels=chosen,
@@ -141,10 +141,3 @@ def build_store(
         bytes_written=bytes_written,
     )
 
-
-def _raw(graph: Graph, text: str) -> Hashable:
-    """Map a stringified label back to the graph's raw hashable."""
-    for label in graph.all_labels():
-        if str(label) == text:
-            return label
-    return text

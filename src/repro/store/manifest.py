@@ -1,22 +1,23 @@
-"""Store manifest: graph fingerprint + artifact table of contents.
+"""Store manifest: snapshot fingerprint + artifact table of contents.
 
 The manifest is the store's trust anchor.  Distance tables index nodes
 by dense integer id, so loading them against any *other* graph — one
 more node, one reweighted edge, one moved label — would silently
-corrupt every downstream bound and answer.  :func:`graph_fingerprint`
-therefore hashes the full structure (node count, every edge with its
-weight, every node's label set), and every load path compares the
-stored fingerprint against the live graph before a single array is
+corrupt every downstream bound and answer.  The manifest therefore
+records the graph's one identity, the frozen snapshot's
+:attr:`~repro.graph.csr.CSRGraph.fingerprint` (a sha256 over the flat
+arrays and every label group, in construction order), and every load
+path compares it against the live graph before a single array is
 trusted.
 
 The manifest itself is human-readable JSON (`manifest.json`) so
-operators can inspect what a store holds; all validation failures
-raise typed :class:`~repro.errors.StoreError` subclasses.
+operators can inspect what a store holds; every validation failure —
+unreadable JSON, a missing key, a value of the wrong type — raises a
+typed :class:`~repro.errors.StoreError` subclass.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,35 +27,28 @@ from ..errors import StoreCorruptError, StoreVersionError
 from ..graph.graph import Graph
 from .format import FORMAT_VERSION
 
-__all__ = ["graph_fingerprint", "Manifest", "MANIFEST_NAME"]
+__all__ = ["Manifest", "MANIFEST_NAME"]
 
 MANIFEST_NAME = "manifest.json"
 
-
-def graph_fingerprint(graph: Graph) -> str:
-    """Deterministic sha256 over the graph's full structure.
-
-    Covers node count, every edge ``(u, v, weight)`` (normalized
-    ``u < v``, sorted), and every node's sorted label set — the three
-    things the stored arrays depend on.  ``repr`` of the weight keeps
-    the hash exact (no float formatting loss).
-    """
-    digest = hashlib.sha256()
-    digest.update(f"n={graph.num_nodes};m={graph.num_edges};".encode())
-    for u, v, weight in sorted(graph.edges()):
-        digest.update(f"e={u},{v},{weight!r};".encode())
-    for node in graph.nodes():
-        labels = sorted(str(label) for label in graph.labels_of(node))
-        if labels:
-            digest.update(f"l={node}:{','.join(labels)};".encode())
-    return digest.hexdigest()
+# The JSON type of every key ``Manifest.load`` reads (bools are no ints).
+_TYPES = {
+    "snapshot_fingerprint": str,
+    "num_nodes": int,
+    "num_edges": int,
+    "num_labels": int,
+    "labels": list,
+    "label_frequencies": dict,
+    "graph_stem": (str, type(None)),
+    "created_by": str,
+}
 
 
 @dataclass
 class Manifest:
     """What one store directory contains, and for which graph."""
 
-    fingerprint: str
+    snapshot_fingerprint: str
     num_nodes: int
     num_edges: int
     num_labels: int
@@ -63,15 +57,9 @@ class Manifest:
     format_version: int = FORMAT_VERSION
     graph_stem: Optional[str] = None
     created_by: str = "repro.store"
-    # Fingerprint of the frozen CSR snapshot at build time (see
-    # :attr:`repro.graph.csr.CSRGraph.fingerprint`).  Optional — stores
-    # written before snapshots existed simply omit it; when present,
-    # warm-start paths additionally validate it so a store is only
-    # trusted when the *byte-identical* flat arrays can be rebuilt.
-    snapshot_fingerprint: Optional[str] = None
 
-    REQUIRED = ("fingerprint", "num_nodes", "num_edges", "num_labels",
-                "format_version")
+    REQUIRED = ("snapshot_fingerprint", "num_nodes", "num_edges",
+                "num_labels", "format_version")
 
     @classmethod
     def for_graph(
@@ -80,10 +68,9 @@ class Manifest:
         labels: List[str],
         *,
         graph_stem: Optional[str] = None,
-        snapshot_fingerprint: Optional[str] = None,
     ) -> "Manifest":
         return cls(
-            fingerprint=graph_fingerprint(graph),
+            snapshot_fingerprint=graph.freeze().fingerprint,
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
             num_labels=graph.num_labels,
@@ -92,14 +79,13 @@ class Manifest:
                 label: graph.label_frequency(label) for label in labels
             },
             graph_stem=graph_stem,
-            snapshot_fingerprint=snapshot_fingerprint,
         )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "format_version": self.format_version,
-            "fingerprint": self.fingerprint,
+            "snapshot_fingerprint": self.snapshot_fingerprint,
             "num_nodes": self.num_nodes,
             "num_edges": self.num_edges,
             "num_labels": self.num_labels,
@@ -107,7 +93,6 @@ class Manifest:
             "label_frequencies": dict(self.label_frequencies),
             "graph_stem": self.graph_stem,
             "created_by": self.created_by,
-            "snapshot_fingerprint": self.snapshot_fingerprint,
         }
 
     def save(self, directory: str) -> str:
@@ -142,27 +127,20 @@ class Manifest:
                 f"{path}: store format version {version} is not supported "
                 f"(this build reads version {FORMAT_VERSION})"
             )
-        try:
-            return cls(
-                fingerprint=str(raw["fingerprint"]),
-                num_nodes=int(raw["num_nodes"]),
-                num_edges=int(raw["num_edges"]),
-                num_labels=int(raw["num_labels"]),
-                labels=[str(label) for label in raw.get("labels", [])],
-                label_frequencies={
-                    str(k): int(v)
-                    for k, v in raw.get("label_frequencies", {}).items()
-                },
-                format_version=int(version),
-                graph_stem=raw.get("graph_stem"),
-                created_by=str(raw.get("created_by", "repro.store")),
-                snapshot_fingerprint=(
-                    str(raw["snapshot_fingerprint"])
-                    if raw.get("snapshot_fingerprint") is not None
-                    else None
-                ),
-            )
-        except (TypeError, ValueError) as exc:
+        fields = {key: raw[key] for key in _TYPES if key in raw}
+        for key, value in fields.items():
+            if not isinstance(value, _TYPES[key]) or isinstance(value, bool):
+                raise StoreCorruptError(
+                    f"{path}: manifest field {key!r} has wrong type "
+                    f"{type(value).__name__}"
+                )
+        if not all(isinstance(label, str) for label in fields.get("labels", ())):
+            raise StoreCorruptError(f"{path}: manifest labels have wrong type")
+        if not all(
+            type(count) is int
+            for count in fields.get("label_frequencies", {}).values()
+        ):
             raise StoreCorruptError(
-                f"{path}: manifest field has wrong type: {exc}"
-            ) from None
+                f"{path}: manifest label_frequencies have wrong type"
+            )
+        return cls(**fields)

@@ -3,8 +3,8 @@
 A :class:`PrecomputeStore` is one store *directory* (manifest +
 distance tables + persisted result cache) bound to one immutable
 graph.  Opening validates the manifest and — when a graph is supplied
-— its fingerprint, so a stale or foreign artifact is rejected before a
-single array is trusted; every failure is a typed
+— its snapshot fingerprint, so a stale or foreign artifact is rejected
+before a single array is trusted; every failure is a typed
 :class:`~repro.errors.StoreError`, which is the contract the service
 layer's fall-back-to-cold-solve paths rely on.
 """
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cache import LabelDistanceCache
 from ..errors import StoreCorruptError, StoreFingerprintError
 from ..graph.graph import Graph
-from .builder import DISTANCES_NAME, RESULTS_NAME, BuildReport, build_store
+from .builder import DISTANCES_NAME, RESULTS_NAME, resolve_label
 from .format import iter_records, read_header, unpack_label_table
-from .manifest import Manifest, graph_fingerprint
+from .manifest import Manifest
 from .result_cache import ResultCache
 
 __all__ = ["PrecomputeStore"]
@@ -50,44 +50,22 @@ class PrecomputeStore:
             store.check_graph(graph)
         return store
 
-    @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        path: str,
-        **build_kwargs,
-    ) -> Tuple["PrecomputeStore", BuildReport]:
-        """Build a store for ``graph`` and return the opened handle."""
-        report = build_store(graph, path, **build_kwargs)
-        return cls.open(path, graph), report
-
     def check_graph(self, graph: Graph) -> None:
         """Raise unless this store was built for exactly ``graph``.
 
-        Always compares the structural (sorted-edge) fingerprint; when
-        the manifest additionally records a CSR ``snapshot_fingerprint``
-        (stores written since snapshots exist) and the live graph is —
-        or can be — frozen, the snapshot's byte-level fingerprint is
-        validated too, which also pins construction order of the flat
-        arrays for warm starts.
+        Compares the manifest's snapshot fingerprint with the live
+        graph's frozen snapshot, which also pins the construction order
+        of the flat arrays; a mismatch raises
+        :class:`~repro.errors.StoreFingerprintError`.
         """
-        live = graph_fingerprint(graph)
-        if live != self.manifest.fingerprint:
+        stored = self.manifest.snapshot_fingerprint
+        live = graph.freeze().fingerprint
+        if live != stored:
             raise StoreFingerprintError(
                 f"store {self.path!r} was built for a different graph "
-                f"(stored fingerprint {self.manifest.fingerprint[:12]}…, "
-                f"live graph {live[:12]}…); rebuild with `repro precompute`"
+                f"(stored fingerprint {stored[:12]}…, live graph "
+                f"{live[:12]}…); rebuild with `repro precompute`"
             )
-        stored_snapshot = self.manifest.snapshot_fingerprint
-        if stored_snapshot is not None:
-            live_snapshot = graph.freeze().fingerprint
-            if live_snapshot != stored_snapshot:
-                raise StoreFingerprintError(
-                    f"store {self.path!r} records snapshot fingerprint "
-                    f"{stored_snapshot[:12]}… but the live graph freezes "
-                    f"to {live_snapshot[:12]}…; the flat arrays were "
-                    "built in a different order — rebuild the store"
-                )
 
     # ------------------------------------------------------------------
     # Distance tables
@@ -135,22 +113,12 @@ class PrecomputeStore:
         tables = self.load_tables()
         count = 0
         for label, (dist, parent) in tables.items():
-            raw = self._resolve_label(cache.graph, label)
+            raw = resolve_label(cache.graph, label)
             if raw is None:
                 continue
             cache.preload(raw, (dist, parent))
             count += 1
         return count
-
-    @staticmethod
-    def _resolve_label(graph: Graph, text: str) -> Optional[Hashable]:
-        """Stored (string) label → the graph's live hashable label."""
-        if graph.label_frequency(text) > 0:
-            return text
-        for label in graph.all_labels():
-            if str(label) == text:
-                return label
-        return None
 
     # ------------------------------------------------------------------
     # Result cache persistence
@@ -182,5 +150,5 @@ class PrecomputeStore:
     def __repr__(self) -> str:
         return (
             f"PrecomputeStore({self.path!r}, labels={len(self.manifest.labels)}, "
-            f"fingerprint={self.manifest.fingerprint[:12]}…)"
+            f"fingerprint={self.manifest.snapshot_fingerprint[:12]}…)"
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -16,11 +17,17 @@ import pytest
 
 import repro.core.solver as solver_mod
 from repro import solve_gst
-from repro.errors import RemoteQueryError
+from repro.errors import ProtocolError, RemoteQueryError
 from repro.graph import generators
 from repro.obs import instruments
-from repro.server import GSTClient, GSTServer
-from repro.server.protocol import cancel_frame, query_frame
+from repro.server import AsyncGSTClient, GSTClient, GSTServer
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    cancel_frame,
+    encode_frame,
+    hello_frame,
+    query_frame,
+)
 
 INF = float("inf")
 
@@ -174,8 +181,6 @@ class TestStreaming:
         labels = ["q0", "q1", "q2"]
 
         async def scenario():
-            from repro.server import AsyncGSTClient
-
             async with GSTServer(graph, algorithm="basic") as server:
                 client = await AsyncGSTClient.connect(
                     "127.0.0.1", server.port
@@ -195,6 +200,52 @@ class TestStreaming:
             with GSTClient("127.0.0.1", harness.port) as client:
                 final = client.solve(["q0", "q1", "q2"], epsilon=0.5)
         assert final.ratio <= 1.5 + 1e-9
+
+
+@pytest.fixture
+def future_server():
+    """A socket server whose HELLO speaks the next protocol version."""
+    hello = hello_frame(graph={}, algorithm="basic", max_inflight=1)
+    frame = encode_frame(dict(hello, version=PROTOCOL_VERSION + 1))
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5)
+                conn.sendall(frame)
+                try:
+                    conn.recv(1)  # until the client hangs up
+                except OSError:
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield listener.getsockname()[1]
+    stop.set()
+    thread.join(timeout=10)
+    listener.close()
+
+
+class TestHello:
+    """Both clients refuse a HELLO of another protocol version."""
+
+    def test_blocking_client_refuses_another_version(self, future_server):
+        with pytest.raises(ProtocolError, match="protocol 2"):
+            GSTClient("127.0.0.1", future_server, timeout=5)
+
+    def test_async_client_refuses_another_version(self, future_server):
+        async def connect():
+            await AsyncGSTClient.connect("127.0.0.1", future_server)
+
+        with pytest.raises(ProtocolError, match="protocol 2"):
+            asyncio.run(connect())
 
 
 class TestErrors:

@@ -135,13 +135,6 @@ class TestAdmission:
         three = controller.estimate_states(["q0", "q1", "q2"])
         assert 0 < two < three
 
-    def test_max_k_rejects(self, index):
-        controller = AdmissionController(index, AdmissionPolicy(max_k=2))
-        with pytest.raises(QueryRejectedError) as info:
-            controller.admit(["q0", "q1", "q2"], None)
-        assert info.value.estimated_states > 0
-        assert controller.admit(["q0", "q1"], None) is None  # admitted
-
     def test_state_ceiling_rejects_with_typed_error(self, index):
         controller = AdmissionController(
             index, AdmissionPolicy(max_estimated_states=1)
@@ -168,8 +161,15 @@ class TestAdmission:
         assert roomy.action == "admit" and roomy.reason is None
 
     def test_rejected_query_is_isolated_in_batch(self, index):
+        # A ceiling the two-label sibling fits under and the
+        # three-label query (a 2^k - 1 factor of 7, not 3) does not.
+        controller = AdmissionController(index)
+        ceiling = controller.estimate_states(["q3", "q4"])
+        assert controller.estimate_states(["q0", "q1", "q2"]) > ceiling
         with QueryExecutor(
-            index, admission=AdmissionPolicy(max_k=2), max_workers=2
+            index,
+            admission=AdmissionPolicy(max_estimated_states=ceiling),
+            max_workers=2,
         ) as executor:
             outcomes = executor.run_batch([["q0", "q1", "q2"], ["q3", "q4"]])
         rejected, sibling = outcomes
@@ -181,8 +181,6 @@ class TestAdmission:
         assert sibling.trace.admission["action"] == "admit"
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_k=0)
         with pytest.raises(ValueError):
             AdmissionPolicy(max_estimated_states=0)
 
