@@ -9,6 +9,12 @@ the snapshot is built once up front, and its build time, bucket
 width and the bytes one cached label's distance table takes are
 printed separately.
 
+After the profile it prints the in-process CPU of one result-cache
+hit, with profiling off, split the way the server spends it: decoding
+the QUERY frame, ``QueryExecutor.cached`` (the lookup plus the trace's
+metrics), and building plus encoding the RESULT frame.  Each part is
+the median over rounds of its per-hit CPU time.
+
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --solves 5 --top 40
 """
@@ -18,12 +24,21 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import statistics
 import sys
 import time
 
 from repro.core.algorithms import PrunedDPPlusPlusSolver
 from repro.core.cache import LabelDistanceCache
 from repro.graph import generators
+from repro.server.protocol import (
+    FrameDecoder,
+    encode_frame,
+    query_frame,
+    result_frame,
+)
+from repro.service import GraphIndex, QueryExecutor
+from repro.store.result_cache import ResultCache
 
 GRAPH_KW = dict(
     num_papers=900,
@@ -33,6 +48,46 @@ GRAPH_KW = dict(
     seed=7,
 )
 QUERY = [f"q{i}" for i in range(6)]
+HIT_REPEATS = 2000
+HIT_ROUNDS = 5
+
+
+def cpu_us_per_call(call, repeats: int = HIT_REPEATS, rounds: int = HIT_ROUNDS) -> float:
+    """Median over ``rounds`` of the process CPU microseconds per call."""
+    samples = []
+    for _ in range(rounds):
+        started = time.process_time()
+        for _ in range(repeats):
+            call()
+        samples.append((time.process_time() - started) / repeats * 1e6)
+    return statistics.median(samples)
+
+
+def print_cache_hit_split(graph, result) -> None:
+    """One result-cache hit's CPU: decode, ``cached()``, RESULT encode."""
+    index = GraphIndex(graph)
+    index.result_cache = ResultCache()
+    index.result_cache.put(
+        QUERY, index.resolve_algorithm("pruneddp++", QUERY), result
+    )
+    wire = encode_frame(query_frame("hit", QUERY))
+    decoder = FrameDecoder()
+    with QueryExecutor(index, max_workers=1) as executor:
+        outcome = executor.cached(QUERY, query_id="hit")
+        assert outcome is not None, "the answer must be a cache hit"
+        parts = {
+            "frame decode": cpu_us_per_call(lambda: decoder.feed(wire)),
+            "QueryExecutor.cached": cpu_us_per_call(
+                lambda: executor.cached(QUERY, query_id="hit")
+            ),
+            "RESULT build + encode": cpu_us_per_call(
+                lambda: encode_frame(result_frame("hit", outcome.result))
+            ),
+        }
+    total = sum(parts.values())
+    print(f"\n=== one result-cache hit: {total:.1f} us of CPU in process ===")
+    for name, micros in parts.items():
+        print(f"  {name:<24}{micros:8.1f} us  ({micros / total:5.1%})")
 
 
 def main(argv=None) -> int:
@@ -69,6 +124,7 @@ def main(argv=None) -> int:
     print(f"\n=== {args.solves} solves in {elapsed:.3f}s ===")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
+    print_cache_hit_split(graph, result)
     return 0
 
 

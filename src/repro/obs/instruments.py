@@ -48,7 +48,9 @@ def _reg(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 
 # --------------------------------------------------------------------------
 # Family accessors.  One function per family; each is get-or-create so
-# hot paths may call them freely (a dict lookup under the registry lock).
+# hot paths may call them freely (an existing family is one lock-free
+# dict read).  Hot paths pass label values positionally, which makes an
+# existing child one lock-free dict read too.
 
 def queries_total(registry: Optional[MetricsRegistry] = None) -> Counter:
     return _reg(registry).counter(
@@ -351,12 +353,12 @@ def record_query_trace(
     registry = _reg(registry)
     status = trace.status or "unknown"
     algorithm = trace.algorithm or trace.requested_algorithm or "unknown"
-    queries_total(registry).labels(status=status, algorithm=algorithm).inc()
+    queries_total(registry).labels(status, algorithm).inc()
     if trace.wall_seconds is not None:
         query_seconds(registry).observe(trace.wall_seconds)
     stage_hist = stage_seconds(registry)
     for stage, seconds in (trace.stages or {}).items():
-        stage_hist.labels(stage=stage).observe(seconds)
+        stage_hist.labels(stage).observe(seconds)
 
     engine = engine_events(registry)
     stats = trace.stats or {}
@@ -369,15 +371,15 @@ def record_query_trace(
     ):
         count = stats.get(key, 0)
         if count:
-            engine.labels(event=event).inc(count)
+            engine.labels(event).inc(count)
 
     caches = label_cache_events(registry)
     if trace.cache_hits:
-        caches.labels(event="hit").inc(trace.cache_hits)
+        caches.labels("hit").inc(trace.cache_hits)
     if trace.cache_misses:
-        caches.labels(event="miss").inc(trace.cache_misses)
+        caches.labels("miss").inc(trace.cache_misses)
     if trace.result_cache in ("hit", "miss"):
-        result_cache_served(registry).labels(result=trace.result_cache).inc()
+        result_cache_served(registry).labels(trace.result_cache).inc()
 
     if status == "ok":
         ratio = trace.ratio
@@ -423,4 +425,4 @@ def record_result_cache_event(
     event: str, amount: int = 1, registry: Optional[MetricsRegistry] = None
 ) -> None:
     if amount:
-        result_cache_events(registry).labels(event=event).inc(amount)
+        result_cache_events(registry).labels(event).inc(amount)

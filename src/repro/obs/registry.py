@@ -7,6 +7,20 @@ carries its own lock (increments never contend across metrics), and
 supports labels: ``counter.labels(status="ok").inc()`` resolves a
 per-label-values child cached on first use.
 
+Lookups of what already exists are lock-free dict reads, because they
+run on every served request: ``registry.counter(name, help,
+labelnames)`` returns the existing family of that type and label
+names, and ``family.labels("ok")`` with positional string values
+returns the existing child, with no lock, no key built and no name
+check.  Anything else — a new family or child, keyword label values,
+values that are not strings, a type or label-name mismatch — takes
+the validating path, which creates under the lock.  That is safe
+because a family's children are only ever added, never replaced or
+removed, and :meth:`MetricsRegistry.reset` swaps in a new family
+table rather than emptying the old one: a reader holding either sees
+a complete, valid entry or none.  Increments still take the family
+lock, since ``+=`` is not atomic.
+
 The registry renders the standard Prometheus text exposition format
 (version 0.0.4): ``# HELP`` / ``# TYPE`` comment lines followed by
 sample lines, histograms as cumulative ``_bucket{le="..."}`` series
@@ -116,8 +130,18 @@ class _Metric:
         """Resolve (creating on first use) the child for a label set.
 
         Accepts positional values in ``labelnames`` order or keyword
-        form; mixing the two is rejected.
+        form; mixing the two is rejected.  Positional string values of
+        an existing child are one dict read (see the module docstring).
         """
+        if not kwargs:
+            try:
+                return self._children[values]
+            except (KeyError, TypeError):  # new, or not a string key
+                pass
+        return self._resolve_child(values, kwargs)
+
+    def _resolve_child(self, values: tuple, kwargs: dict):
+        """Validate and stringify a label set; create its child if new."""
         if values and kwargs:
             raise ValueError("pass label values positionally or by name, not both")
         if kwargs:
@@ -131,11 +155,13 @@ class _Metric:
                 f"{self.name} expects {len(self.labelnames)} label values, got {len(values)}"
             )
         key = tuple(str(v) for v in values)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._make_child()
-            return child
+        child = self._children.get(key)
+        if child is None:
+            with self._lock:
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._make_child()
+        return child
 
     def _default_child(self):
         """The unlabeled child (only valid when labelnames is empty)."""
@@ -325,6 +351,9 @@ class MetricsRegistry:
         self._metrics: Dict[str, _Metric] = {}
 
     def _get_or_create(self, cls, name: str, help: str, labelnames, **kwargs):
+        existing = self._metrics.get(name)
+        if type(existing) is cls and existing.labelnames == labelnames:
+            return existing
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -372,9 +401,14 @@ class MetricsRegistry:
             return sorted(self._metrics)
 
     def reset(self) -> None:
-        """Drop every metric (tests only — live handles go stale)."""
+        """Drop every metric (tests only — live handles go stale).
+
+        Swaps in an empty table, so a lock-free lookup racing the reset
+        sees the old family or none, and the next recording recreates
+        each family it touches.
+        """
         with self._lock:
-            self._metrics.clear()
+            self._metrics = {}
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """A cheap, JSON-safe copy of every family's current samples."""

@@ -100,6 +100,11 @@ FRAME_TYPES = frozenset({HELLO, QUERY, PROGRESS, RESULT, ERROR, CANCEL, STATS})
 
 _INF = float("inf")
 
+# json.dumps(frame, sort_keys=True) builds a new JSONEncoder per call;
+# this one is built once and gives the same bytes.  encode() keeps no
+# state between calls, so threads may share it.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def dump_number(value: Optional[float]):
     """JSON-safe float: ``inf`` crosses the wire as the string ``"inf"``."""
@@ -126,7 +131,7 @@ def encode_frame(frame: Dict[str, Any], *, max_frame_bytes: int = MAX_FRAME_BYTE
     if frame_type not in FRAME_TYPES:
         raise ProtocolError(f"cannot encode frame with type {frame_type!r}")
     try:
-        payload = json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
+        payload = _ENCODER.encode(frame).encode("utf-8") + b"\n"
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"frame is not JSON-serializable: {exc}") from None
     if len(payload) > max_frame_bytes:

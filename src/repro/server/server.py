@@ -20,13 +20,18 @@ a hit is answered on the loop at once, with no task, no cancellation
 token, no in-flight slot and no thread hop, and it has no ``PROGRESS``
 frames.  Only a miss becomes a task, and its solve runs on the
 executor's worker threads.  The engine's ``on_progress`` callback
-fires on a worker thread and is bridged into the loop with
-``loop.call_soon_threadsafe`` — the only thread-crossing point.
-``call_soon_threadsafe`` is FIFO, and the future's completion callback
-is scheduled *after* the engine's final progress report, so a query's
-``PROGRESS`` frames always precede its ``RESULT`` on the wire.  The
-connection awaits ``drain()`` after each read chunk's frames, so
-answers made inline still respect the client's receive window.
+fires on a worker thread and appends the point to its query's pending
+list; only a point that finds that list empty bridges into the loop,
+with ``loop.call_soon_threadsafe`` — the only thread-crossing point.
+So a burst of points costs one wakeup: the loop callback takes the
+whole list, encodes one ``PROGRESS`` frame per point, and writes them
+with one ``writer.write``.  ``call_soon_threadsafe`` is FIFO, and the
+future's completion callback is scheduled *after* the engine's last
+``on_progress`` has returned — by then every point is in a list whose
+flush is already queued — so a query's ``PROGRESS`` frames always
+precede its ``RESULT`` on the wire.  The connection awaits ``drain()``
+after each read chunk's frames, so answers made inline still respect
+the client's receive window.
 
 Resilience wiring
 -----------------
@@ -54,8 +59,9 @@ attached :class:`~repro.service.TraceSink`.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
-from typing import Any, Dict, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from ..core.budget import Budget, CancellationToken
 from ..errors import (
@@ -379,9 +385,9 @@ class GSTServer:
                     self._send_error(conn, None, "protocol", str(exc))
                     break
                 for frame in frames:
-                    self._frames.labels(
-                        direction="received", type=frame["type"]
-                    ).inc()
+                    # Positional label values: an existing child is one
+                    # lock-free dict read (see repro.obs.registry).
+                    self._frames.labels("received", frame["type"]).inc()
                     self._dispatch(conn, frame)
                 # Cache hits and STATS are answered inline; wait out a
                 # full send buffer before reading more, so a client that
@@ -542,15 +548,29 @@ class GSTServer:
 
         on_progress = None
         if self.executor.isolation == "thread":
-            # Worker thread → event loop.  FIFO scheduling keeps every
-            # PROGRESS ahead of the RESULT (whose completion wakeup is
-            # scheduled after the engine's last report).  Fleet workers
-            # run in other processes, so fleet-served queries skip
-            # PROGRESS frames and answer with their final RESULT only.
+            # Worker thread → event loop, one wakeup per burst: only the
+            # point that finds the list empty schedules a flush, which
+            # takes every point queued by the time it runs.  FIFO
+            # scheduling keeps every PROGRESS ahead of the RESULT (whose
+            # completion wakeup is scheduled after the engine's last
+            # report).  Fleet workers run in other processes, so
+            # fleet-served queries skip PROGRESS frames and answer with
+            # their final RESULT only.
+            pending: List[Any] = []
+            lock = threading.Lock()
+
+            def flush() -> None:
+                with lock:
+                    points = pending[:]
+                    pending.clear()
+                self._send_progress(conn, query_id, points)
+
             def on_progress(point) -> None:
-                loop.call_soon_threadsafe(
-                    self._send_progress, conn, query_id, point
-                )
+                with lock:
+                    pending.append(point)
+                    first = len(pending) == 1
+                if first:
+                    loop.call_soon_threadsafe(flush)
 
         try:
             future = self.executor.enqueue(
@@ -618,14 +638,22 @@ class GSTServer:
     # ------------------------------------------------------------------
     def _send_frame(self, conn: _Connection, frame: Dict[str, Any]) -> None:
         """Encode, count by type, and queue one outbound frame."""
-        self._frames.labels(direction="sent", type=frame["type"]).inc()
+        self._frames.labels("sent", frame["type"]).inc()
         conn.send(encode_frame(frame, max_frame_bytes=self.max_frame_bytes))
 
-    def _send_progress(self, conn: _Connection, query_id, point) -> None:
+    def _send_progress(self, conn: _Connection, query_id, points) -> None:
+        """Queue one burst of PROGRESS frames with a single write."""
         if conn.closing:
             return
-        self.stats.inc("progress_frames_sent")
-        self._send_frame(conn, progress_frame(query_id, point))
+        self.stats.inc("progress_frames_sent", len(points))
+        self._frames.labels("sent", protocol.PROGRESS).inc(len(points))
+        conn.send(b"".join(
+            encode_frame(
+                progress_frame(query_id, point),
+                max_frame_bytes=self.max_frame_bytes,
+            )
+            for point in points
+        ))
 
     def _send_error(self, conn, query_id, code, message, details=None) -> None:
         self.stats.inc("errors_sent")

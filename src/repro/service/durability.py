@@ -151,8 +151,13 @@ def read_checkpoint(
     :class:`~repro.errors.StoreVersionError`, and — when
     ``expect_fingerprint`` is given — a checkpoint taken against a
     different graph raises :class:`~repro.errors.StoreFingerprintError`.
-    Callers catch :class:`~repro.errors.StoreError` and fall back to a
-    cold solve.
+    A record without the keys its readers use, or with one of the
+    wrong JSON type, is a :class:`~repro.errors.StoreCorruptError`
+    too: the meta's ``algorithm`` (a string) and ``labels`` (a list of
+    strings or integers), and every key
+    :meth:`SearchEngine.restore <repro.core.engine.SearchEngine.restore>`
+    reads from the state.  Callers catch
+    :class:`~repro.errors.StoreError` and fall back to a cold solve.
     """
     what = f"checkpoint {path!r}"
     try:
@@ -184,13 +189,100 @@ def read_checkpoint(
                 f"(stored snapshot fingerprint {stored}…, live "
                 f"{expect_fingerprint[:12]}…); it cannot be resumed here"
             )
+        _check_meta(meta, what)
         try:
             state = unpack_json(next(records), what=what)
         except StopIteration:
             raise StoreCorruptError(f"{what}: missing state record") from None
-        if not isinstance(state, dict):
-            raise StoreCorruptError(f"{what}: malformed state record")
+        _check_state(state, len(meta["labels"]), what)
     return meta, state
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_meta(meta: dict, what: str) -> None:
+    """The meta keys :func:`checkpointed_execute` and :func:`resume_query` read."""
+    if not isinstance(meta.get("algorithm"), str):
+        raise StoreCorruptError(f"{what}: meta 'algorithm' is not a string")
+    labels = meta.get("labels")
+    if not isinstance(labels, list) or not all(
+        isinstance(label, str) or _is_int(label) for label in labels
+    ):
+        raise StoreCorruptError(
+            f"{what}: meta 'labels' is not a list of strings or integers"
+        )
+
+
+def _check_rows(rows, width: int) -> bool:
+    """``[[packed key, number, (backpointer list)], ...]`` rows."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list)
+        and len(row) == width
+        and _is_int(row[0])
+        and _is_number(row[1])
+        and (width == 2 or isinstance(row[2], list))
+        for row in rows
+    )
+
+
+def _check_tree(tree) -> bool:
+    """A ``best_tree`` record: ``None`` or non-empty nodes plus edges."""
+    if tree is None:
+        return True
+    if not isinstance(tree, dict):
+        return False
+    nodes, edges = tree.get("nodes"), tree.get("edges")
+    return (
+        isinstance(nodes, list)
+        and bool(nodes)
+        and all(_is_int(node) for node in nodes)
+        and isinstance(edges, list)
+        and all(
+            isinstance(edge, list)
+            and len(edge) == 3
+            and _is_int(edge[0])
+            and _is_int(edge[1])
+            and _is_number(edge[2])
+            for edge in edges
+        )
+    )
+
+
+def _check_state(state, num_labels: int, what: str) -> None:
+    """The keys :meth:`SearchEngine.restore` reads, with their types."""
+    if not isinstance(state, dict):
+        raise StoreCorruptError(f"{what}: malformed state record")
+    problem = None
+    if state.get("key_bits") != num_labels or not _is_int(state["key_bits"]):
+        problem = f"'key_bits' is not the meta's label count {num_labels}"
+    elif not (
+        _is_number(state.get("best_weight"))
+        and _is_number(state.get("global_lb"))
+        and _is_number(state.get("elapsed", 0.0))
+    ):
+        problem = "'best_weight', 'global_lb' or 'elapsed' is not a number"
+    elif not (
+        _check_rows(state.get("queue"), 2)
+        and _check_rows(state.get("pending"), 3)
+        and _check_rows(state.get("settled"), 3)
+    ):
+        problem = "'queue', 'pending' or 'settled' is not a list of rows"
+    elif not _check_tree(state.get("best_tree")):
+        problem = "'best_tree' is not null or a tree record"
+    else:
+        stats = state.get("stats", {})
+        if not isinstance(stats, dict) or not all(
+            _is_number(value) for value in stats.values()
+        ):
+            problem = "'stats' is not an object of numbers"
+    if problem is not None:
+        raise StoreCorruptError(f"{what}: malformed state record: {problem}")
 
 
 class Checkpointer:
@@ -395,7 +487,7 @@ def resume_query(
     fingerprint = index.snapshot.fingerprint
     meta, state = read_checkpoint(path, expect_fingerprint=fingerprint)
     labels = tuple(meta["labels"])
-    algorithm = str(meta["algorithm"])
+    algorithm = meta["algorithm"]
     checkpointer = Checkpointer(
         path,
         meta,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from ..core.result import GSTResult, SearchStats
@@ -66,7 +66,10 @@ class CachedAnswer:
 
     ``epsilon`` is the *proven* gap: 0.0 for optimal answers, otherwise
     ``ratio - 1`` at the time the answer was produced.  ``serves(eps)``
-    implements the reuse rule.
+    implements the reuse rule.  ``tree`` is the answer's
+    :class:`~repro.core.tree.SteinerTree`, built once from
+    ``tree_edges``/``tree_nodes`` when the entry is made; it is
+    immutable, so every hit shares it.
     """
 
     labels: Tuple[str, ...]
@@ -78,6 +81,10 @@ class CachedAnswer:
     tree_nodes: Tuple[int, ...]
     tree_edges: Tuple[Tuple[int, int, float], ...]
     created: float
+    tree: SteinerTree = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tree = SteinerTree(self.tree_edges, nodes=self.tree_nodes)
 
     def serves(self, requested_epsilon: float) -> bool:
         """Whether this answer's proven gap satisfies ``ε'`` requests."""
@@ -91,12 +98,12 @@ class CachedAnswer:
 
         ``algorithm_name`` is the solver's name (``"PrunedDP++"``), which
         a live solve reports; ``self.algorithm`` is the cache tier key.
+        The result carries the entry's shared :attr:`tree`.
         """
-        tree = SteinerTree(self.tree_edges, nodes=self.tree_nodes)
         return GSTResult(
             algorithm=algorithm_name,
             labels=tuple(requested_labels),
-            tree=tree,
+            tree=self.tree,
             weight=self.weight,
             lower_bound=self.lower_bound,
             optimal=self.optimal,

@@ -1,6 +1,7 @@
 """Tests for the metrics registry primitives and the exposition codec."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -135,6 +136,71 @@ class TestRegistry:
         assert get_registry() is get_registry()
 
 
+class TestLookupFastPath:
+    """Existing families and children are plain dict reads."""
+
+    def test_repeated_lookup_returns_the_same_child(self):
+        counter = MetricsRegistry().counter("t_total", "", ("a", "b"))
+        child = counter.labels("x", "y")
+        assert counter.labels("x", "y") is child
+        assert counter.labels(a="x", b="y") is child
+        assert counter.labels(b="y", a="x") is child
+        assert counter.labels("y", "x") is not child
+
+    def test_new_label_values_are_validated_and_stringified(self):
+        counter = MetricsRegistry().counter("t_total", "", ("worker",))
+        child = counter.labels(1)
+        assert counter.labels("1") is child
+        assert counter.labels(worker=1) is child
+        assert counter.labels(1) is child
+        counter.labels(["unhashable"]).inc()
+        assert counter.value(worker="['unhashable']") == 1
+        assert [s["labels"] for s in counter.samples()] == [
+            {"worker": "1"}, {"worker": "['unhashable']"},
+        ]
+        # An existing child never lets a malformed lookup through.
+        with pytest.raises(ValueError):
+            counter.labels(wrong="1")
+        with pytest.raises(ValueError):
+            counter.labels("1", "2")
+        with pytest.raises(ValueError):
+            counter.labels("1", worker="1")
+
+    def test_family_lookup_still_checks_type_and_labels(self):
+        registry = MetricsRegistry()
+        family = registry.counter("t_total", "", ("a",))
+        assert registry.counter("t_total", "", ("a",)) is family
+        assert registry.counter("t_total", "", ["a"]) is family
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("t_total", "", ("a",))
+        with pytest.raises(ValueError, match="labels"):
+            registry.counter("t_total", "", ("b",))
+
+    def test_reset_then_recording_recreates_the_families(self):
+        from repro.obs import instruments
+
+        class Trace:
+            status, algorithm, requested_algorithm = "ok", "basic", None
+            wall_seconds, ratio, stats = 0.01, 1.0, {"states_popped": 3}
+            stages = {"search": 0.005}
+            cache_hits = cache_misses = 1
+            result_cache = "miss"
+            attempts, degraded, checkpoints = 1, False, 0
+            resumed_from = worker_restarts = watchdog_kills = None
+
+        registry = MetricsRegistry()
+        instruments.record_query_trace(Trace, registry)
+        stale = instruments.queries_total(registry)
+        registry.reset()
+        assert registry.names() == []
+        instruments.record_query_trace(Trace, registry)
+        fresh = instruments.queries_total(registry)
+        assert fresh is not stale
+        assert fresh.value(status="ok", algorithm="basic") == 1
+        assert instruments.engine_events(registry).value(event="popped") == 3
+        parse_exposition(registry.render_exposition())
+
+
 # ----------------------------------------------------------------------
 # Concurrency torture: totals must be exact, not approximate.
 # ----------------------------------------------------------------------
@@ -175,6 +241,39 @@ class TestConcurrency:
         # Cumulative bucket invariant survives the torture.
         assert sample["buckets"]["0.5"] == threads_n * iters // 2
         assert sample["buckets"]["1"] == threads_n * iters
+
+    def test_lookups_racing_child_creation_lose_nothing(self):
+        """Lock-free lookups while other threads create children: each
+        label value gets exactly one child and every increment lands."""
+        registry = MetricsRegistry()
+        threads_n, values = 8, 20000
+        barrier = threading.Barrier(threads_n)
+
+        def worker(worker_id: int) -> None:
+            barrier.wait()
+            family = registry.counter("t_race_total", "", ("v",))
+            # Every thread walks the same new values, so most lookups
+            # race another thread creating that child.
+            for i in range(values):
+                family.labels(str(i)).inc()
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        samples = registry.get("t_race_total").samples()
+        assert len(samples) == values
+        assert {s["value"] for s in samples} == {threads_n}
 
     def test_concurrent_registration_returns_one_family(self):
         registry = MetricsRegistry()

@@ -28,6 +28,7 @@ from repro.server.protocol import (
     progress_frame,
     query_frame,
     result_frame,
+    stats_frame,
 )
 
 INF = float("inf")
@@ -64,6 +65,53 @@ class TestRoundTrip:
         wire = b"".join(encode_frame(f) for f in frames)
         decoded = _decode_all(wire)
         assert decoded == frames
+
+    def test_encoding_matches_json_dumps_byte_for_byte(self):
+        """The shared encoder writes what ``json.dumps(frame,
+        sort_keys=True)`` framing wrote, for every constructor."""
+        tree = SteinerTree([(2, 0, 0.1), (0, 1, 1e-300)], nodes=[5])
+        solved = GSTResult(
+            algorithm="PrunedDP++",
+            labels=("a", "b"),
+            tree=tree,
+            weight=0.1 + 1e-300,
+            lower_bound=0.05,
+            optimal=False,
+            stats=SearchStats(states_popped=7, total_seconds=0.25),
+        )
+        unsolved = GSTResult(
+            algorithm="Basic",
+            labels=("a",),
+            tree=None,
+            weight=INF,
+            lower_bound=3.0,
+            optimal=False,
+            stats=SearchStats(cancelled=True),
+        )
+        frames = [
+            hello_frame(
+                graph={"nodes": 3, "edges": 2, "labels": 2},
+                algorithm="pruneddp++",
+                max_inflight=4,
+            ),
+            query_frame("q-1", ["b", "a", "é"], algorithm="basic",
+                        epsilon=0.1, time_limit=2.0, max_states=10),
+            query_frame(None, [3]),
+            progress_frame(1, ProgressPoint(0.1, 5.0, 2.5)),
+            progress_frame(1, ProgressPoint(0.05, INF, 3.0)),
+            result_frame(1, solved),
+            result_frame([1, 2], unsolved, status="cancelled"),
+            error_frame(1, "rejected", "too big", estimated_states=10**9,
+                        estimated_seconds=INF),
+            error_frame(None, "protocol", "bad framing"),
+            cancel_frame(1),
+            stats_frame(7),
+            stats_frame(7, server={"results_sent": 2}, inflight=0,
+                        metrics={"gst_x": {"samples": [{"value": 1.5}]}}),
+        ]
+        for frame in frames:
+            payload = json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
+            assert encode_frame(frame) == struct.pack(">I", len(payload)) + payload
 
     def test_result_frame_carries_tree_and_bounds(self):
         tree = SteinerTree([(0, 1, 1.0)])

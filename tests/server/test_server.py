@@ -9,23 +9,28 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 import repro.core.solver as solver_mod
-from repro import solve_gst
+import repro.server.server as server_mod
+from repro import GraphIndex, solve_gst
 from repro.errors import ProtocolError, RemoteQueryError
 from repro.graph import generators
 from repro.obs import instruments
 from repro.server import AsyncGSTClient, GSTClient, GSTServer
 from repro.server.protocol import (
     PROTOCOL_VERSION,
+    FrameDecoder,
     cancel_frame,
     encode_frame,
     hello_frame,
+    load_number,
     query_frame,
 )
 
@@ -200,6 +205,152 @@ class TestStreaming:
             with GSTClient("127.0.0.1", harness.port) as client:
                 final = client.solve(["q0", "q1", "q2"], epsilon=0.5)
         assert final.ratio <= 1.5 + 1e-9
+
+
+STRESS_QUERIES = (
+    ("q0", "q1", "q2"),
+    ("q1", "q3", "q4"),
+    ("q2", "q4", "q5"),
+    ("q0", "q3", "q5", "q1"),
+    ("q0", "q2", "q4"),
+    ("q1", "q2", "q5", "q3"),
+)
+
+
+class TestProgressBursts:
+    """PROGRESS points cross from the engine thread to the loop in bursts."""
+
+    def test_stress_every_point_arrives_once_in_order(self, graph):
+        # The streamed (UB, LB) sequence of every query must equal its
+        # in-process progress trace, with every PROGRESS before the
+        # query's RESULT: a lost, duplicated or reordered point fails.
+        index = GraphIndex(graph)
+        expected = {
+            labels: [
+                (point.best_weight, point.lower_bound)
+                for point in index.execute(
+                    labels, algorithm="basic"
+                ).result.trace
+            ]
+            for labels in STRESS_QUERIES
+        }
+        assert all(len(trace) >= 2 for trace in expected.values())
+        in_flight, rounds = 4, 6
+        # Time-bounded: past the deadline no connection starts a round
+        # beyond its third.
+        deadline = time.monotonic() + 3.0
+        failures: list = []
+        streams: list = []
+
+        def connection(harness, offset: int) -> None:
+            try:
+                with GSTClient("127.0.0.1", harness.port) as client:
+                    for round_no in range(rounds):
+                        if round_no >= 3 and time.monotonic() > deadline:
+                            break
+                        sent = {}
+                        for slot in range(in_flight):
+                            labels = STRESS_QUERIES[
+                                (offset + round_no + slot) % len(STRESS_QUERIES)
+                            ]
+                            query_id = f"{offset}-{round_no}-{slot}"
+                            sent[query_id] = labels
+                            client._send(query_frame(query_id, labels))
+                        frames = {query_id: [] for query_id in sent}
+                        open_ids = set(sent)
+                        while open_ids:
+                            frame = client._next_frame()
+                            query_id = frame.get("id")
+                            assert query_id in open_ids, frame
+                            frames[query_id].append(frame)
+                            if frame["type"] != "progress":
+                                open_ids.discard(query_id)
+                        for query_id, labels in sent.items():
+                            streams.append((labels, frames[query_id]))
+            except BaseException as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServerHarness(
+                index,
+                algorithm="basic",
+                max_workers=(os.cpu_count() or 1) + 2,
+                max_inflight=in_flight,
+            ) as harness:
+                before = harness.server.stats.progress_frames_sent
+                threads = [
+                    threading.Thread(target=connection, args=(harness, i))
+                    for i in range(3)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                sent_progress = (
+                    harness.server.stats.progress_frames_sent - before
+                )
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures, failures
+        assert len(streams) >= 3 * 3 * in_flight
+        for labels, frames in streams:
+            *progress, terminal = frames
+            assert terminal["type"] == "result", terminal
+            assert all(frame["type"] == "progress" for frame in progress)
+            assert [
+                (load_number(f["best_weight"]), f["lower_bound"])
+                for f in progress
+            ] == expected[labels]
+        assert sent_progress == sum(len(frames) - 1 for _, frames in streams)
+
+    def test_a_burst_is_one_write(self, graph, monkeypatch):
+        """Points reported while the loop is busy go out in one write."""
+        real = solver_mod.ALGORITHMS["basic"]
+        solved = threading.Event()
+        harness_box: list = []
+
+        class BlocksTheLoop(real):
+            def run_search(self, context, prepared=None):
+                # Occupy the loop before the first point, so every point
+                # of the search is pending when it next runs.
+                loop_blocked = threading.Event()
+
+                def block() -> None:
+                    loop_blocked.set()
+                    solved.wait(10)
+
+                harness_box[0].loop.call_soon_threadsafe(block)
+                assert loop_blocked.wait(10)
+                try:
+                    return super().run_search(context, prepared)
+                finally:
+                    solved.set()
+
+        monkeypatch.setitem(solver_mod.ALGORITHMS, "basic", BlocksTheLoop)
+        writes: list = []
+        real_send = server_mod._Connection.send
+
+        def send(conn, frame_bytes: bytes) -> None:
+            writes.append(FrameDecoder().feed(frame_bytes))
+            real_send(conn, frame_bytes)
+
+        monkeypatch.setattr(server_mod._Connection, "send", send)
+        with ServerHarness(graph, algorithm="basic") as harness:
+            harness_box.append(harness)
+            with GSTClient("127.0.0.1", harness.port) as client:
+                updates = list(client.solve_stream(["q0", "q1", "q2", "q3"]))
+        progress_writes = [
+            frames for frames in writes
+            if any(frame["type"] == "progress" for frame in frames)
+        ]
+        assert len(progress_writes) == 1
+        (burst,) = progress_writes
+        assert [frame["type"] for frame in burst] == ["progress"] * len(burst)
+        assert len(burst) == len(updates) - 1 >= 2
+        assert writes[-1][-1]["type"] == "result"
 
 
 @pytest.fixture
@@ -523,6 +674,8 @@ class TestStatsAndMetrics:
             url = f"http://127.0.0.1:{harness.server.metrics_port}/nope"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url, timeout=10)
+            # The error holds the response and its socket open.
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
 

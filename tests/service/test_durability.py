@@ -21,14 +21,20 @@ Three layers of guarantee, each tested against the real engine:
 
 from __future__ import annotations
 
+import copy
+import io
 import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budget import Budget, CancellationToken
 from repro.errors import (
     StoreCorruptError,
+    StoreError,
     StoreFingerprintError,
     StoreVersionError,
     WorkerCrashedError,
@@ -46,6 +52,7 @@ from repro.service import (
     write_checkpoint,
 )
 from repro.service.durability import checkpoint_meta, checkpoint_path
+from repro.store.format import pack_json, write_header, write_record
 from repro.verify.certify import certify_result
 
 LABELS = ("q0", "q1", "q2", "q3", "q4")
@@ -73,6 +80,11 @@ def reference(index):
     outcome = index.execute(LABELS, algorithm="pruneddp++")
     assert outcome.ok and outcome.result.optimal
     return outcome.result
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _interrupt(index, tmp_path, *, algorithm="pruneddp++", max_states=150):
@@ -145,7 +157,7 @@ class TestCheckpointCorruption:
 
     def test_truncated_file(self, index, tmp_path):
         path = self._checkpoint(index, tmp_path)
-        data = open(path, "rb").read()
+        data = _read_bytes(path)
         with open(path, "wb") as fh:
             fh.write(data[: len(data) // 2])
         with pytest.raises(StoreCorruptError):
@@ -153,7 +165,7 @@ class TestCheckpointCorruption:
 
     def test_flipped_crc_byte(self, index, tmp_path):
         path = self._checkpoint(index, tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(_read_bytes(path))
         data[-1] ^= 0xFF  # flip a payload byte: CRC no longer matches
         with open(path, "wb") as fh:
             fh.write(bytes(data))
@@ -170,7 +182,7 @@ class TestCheckpointCorruption:
 
     def test_container_version_skew(self, index, tmp_path):
         path = self._checkpoint(index, tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(_read_bytes(path))
         # Bump the container format version in the 12-byte header.
         data[8:12] = struct.pack("<I", 999)
         with open(path, "wb") as fh:
@@ -205,11 +217,11 @@ class TestCheckpointCorruption:
         # still answers, and nothing was "resumed".
         path = self._checkpoint(index, tmp_path)
         if corrupt == "truncate":
-            data = open(path, "rb").read()
+            data = _read_bytes(path)
             with open(path, "wb") as fh:
                 fh.write(data[: len(data) // 2])
         elif corrupt == "crc":
-            data = bytearray(open(path, "rb").read())
+            data = bytearray(_read_bytes(path))
             data[-1] ^= 0xFF
             with open(path, "wb") as fh:
                 fh.write(bytes(data))
@@ -228,6 +240,169 @@ class TestCheckpointCorruption:
         assert outcome.trace.resumed_from is None
         assert outcome.result.optimal
         assert outcome.result.weight == pytest.approx(reference.weight)
+
+
+def _rewrite(path, edit):
+    """Apply ``edit(meta, state)`` and write a CRC-valid checkpoint back."""
+    meta, state = read_checkpoint(path)
+    edit(meta, state)
+    write_checkpoint(path, meta, state)
+
+
+# CRC-valid records without what the readers use: each is corrupt.
+MALFORMED_RECORDS = {
+    "meta-without-algorithm": lambda meta, state: meta.pop("algorithm"),
+    "meta-labels-not-a-list": lambda meta, state: meta.update(labels=5),
+    "empty-state": lambda meta, state: state.clear(),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_RECORDS))
+    def test_resume_raises_typed(self, index, tmp_path, edit):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, MALFORMED_RECORDS[edit])
+        with pytest.raises(StoreCorruptError, match="malformed|meta"):
+            resume_query(index, path)
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_RECORDS))
+    def test_checkpointed_execute_solves_cold(
+        self, index, reference, tmp_path, edit
+    ):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, MALFORMED_RECORDS[edit])
+        outcome = checkpointed_execute(
+            index, LABELS, algorithm="pruneddp++", checkpoint_dir=str(tmp_path)
+        )
+        assert outcome.ok and outcome.result.optimal
+        assert outcome.trace.resumed_from is None
+        assert outcome.result.weight == pytest.approx(reference.weight)
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta, state: meta.update(labels=["q0", None]),
+            lambda meta, state: meta.update(algorithm=7),
+            lambda meta, state: state.update(key_bits=state["key_bits"] + 1),
+            lambda meta, state: state.update(key_bits=True),
+            lambda meta, state: state.update(best_weight="12"),
+            lambda meta, state: state.pop("global_lb"),
+            lambda meta, state: state.update(elapsed=None),
+            lambda meta, state: state.update(queue={}),
+            lambda meta, state: state["queue"].append([1]),
+            lambda meta, state: state["settled"].append([1, 2.0, 3]),
+            lambda meta, state: state["pending"].append(["1", 2.0, []]),
+            lambda meta, state: state.update(
+                best_tree={"nodes": [], "edges": []}
+            ),
+            lambda meta, state: state.update(
+                best_tree={"nodes": [0, 1], "edges": [[0, 1]]}
+            ),
+            lambda meta, state: state.update(stats={"states_popped": "x"}),
+        ],
+        ids=[
+            "label-null", "algorithm-int", "key-bits-off-by-one",
+            "key-bits-bool", "best-weight-string", "no-global-lb",
+            "elapsed-null", "queue-object", "queue-short-row",
+            "settled-backpointer-int", "pending-string-key",
+            "tree-without-nodes", "tree-edge-without-weight",
+            "stats-string",
+        ],
+    )
+    def test_malformed_key_is_corrupt(self, index, tmp_path, edit):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, edit)
+        with pytest.raises(StoreCorruptError):
+            read_checkpoint(path)
+
+    def test_integer_labels_are_kept(self, index, tmp_path):
+        # checkpoint_meta documents strings or integers as labels.
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, lambda meta, state: meta.update(
+            labels=list(range(len(meta["labels"])))
+        ))
+        meta, _ = read_checkpoint(path)
+        assert meta["labels"] == list(range(len(LABELS)))
+
+
+# ----------------------------------------------------------------------
+# Fuzz: no edit of a checkpoint escapes as anything but a StoreError.
+# ----------------------------------------------------------------------
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2 ** 70), 2 ** 70),
+        st.floats(),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def donor(index, tmp_path_factory):
+    """A real interrupted checkpoint's ``(meta, state)`` records."""
+    path = _interrupt(index, tmp_path_factory.mktemp("donor"), max_states=40)
+    return read_checkpoint(path)
+
+
+def _edit_record(data, record, name):
+    """Drop or retype one key, or one element of a row inside it."""
+    key = data.draw(st.sampled_from(sorted(record)), label=f"{name} key")
+    value = record[key]
+    if isinstance(value, list) and value and data.draw(
+        st.booleans(), label=f"{name}.{key} row edit"
+    ):
+        row = data.draw(st.integers(0, len(value) - 1), label="row")
+        if isinstance(value[row], list) and value[row]:
+            column = data.draw(
+                st.integers(0, len(value[row]) - 1), label="column"
+            )
+            value[row][column] = data.draw(_JSON_VALUES, label="cell")
+        else:
+            value[row] = data.draw(_JSON_VALUES, label="row value")
+    elif data.draw(st.booleans(), label=f"{name}.{key} drop"):
+        del record[key]
+    else:
+        record[key] = data.draw(_JSON_VALUES, label=f"{name}.{key} value")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_a_store_error(donor, data):
+    """Edit a real checkpoint's records (CRC-valid), then overwrite a few
+    of its bytes: ``read_checkpoint`` returns records its readers can use
+    or raises a ``StoreError``, never anything else."""
+    meta, state = copy.deepcopy(donor)
+    for _ in range(data.draw(st.integers(0, 3), label="record edits")):
+        if data.draw(st.booleans(), label="edit meta"):
+            _edit_record(data, meta, "meta")
+        else:
+            _edit_record(data, state, "state")
+    buffer = io.BytesIO()  # write_checkpoint's framing, without the fsync
+    write_header(buffer)
+    write_record(buffer, pack_json(meta))
+    write_record(buffer, pack_json(state))
+    blob = bytearray(buffer.getvalue())
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fuzzed.ckpt")
+        for _ in range(data.draw(st.integers(0, 3), label="byte writes")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] = data.draw(st.integers(0, 255), label="byte")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        try:
+            loaded_meta, loaded_state = read_checkpoint(path)
+        except StoreError:
+            return
+    assert isinstance(loaded_meta["algorithm"], str)
+    assert loaded_state["key_bits"] == len(loaded_meta["labels"])
 
 
 # ----------------------------------------------------------------------

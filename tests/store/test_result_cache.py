@@ -8,12 +8,13 @@ The asymmetric reuse rule under test: an answer *proven* within
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import time
 
 import pytest
 
-from repro import solve_gst
+from repro import GraphIndex, QueryExecutor, solve_gst
 from repro.errors import StoreCorruptError
 from repro.graph import generators
 from repro.store import result_cache
@@ -128,6 +129,48 @@ class TestEviction:
         assert cache.counters()["evictions"] == 1
         assert cache.lookup(["q0", "q1"], "pruneddp++", 0.0) is not None
         assert cache.lookup(["q0", "q2"], "pruneddp++", 0.0) is None
+
+
+class TestRehydration:
+    def test_hits_share_one_tree(self, graph, exact_result):
+        cache = ResultCache()
+        cache.put(["q0", "q1"], "pruneddp++", exact_result)
+        entry = cache.lookup(["q0", "q1"], "pruneddp++", 0.0)
+        first = entry.to_result(("q0", "q1"), "PrunedDP++")
+        second = entry.to_result(("q1", "q0"), "PrunedDP++")
+        assert first.tree is second.tree is entry.tree
+        assert first.stats is not second.stats  # counters stay per result
+        assert first.labels == ("q0", "q1") and second.labels == ("q1", "q0")
+        assert second == dataclasses.replace(first, labels=("q1", "q0"))
+        assert first.tree.edges == exact_result.tree.edges
+        assert first.tree.nodes == exact_result.tree.nodes
+        assert first.tree.weight == pytest.approx(exact_result.weight)
+
+    def test_executor_hits_share_one_tree(self, graph):
+        index = GraphIndex(graph)
+        index.result_cache = ResultCache()
+        with QueryExecutor(index, max_workers=1) as executor:
+            solved = executor.submit(["q0", "q1"]).result()
+            hits = [executor.cached(["q0", "q1"]) for _ in range(2)]
+        assert solved.trace.result_cache == "miss"
+        assert [hit.trace.result_cache for hit in hits] == ["hit", "hit"]
+        assert hits[0].result.tree is hits[1].result.tree
+        assert hits[0].result == hits[1].result
+        assert hits[0].result.weight == solved.result.weight
+
+    def test_record_without_a_tree_is_corrupt(self, exact_result):
+        from repro.store.format import pack_json, write_header, write_record
+
+        record = ResultCache().put(
+            ["q0", "q1"], "pruneddp++", exact_result
+        ).to_record()
+        record["tree_nodes"], record["tree_edges"] = [], []
+        buf = io.BytesIO()
+        write_header(buf)
+        write_record(buf, pack_json(record))
+        buf.seek(0)
+        with pytest.raises(StoreCorruptError, match="malformed cached-answer"):
+            ResultCache().load_from(buf)
 
 
 class TestPersistence:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -100,7 +101,7 @@ class TestStoreTables:
 
     def test_truncated_distances_fail_closed(self, graph, store_dir):
         path = os.path.join(store_dir, DISTANCES_NAME)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 2])
         store = PrecomputeStore.open(store_dir, graph)
@@ -296,9 +297,8 @@ class TestCLI:
         ])
         assert code == 0
         assert "2 result-cache hits" in capsys.readouterr().out
-        records = [
-            json.loads(line) for line in open(traces, encoding="utf-8")
-        ]
+        with open(traces, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
         assert all(r["result_cache"] == "hit" for r in records)
         assert all(r["store_hit"] for r in records)
 
@@ -338,7 +338,7 @@ class TestCLI:
         out = str(tmp_path / "store")
         assert main(["precompute", "--graph", stem, "--out", out]) == 0
         distances = os.path.join(out, DISTANCES_NAME)
-        data = open(distances, "rb").read()
+        data = Path(distances).read_bytes()
         with open(distances, "wb") as handle:
             handle.write(data[: len(data) // 3])
         capsys.readouterr()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 SCRIPT = os.path.join(
     os.path.dirname(__file__), "..", "scripts", "reproduce_all.py"
@@ -27,10 +28,10 @@ class TestReproduceAll:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert "fig10_progressive_dblp" in manifest["experiments"]
         output = manifest["experiments"]["fig10_progressive_dblp"]["output"]
-        text = open(output).read()
+        text = Path(output).read_text()
         assert "progressive bounds" in text
         assert "PrunedDP++" in text
 
@@ -44,5 +45,5 @@ class TestReproduceAll:
             timeout=120,
         )
         assert proc.returncode == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["experiments"] == {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -102,4 +103,4 @@ class TestSaveSvg:
         tree = SteinerTree.from_edge_pairs(star_graph, [(0, 1)])
         svg = tree_to_svg(tree, star_graph)
         path = save_svg(str(tmp_path / "tree.svg"), svg)
-        assert open(path).read() == svg
+        assert Path(path).read_text() == svg
