@@ -9,11 +9,14 @@ the snapshot is built once up front, and its build time, bucket
 width and the bytes one cached label's distance table takes are
 printed separately.
 
-After the profile it prints the in-process CPU of one result-cache
-hit, with profiling off, split the way the server spends it: decoding
-the QUERY frame, ``QueryExecutor.cached`` (the lookup plus the trace's
-metrics), and building plus encoding the RESULT frame.  Each part is
-the median over rounds of its per-hit CPU time.
+After the profile it prints, with profiling off, each cold solve's
+first progress point next to its context build time: the label
+Dijkstras run round-robin and report a bounded answer before they end.
+Then the in-process CPU of one result-cache hit, split the way the
+server spends it: decoding the QUERY frame, ``QueryExecutor.cached``
+(the lookup plus the trace's metrics), and building plus encoding the
+RESULT frame.  Each part is the median over rounds of its per-hit CPU
+time.
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --solves 5 --top 40
@@ -61,6 +64,23 @@ def cpu_us_per_call(call, repeats: int = HIT_REPEATS, rounds: int = HIT_ROUNDS) 
             call()
         samples.append((time.process_time() - started) / repeats * 1e6)
     return statistics.median(samples)
+
+
+def print_cold_first_point(graph, solves: int) -> None:
+    """Each cold solve's first point against its context build time."""
+    print("\n=== cold solves: first progress point vs context build ===")
+    for _ in range(solves):
+        points = []
+        solver = PrunedDPPlusPlusSolver(graph, QUERY, on_progress=points.append)
+        context = solver.build_context()
+        result = solver.run_search(context, solver.prepare(context))
+        first = points[0]
+        print(
+            f"  first point {first.elapsed * 1e3:7.2f} ms (ratio "
+            f"{first.ratio:.3f})  context build "
+            f"{context.build_seconds * 1e3:7.2f} ms  solve "
+            f"{result.stats.total_seconds * 1e3:7.2f} ms"
+        )
 
 
 def print_cache_hit_split(graph, result) -> None:
@@ -124,6 +144,7 @@ def main(argv=None) -> int:
     print(f"\n=== {args.solves} solves in {elapsed:.3f}s ===")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
+    print_cold_first_point(graph, args.solves)
     print_cache_hit_split(graph, result)
     return 0
 

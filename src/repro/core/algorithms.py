@@ -122,9 +122,17 @@ class _ProgressiveSolverBase:
     # can time each stage; solve() chains them for everyone else.
     # ------------------------------------------------------------------
     def build_context(self) -> QueryContext:
-        """Stage 1: per-query preprocessing (the k label Dijkstras)."""
+        """Stage 1: per-query preprocessing (the k label Dijkstras).
+
+        Reports the context's early answers to ``on_progress``, unless
+        the solve resumes a checkpoint: its stream goes on from the
+        checkpointed floor instead.
+        """
         context = QueryContext.build(
-            self.graph, self.query, cache=self.distance_cache
+            self.graph,
+            self.query,
+            cache=self.distance_cache,
+            on_progress=self.on_progress if self.restore_state is None else None,
         )
         context.require_feasible()
         return context

@@ -44,7 +44,7 @@ from ..errors import QueryError
 from .context import QueryContext
 from .state import iter_bits, popcount
 
-__all__ = ["RouteTables", "MAX_ALLPATHS_LABELS"]
+__all__ = ["RouteTables", "MAX_ALLPATHS_LABELS", "min_plus_closure"]
 
 INF = float("inf")
 
@@ -67,6 +67,16 @@ def _virtual_distances(
             # The two directions sum one path's weights in opposite
             # orders, so they can differ in the last ulp.
             table[a][b] = table[b][a] = min(table[a][b], table[b][a])
+    return min_plus_closure(table)
+
+
+def min_plus_closure(table: List[List[float]]) -> List[List[float]]:
+    """Close a symmetric ``k x k`` table under min-plus, in place.
+
+    Floyd–Warshall over the virtual nodes: each entry becomes the
+    lightest chain of entries between its two nodes.  Returns ``table``.
+    """
+    k = len(table)
     # Row and column m are fixed while m is the pivot, so the closure
     # keeps the table exactly symmetric.
     for m in range(k):

@@ -85,7 +85,25 @@ class LabelDistanceCache:
         """``(dist, parent)`` arrays for the label's virtual node.
 
         ``dist`` is an ``array('d')``, ``parent`` an ``array('i')``;
-        callers share them and must not write to them.
+        callers share them and must not write to them.  A miss runs the
+        label's Dijkstra and stores its tables (:meth:`insert`).
+        """
+        entry = self.lookup(label)
+        if entry is not None:
+            return entry
+        # Compute outside the lock: a popular-label miss must not block
+        # concurrent misses on other labels (pure-Python Dijkstras still
+        # share the GIL, but they interleave instead of queueing).
+        members = list(self.graph.nodes_with_label(label))
+        if not members:
+            raise KeyError(f"label {label!r} occurs on no node")
+        return self.insert(label, multi_source_dijkstra(self.graph, members))
+
+    def lookup(self, label: Hashable) -> Optional[Tuple[array, array]]:
+        """The label's cached tables (a hit), or ``None`` (a miss).
+
+        Counts the hit or the miss.  After a miss the caller computes
+        the tables itself and hands them to :meth:`insert`.
         """
         with self._lock:
             entry = self._entries.get(label)
@@ -94,17 +112,20 @@ class LabelDistanceCache:
                 self.hits += 1
                 return entry
             self.misses += 1
-        # Compute outside the lock: a popular-label miss must not block
-        # concurrent misses on other labels (pure-Python Dijkstras still
-        # share the GIL, but they interleave instead of queueing).
-        members = list(self.graph.nodes_with_label(label))
-        if not members:
-            raise KeyError(f"label {label!r} occurs on no node")
-        entry = multi_source_dijkstra(self.graph, members)
+            return None
+
+    def insert(
+        self, label: Hashable, entry: Tuple[array, array]
+    ) -> Tuple[array, array]:
+        """Store the tables a miss computed; returns the entry to use.
+
+        When another thread stored the label meanwhile, its entry wins
+        and is returned (both are identical by the immutable-graph
+        contract).
+        """
         with self._lock:
             winner = self._entries.get(label)
             if winner is not None:
-                # Another thread computed it meanwhile; keep theirs.
                 self._entries.move_to_end(label)
                 return winner
             self._entries[label] = entry

@@ -19,18 +19,24 @@ Building a context freezes the graph (``Graph.freeze()``): the first
 query on a graph pays the O(n + m) CSR snapshot build, later ones reuse
 the cached snapshot until a mutation drops it.  Every Dijkstra and the
 search loop itself run over that snapshot.
+
+The Dijkstras of labels the cache does not hold run round-robin, one
+bucket of each per round, so a covering tree with proven bounds exists
+long before the last of them ends (:mod:`repro.core.early`); the
+context keeps it as :attr:`QueryContext.early`.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError, InfeasibleQueryError
 from ..graph.graph import Graph
-from ..graph.shortest_paths import multi_source_dijkstra
+from ..graph.shortest_paths import DialSweep
 from .query import GSTQuery
+from .result import ProgressPoint
 
 __all__ = ["QueryContext"]
 
@@ -49,6 +55,7 @@ class QueryContext:
         "node_masks",
         "build_seconds",
         "snapshot",
+        "early",
     )
 
     def __init__(
@@ -66,7 +73,8 @@ class QueryContext:
         self.query = query
         self.groups = groups
         # One array('d') / array('i') per label, shared with the label
-        # cache: read them by index, never write to them.
+        # cache (during build, a running sweep's lists): read them by
+        # index, never write to them.
         self.dist = dist            # dist[i][v] = dist(v, ṽ_{p_i})
         self.parent = parent        # parent[i][v] = next hop toward V_{p_i}
         self.node_masks = node_masks  # query-label bitmask per node
@@ -74,10 +82,16 @@ class QueryContext:
         # The frozen CSRGraph the context was built on; the search loop
         # iterates its adjacency views.
         self.snapshot = snapshot
+        # The EarlyAnswer found while cold labels' Dijkstras ran, if any.
+        self.early = None
 
     @classmethod
     def build(
-        cls, graph: Graph, query: GSTQuery, cache=None
+        cls,
+        graph: Graph,
+        query: GSTQuery,
+        cache=None,
+        on_progress: Optional[Callable[[ProgressPoint], None]] = None,
     ) -> "QueryContext":
         """Run the ``k`` virtual-node Dijkstras (``O(k(m + n log n))``).
 
@@ -89,6 +103,14 @@ class QueryContext:
         would silently index the wrong nodes.  The graph is frozen on
         first use (cached thereafter) and the time counts towards
         ``build_seconds``.
+
+        The other labels' Dijkstras advance round-robin, one bucket
+        each per round, and each finished table goes into the cache.
+        After every round :class:`~repro.core.early.EarlyBounds` looks
+        for a covering tree and a lower bound; each improvement is
+        passed to ``on_progress`` as it is found, in seconds since this
+        call started, and the last is kept as :attr:`early`.  Once the
+        bounds are final the sweeps left run to their end one by one.
         """
         if cache is not None and cache.graph is not graph:
             raise ValueError(
@@ -98,30 +120,54 @@ class QueryContext:
         started = time.perf_counter()
         snapshot = graph.freeze()
         groups = query.groups(graph)
-        dist: List[array] = []
-        parent: List[array] = []
-        for label, members in zip(query.labels, groups):
-            if cache is not None:
-                d, p = cache.distances(label)
-            else:
-                d, p = multi_source_dijkstra(graph, members)
-            dist.append(d)
-            parent.append(p)
+        k = len(groups)
         node_masks = [0] * graph.num_nodes
         for i, members in enumerate(groups):
             bit = 1 << i
             for node in members:
                 node_masks[node] |= bit
-        return cls(
-            graph,
-            query,
-            groups,
-            dist,
-            parent,
-            node_masks,
-            time.perf_counter() - started,
-            snapshot,
+        dist: List = [None] * k
+        parent: List = [None] * k
+        sweeps: List[Optional[DialSweep]] = [None] * k
+        for i, (label, members) in enumerate(zip(query.labels, groups)):
+            entry = cache.lookup(label) if cache is not None else None
+            if entry is None:
+                sweep = sweeps[i] = DialSweep(snapshot, members)
+                entry = (sweep.dist, sweep.parent)
+            dist[i], parent[i] = entry
+        context = cls(
+            graph, query, groups, dist, parent, node_masks, 0.0, snapshot
         )
+        running = [i for i in range(k) if sweeps[i] is not None]
+        if running:
+            # Imported here: early.py builds trees with feasible.py,
+            # which imports this module.
+            from .early import EarlyBounds
+
+            bounds = EarlyBounds(context, sweeps, started, on_progress)
+            while running:
+                buckets: List[Sequence[int]] = [()] * k
+                for i in running:
+                    sweep = sweeps[i]
+                    if bounds.final:
+                        # Nothing left to learn: one sweep at a time
+                        # keeps the working set of one label hot.
+                        sweep.finish()
+                    else:
+                        buckets[i] = sweep.advance()
+                    if sweep.done:
+                        entry = sweep.tables()
+                        if cache is not None:
+                            entry = cache.insert(query.labels[i], entry)
+                        dist[i], parent[i] = entry
+                        # Its table is whole now, like a cached one;
+                        # dropping the sweep frees its working lists.
+                        sweeps[i] = None
+                running = [i for i in running if sweeps[i] is not None]
+                bounds.after_round(buckets)
+            context.early = bounds.answer()
+        context.build_seconds = time.perf_counter() - started
+        return context
 
     # ------------------------------------------------------------------
     @property

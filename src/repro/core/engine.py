@@ -34,6 +34,15 @@ events whose ``(best_weight, lower_bound)`` pairs are exactly the UB/LB
 curves of the paper's Figure 10, and every intermediate answer carries a
 sound approximation guarantee (monotone non-increasing ratio).
 
+A context whose labels were cold may bring an answer found while its
+Dijkstras ran (:attr:`QueryContext.early
+<repro.core.context.QueryContext.early>`).  The engine treats it as a
+floor: its stream continues from the context's reports, each point
+carries the lower UB and the higher LB of the engine's own state and
+the floor, and the result holds the better tree.  The search itself
+never reads the floor, so its pops, pruning and trees are those of a
+warm run.
+
 There is one search loop, :meth:`SearchEngine.run`.  It always runs over
 the frozen CSR snapshot that :meth:`QueryContext.build
 <repro.core.context.QueryContext.build>` takes from ``Graph.freeze()``,
@@ -47,10 +56,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..errors import CheckpointRangeError
 from ..graph.heap import IndexedHeap
 from .bounds import LowerBounds
 from .budget import Budget
 from .context import QueryContext
+from .early import EarlyAnswer
 from .feasible import (
     build_feasible_tree,
     kept_core_weight,
@@ -90,7 +101,7 @@ class SearchEngine:
         on_progress: Optional[Callable[[ProgressPoint], None]] = None,
         on_feasible: Optional[Callable[[SteinerTree], None]] = None,
         on_event: Optional[Callable[[str, dict], None]] = None,
-        init_seconds: float = 0.0,
+        init_seconds: Optional[float] = None,
         table_entries: int = 0,
     ) -> None:
         if merge_factor is not None and not 0.0 < merge_factor <= 1.0:
@@ -119,10 +130,17 @@ class SearchEngine:
         self.on_feasible = on_feasible
         self.on_event = on_event
 
+        # The clock starts ``init_seconds`` before run(); by default the
+        # context build's time, so the context's reports come first.
+        if init_seconds is None:
+            init_seconds = context.build_seconds
         self.stats = SearchStats(
             init_seconds=init_seconds, table_entries=table_entries
         )
-        self.trace: List[ProgressPoint] = []
+        self._floor: Optional[EarlyAnswer] = context.early
+        self.trace: List[ProgressPoint] = (
+            list(self._floor.points) if self._floor is not None else []
+        )
 
         # Queue and pending keys are packed ``node << k | mask`` ints.
         self._queue = IndexedHeap()
@@ -137,7 +155,6 @@ class SearchEngine:
         self._best = INF
         self._best_tree: Optional[SteinerTree] = None
         self._global_lb = 0.0
-        self._last_ratio_recorded = INF
         self._started = 0.0
         # Set by :meth:`restore`: skips seeding and offsets the clock so
         # elapsed time is cumulative across checkpoint/resume cycles.
@@ -182,21 +199,15 @@ class SearchEngine:
         """
         self._started = time.perf_counter() - self.stats.init_seconds
         self._emit("search_started", algorithm=self.algorithm_name)
+        floor = self._floor
+        if self.debug_certify and floor is not None:
+            self._certify(floor.tree, floor.weight, floor.lower_bound)
         if self.cancel_token is not None and self.cancel_token.cancelled:
             self.stats.cancelled = True
             self.stats.total_seconds = self._elapsed()
             self._record_progress(force=True)
             self._emit("search_cancelled", elapsed=self.stats.total_seconds)
-            return GSTResult(
-                algorithm=self.algorithm_name,
-                labels=self.context.query.labels,
-                tree=None,
-                weight=INF,
-                lower_bound=0.0,
-                optimal=False,
-                stats=self.stats,
-                trace=self.trace,
-            )
+            return self._result(False)
 
         context = self.context
         kb = context.k
@@ -409,19 +420,34 @@ class SearchEngine:
         self._track_peak()
         stats.total_seconds = self._elapsed()
         self._record_progress(force=True)
+        result = self._result(optimal)
         self._emit(
             "search_finished",
-            optimal=optimal,
+            optimal=result.optimal,
             elapsed=stats.total_seconds,
             states_popped=stats.states_popped,
-            best_weight=self._best,
+            best_weight=result.weight,
         )
+        return result
+
+    def _result(self, optimal: bool) -> GSTResult:
+        """The answer at exit: the engine's tree, or the floor's if lighter."""
+        tree, weight = self._best_tree, self._best
+        lower = weight if optimal else min(self._global_lb, weight)
+        floor = self._floor
+        if floor is not None and not optimal:
+            if floor.weight < weight - _COST_EPS:
+                tree, weight = floor.tree, floor.weight
+            lower = min(max(lower, floor.lower_bound), weight)
+            optimal = weight < INF and lower >= weight - _COST_EPS
+            if optimal:
+                lower = weight
         return GSTResult(
             algorithm=self.algorithm_name,
             labels=self.context.query.labels,
-            tree=self._best_tree,
-            weight=self._best,
-            lower_bound=self._best if optimal else min(self._global_lb, self._best),
+            tree=tree,
+            weight=weight,
+            lower_bound=lower,
             optimal=optimal,
             stats=self.stats,
             trace=self.trace,
@@ -452,12 +478,7 @@ class SearchEngine:
             [(node << kb) | mask, cost, list(bp)]
             for node, mask, cost, bp in self._store.items()
         ]
-        best_tree = None
-        if self._best_tree is not None:
-            best_tree = {
-                "edges": [[u, v, w] for u, v, w in self._best_tree.edges],
-                "nodes": sorted(self._best_tree.nodes),
-            }
+        floor = self._floor
         stats = self.stats
         return {
             "key_bits": kb,
@@ -465,8 +486,13 @@ class SearchEngine:
             "epsilon": self.epsilon,
             "elapsed": self._elapsed(),
             "best_weight": self._best,
-            "best_tree": best_tree,
+            "best_tree": _tree_record(self._best_tree),
             "global_lb": self._global_lb,
+            "floor": None if floor is None else {
+                "weight": floor.weight,
+                "lower_bound": floor.lower_bound,
+                "tree": _tree_record(floor.tree),
+            },
             "queue": queue,
             "pending": pending,
             "settled": settled,
@@ -490,12 +516,15 @@ class SearchEngine:
     def restore(self, state: dict) -> None:
         """Rehydrate a :meth:`checkpoint` dict; call before :meth:`run`.
 
-        Rebuilds the queue, pending map, settled store, incumbent, and
-        lower bound, and marks the engine restored so :meth:`run` skips
-        seeding and continues the clock and counters cumulatively.  The
-        caller (:mod:`repro.service.durability`) is responsible for
-        binding the checkpoint to the right graph/query — this method
-        only validates the mask width.
+        Rebuilds the queue, pending map, settled store, incumbent, lower
+        bound and floor, and marks the engine restored so :meth:`run`
+        skips seeding and continues the clock and counters cumulatively.
+        The context's own early answer is dropped: the stream goes on
+        from the checkpointed floor, with no new preprocessing point.
+        The caller (:mod:`repro.service.durability`) is responsible for
+        binding the checkpoint to the right graph/query.  This method
+        checks the mask width (``ValueError``), and every node id and
+        mask against the graph (:class:`~repro.errors.CheckpointRangeError`).
         """
         kb = int(state["key_bits"])
         if kb != self.context.k:
@@ -504,21 +533,30 @@ class SearchEngine:
                 f"has k={self.context.k} labels"
             )
         mask_filter = (1 << kb) - 1
+        check = _RangeCheck(self.context.graph.num_nodes, kb)
         for packed, cost, bp in state["settled"]:
+            check.key(packed, bp)
             self._store.settle(
                 packed >> kb, packed & mask_filter, cost, tuple(bp)
             )
         for packed, cost, bp in state["pending"]:
+            check.key(packed, bp)
             self._pending[packed] = (cost, tuple(bp))
         for packed, f_value in state["queue"]:
+            check.key(packed)
             self._queue.update(packed, f_value)
         self._best = float(state["best_weight"])
-        tree = state.get("best_tree")
-        if tree is not None:
-            self._best_tree = SteinerTree(
-                ((u, v, w) for u, v, w in tree["edges"]), nodes=tree["nodes"]
-            )
+        self._best_tree = check.tree(state.get("best_tree"))
         self._global_lb = float(state["global_lb"])
+        floor = state.get("floor")
+        self._floor = None
+        if floor is not None:
+            self._floor = EarlyAnswer(
+                check.tree(floor["tree"]),
+                float(floor["weight"]),
+                float(floor["lower_bound"]),
+            )
+        self.trace = []
         self._elapsed_offset = float(state.get("elapsed", 0.0))
         counters = state.get("stats", {})
         stats = self.stats
@@ -685,30 +723,29 @@ class SearchEngine:
 
     def _certify_incumbent(self) -> None:
         """``debug_certify`` hook: independently re-validate the incumbent."""
+        self._certify(self._best_tree, self._best, min(self._global_lb, self._best))
+
+    def _certify(self, tree, weight: float, lower_bound: float) -> None:
         from ..verify.certify import certify_incumbent
 
         certify_incumbent(
-            self.context.graph,
-            self.context.query.labels,
-            self._best_tree,
-            self._best,
-            min(self._global_lb, self._best),
+            self.context.graph, self.context.query.labels, tree, weight, lower_bound
         )
 
     def _record_progress(self, force: bool = False) -> None:
+        best = self._best
+        lower = min(self._global_lb, best)
+        floor = self._floor
+        if floor is not None:
+            if floor.weight < best:
+                best = floor.weight
+            if floor.lower_bound > lower:
+                lower = floor.lower_bound
         point = ProgressPoint(
-            elapsed=self._elapsed(),
-            best_weight=self._best,
-            lower_bound=min(self._global_lb, self._best),
+            elapsed=self._elapsed(), best_weight=best, lower_bound=lower
         )
-        ratio = point.ratio
-        if not force and self.trace:
-            last = self.trace[-1]
-            improved_best = point.best_weight < last.best_weight - _COST_EPS
-            improved_ratio = ratio < self._last_ratio_recorded * 0.999
-            if not improved_best and not improved_ratio:
-                return
-        self._last_ratio_recorded = ratio
+        if not force and self.trace and not point.improves_on(self.trace[-1]):
+            return
         self.trace.append(point)
         if self.on_progress is not None:
             self.on_progress(point)
@@ -773,3 +810,59 @@ class SearchEngine:
             self.stats.peak_queue_size = len(self._queue)
         if len(self._store) > self.stats.peak_store_size:
             self.stats.peak_store_size = len(self._store)
+
+
+def _tree_record(tree: Optional[SteinerTree]) -> Optional[dict]:
+    """A tree as a checkpoint stores it."""
+    if tree is None:
+        return None
+    return {
+        "edges": [[u, v, w] for u, v, w in tree.edges],
+        "nodes": sorted(tree.nodes),
+    }
+
+
+class _RangeCheck:
+    """Rejects checkpoint rows that name a node or mask outside the query."""
+
+    def __init__(self, num_nodes: int, key_bits: int) -> None:
+        self.key_bits = key_bits
+        self.nodes = range(num_nodes)
+        self.masks = range(1, 1 << key_bits)
+        # The ids each backpointer kind's integer fields take.
+        self.fields = {
+            "seed": (range(key_bits),),
+            "grow": (self.nodes,),
+            "merge": (self.masks, self.masks),
+        }
+
+    @staticmethod
+    def _within(value: int, allowed: range, what: str) -> None:
+        if value not in allowed:
+            raise CheckpointRangeError(
+                f"checkpoint names {what} {value}, outside "
+                f"{allowed.start}..{allowed.stop - 1}"
+            )
+
+    def key(self, packed: int, backpointer=None) -> None:
+        """A packed ``node << k | mask`` key and its backpointer."""
+        self._within(packed >> self.key_bits, self.nodes, "node")
+        mask = packed & ((1 << self.key_bits) - 1)
+        self._within(mask, self.masks, "label mask")
+        if backpointer is not None:
+            kind, *values = backpointer
+            for value, allowed in zip(values, self.fields.get(kind, ())):
+                self._within(value, allowed, f"{kind} field")
+
+    def tree(self, record: Optional[dict]) -> Optional[SteinerTree]:
+        """A checkpointed tree, its nodes checked against the graph."""
+        if record is None:
+            return None
+        for node in record["nodes"]:
+            self._within(node, self.nodes, "node")
+        for u, v, _ in record["edges"]:
+            self._within(u, self.nodes, "node")
+            self._within(v, self.nodes, "node")
+        return SteinerTree(
+            ((u, v, w) for u, v, w in record["edges"]), nodes=record["nodes"]
+        )

@@ -20,6 +20,11 @@ INF = float("inf")
 # into a false optimality certificate.
 _BOUND_TOL = 1e-9
 
+# The progress filter: a report is kept when it lowers the upper bound
+# by more than _UB_STEP, or improves the ratio by more than 0.1%.
+_UB_STEP = 1e-12
+_RATIO_STEP = 0.999
+
 
 def _clamped_lower_bound(lower_bound: float, weight: float) -> float:
     """``lower_bound`` made sound against ``weight`` (never crossing it)."""
@@ -67,6 +72,17 @@ class ProgressPoint:
         if self.lower_bound <= 0.0:
             return INF if self.best_weight > 0.0 else 1.0
         return max(1.0, self.best_weight / self.lower_bound)
+
+    def improves_on(self, last: "ProgressPoint") -> bool:
+        """Whether this point is worth reporting after ``last``.
+
+        Every progress stream applies this filter: each report lowers
+        the upper bound or tightens the ratio by more than 0.1%.
+        """
+        return (
+            self.best_weight < last.best_weight - _UB_STEP
+            or self.ratio < last.ratio * _RATIO_STEP
+        )
 
 
 @dataclass

@@ -32,6 +32,7 @@ __all__ = [
     "ShmLayoutError",
     "StoreError",
     "StoreCorruptError",
+    "CheckpointRangeError",
     "StoreVersionError",
     "StoreFingerprintError",
 ]
@@ -231,6 +232,16 @@ class StoreError(ReproError):
 
 class StoreCorruptError(StoreError):
     """A store file is truncated, checksum-mismatched, or malformed."""
+
+
+class CheckpointRangeError(StoreCorruptError):
+    """A checkpoint names a node or label mask outside its graph or query.
+
+    Raised by :meth:`SearchEngine.restore
+    <repro.core.engine.SearchEngine.restore>`, which knows the graph's
+    size; a resume path falls back to a cold solve, like any other
+    unusable checkpoint.
+    """
 
 
 class StoreVersionError(StoreError):

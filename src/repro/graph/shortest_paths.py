@@ -28,6 +28,12 @@ with D the largest finite distance, plus one rescan per re-queue.  The
 tests compare distances and parent trees with a plain binary-heap
 Dijkstra and with networkx.
 
+The kernel is resumable: :class:`DialSweep` stops after any bucket,
+and :func:`multi_source_dijkstra_csr` runs one to its end.  Query
+preprocessing advances the sweeps of several labels round-robin, a
+bucket each, and reads what they have settled in between
+(:mod:`repro.core.early`); each table is the same either way.
+
 Tables
 ------
 Every function returns ``(dist, parent)`` as ``array('d')`` and
@@ -49,6 +55,7 @@ from .csr import CSRGraph
 from .graph import Graph
 
 __all__ = [
+    "DialSweep",
     "dijkstra",
     "dijkstra_csr",
     "multi_source_dijkstra",
@@ -128,21 +135,86 @@ def multi_source_dijkstra_csr(
     """Multi-source Dijkstra over the frozen snapshot (see module docstring).
 
     Returns ``(dist, parent)`` as ``array('d')`` and ``array('i')``.
+    Runs a :class:`DialSweep` to its end, or, with ``targets``, to the
+    end of the bucket in which the last target settled.
     """
-    n = csr.num_nodes
-    _check_nodes(sources, n, "source")
-    remaining = None
-    if targets is not None:
+    sweep = DialSweep(csr, sources)
+    if targets is None:
+        sweep.finish()
+    else:
         remaining = set(targets)
-        _check_nodes(remaining, n, "target")
+        _check_nodes(remaining, csr.num_nodes, "target")
+        # A bucket's queue entries are the nodes it settled, plus stale
+        # entries of nodes an earlier bucket already settled.
+        while not sweep.done:
+            remaining.difference_update(sweep.advance())
+            if not remaining:
+                break
+    return sweep.tables()
 
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-1] * n
+
+class DialSweep:
+    """One multi-source Dijkstra that stops after any bucket.
+
+    :meth:`advance` processes one bucket of the queue (see the module
+    docstring) and :meth:`finish` processes the rest.  ``dist`` and
+    ``parent`` are the kernel's working lists; read them, never write
+    to them.  After each bucket every node closer to the sources than
+    :attr:`radius` is *settled*: its entries are final, and so is every
+    entry on its parent walk, since a node's parent settled no later,
+    at the distance the node's final entry was relaxed from.
+    Every other node is at least ``radius`` away.  ``radius`` is the
+    lower edge of the next bucket, and ``inf`` once the queue is empty.
+    :meth:`tables` packs the lists exactly as
+    :func:`multi_source_dijkstra_csr` returns them.
+    """
+
+    __slots__ = ("dist", "parent", "radius", "_rounds")
+
+    def __init__(self, csr: CSRGraph, sources: Sequence[int]) -> None:
+        n = csr.num_nodes
+        _check_nodes(sources, n, "source")
+        self.dist: List[float] = [INF] * n
+        self.parent: List[int] = [-1] * n
+        self.radius = 0.0
+        self._rounds = _bucket_rounds(
+            csr.adjacency, csr.bucket_width, sources, self.dist, self.parent
+        )
+
+    @property
+    def done(self) -> bool:
+        return self.radius == INF
+
+    def advance(self) -> List[int]:
+        """Process one bucket; returns its queue entries (``[]`` when done)."""
+        bucket, self.radius = next(self._rounds, ([], INF))
+        return bucket
+
+    def finish(self) -> None:
+        """Process every bucket left."""
+        for _ in self._rounds:
+            pass
+        self.radius = INF
+
+    def tables(self) -> Tuple[array, array]:
+        """``(dist, parent)`` as ``array('d')`` and ``array('i')``."""
+        return _packed("d", self.dist), _packed("i", self.parent)
+
+
+def _bucket_rounds(
+    adjacency, width: float, sources: Sequence[int], dist: List[float],
+    parent: List[int],
+):
+    """The kernel: yields ``(bucket, radius)`` after each bucket it processes.
+
+    ``bucket`` is the list of queue entries it went through and
+    ``radius`` the lower edge of the next bucket (``inf`` when none is
+    left).
+    """
+    n = len(dist)
     # The distance each node's arcs were last relaxed from: a queue entry
     # whose node already went out at its current distance is stale.
     scanned: List[float] = [-1.0] * n
-    adjacency = csr.adjacency
-    width = csr.bucket_width
 
     seeds: List[int] = []
     for source in sources:
@@ -157,13 +229,12 @@ def multi_source_dijkstra_csr(
         # A relaxation into this bucket appends to the list being
         # iterated; Python's list iterator picks the new entries up, so
         # re-queued nodes go out again within this round.
-        for u in buckets[i]:
+        bucket = buckets[i]
+        for u in bucket:
             d = dist[u]
             if d == scanned[u]:
                 continue
             scanned[u] = d
-            if remaining is not None:
-                remaining.discard(u)
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
@@ -175,10 +246,8 @@ def multi_source_dijkstra_csr(
                         num_buckets += 1
                     buckets[b].append(v)
         buckets[i] = ()  # release settled bucket memory early
-        if remaining is not None and not remaining:
-            break
         i += 1
-    return _packed("d", dist), _packed("i", parent)
+        yield bucket, (i * width if i < num_buckets else INF)
 
 
 def _packed(typecode: str, values: List) -> array:

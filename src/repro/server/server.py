@@ -19,10 +19,15 @@ there, then looked up in the result cache there too
 a hit is answered on the loop at once, with no task, no cancellation
 token, no in-flight slot and no thread hop, and it has no ``PROGRESS``
 frames.  Only a miss becomes a task, and its solve runs on the
-executor's worker threads.  The engine's ``on_progress`` callback
-fires on a worker thread and appends the point to its query's pending
-list; only a point that finds that list empty bridges into the loop,
-with ``loop.call_soon_threadsafe`` — the only thread-crossing point.
+executor's worker threads.  The solver's ``on_progress`` callback
+fires on a worker thread — for a query with cold labels already
+during its context build, while the label Dijkstras run, so its stream
+starts before the build ends and differs from a warm query's — and
+appends the point to its query's pending list; only a point that
+finds that list empty bridges into the loop, with
+``loop.call_soon_threadsafe`` — the only thread-crossing point.  The
+frame leaves when the loop next holds the GIL, which the worker thread
+gives up at the interpreter's switch interval.
 So a burst of points costs one wakeup: the loop callback takes the
 whole list, encodes one ``PROGRESS`` frame per point, and writes them
 with one ``writer.write``.  ``call_soon_threadsafe`` is FIFO, and the
@@ -156,6 +161,8 @@ class _Connection:
         self.inflight: Dict[Any, CancellationToken] = {}
         self.tasks: Set[asyncio.Task] = set()
         self.closing = False
+        # The task running _handle_connection for this connection.
+        self.handler = asyncio.current_task()
 
     def send(self, frame_bytes: bytes) -> None:
         """Queue one whole frame (event-loop thread only)."""
@@ -301,7 +308,8 @@ class GSTServer:
            configured) their best anytime answers, which are still
            delivered as ``RESULT status="cancelled"`` frames.
         3. Shut the executor down (``wait=True``), which flushes and
-           closes its attached trace sink, then close the connections.
+           closes its attached trace sink, then close the connections
+           and wait for their handlers to finish.
 
         Idempotent; safe to call while queries are mid-flight.
         """
@@ -327,9 +335,15 @@ class GSTServer:
         await asyncio.get_running_loop().run_in_executor(
             None, self.executor.shutdown
         )
-        for conn in list(self._connections):
+        connections = list(self._connections)
+        for conn in connections:
             conn.closing = True
             conn.writer.close()
+        # Each handler sees its reader end, runs its cleanup and counts
+        # the connection closed before drain() returns.
+        await asyncio.gather(
+            *(conn.handler for conn in connections), return_exceptions=True
+        )
         if self._metrics_server is not None:
             # The exposition dies last so a scraper can watch the drain
             # itself; it goes down with the connections.

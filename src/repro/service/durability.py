@@ -32,6 +32,7 @@ the ``execute`` callable of its
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -156,8 +157,11 @@ def read_checkpoint(
     too: the meta's ``algorithm`` (a string) and ``labels`` (a list of
     strings or integers), and every key
     :meth:`SearchEngine.restore <repro.core.engine.SearchEngine.restore>`
-    reads from the state.  Callers catch
-    :class:`~repro.errors.StoreError` and fall back to a cold solve.
+    reads from the state, down to each backpointer's kind and fields.
+    Node ids and masks are checked against the graph by ``restore``,
+    which raises :class:`~repro.errors.CheckpointRangeError`.  Callers
+    catch :class:`~repro.errors.StoreError` and fall back to a cold
+    solve.
     """
     what = f"checkpoint {path!r}"
     try:
@@ -219,14 +223,28 @@ def _check_meta(meta: dict, what: str) -> None:
         )
 
 
+def _check_backpointer(bp) -> bool:
+    """``["seed", label]``, ``["grow", node, weight]`` or ``["merge", mask, mask]``."""
+    if not isinstance(bp, list) or not bp:
+        return False
+    kind, fields = bp[0], bp[1:]
+    if kind == "seed":
+        return len(fields) == 1 and _is_int(fields[0])
+    if kind == "grow":
+        return len(fields) == 2 and _is_int(fields[0]) and _is_number(fields[1])
+    if kind == "merge":
+        return len(fields) == 2 and all(_is_int(field) for field in fields)
+    return False
+
+
 def _check_rows(rows, width: int) -> bool:
-    """``[[packed key, number, (backpointer list)], ...]`` rows."""
+    """``[[packed key, number, (backpointer)], ...]`` rows."""
     return isinstance(rows, list) and all(
         isinstance(row, list)
         and len(row) == width
         and _is_int(row[0])
         and _is_number(row[1])
-        and (width == 2 or isinstance(row[2], list))
+        and (width == 2 or _check_backpointer(row[2]))
         for row in rows
     )
 
@@ -254,6 +272,19 @@ def _check_tree(tree) -> bool:
     )
 
 
+def _check_floor(floor) -> bool:
+    """A ``floor`` record: ``None``, or two bounds and a tree."""
+    if floor is None:
+        return True
+    return (
+        isinstance(floor, dict)
+        and _is_number(floor.get("weight"))
+        and _is_number(floor.get("lower_bound"))
+        and floor.get("tree") is not None
+        and _check_tree(floor.get("tree"))
+    )
+
+
 def _check_state(state, num_labels: int, what: str) -> None:
     """The keys :meth:`SearchEngine.restore` reads, with their types."""
     if not isinstance(state, dict):
@@ -275,12 +306,14 @@ def _check_state(state, num_labels: int, what: str) -> None:
         problem = "'queue', 'pending' or 'settled' is not a list of rows"
     elif not _check_tree(state.get("best_tree")):
         problem = "'best_tree' is not null or a tree record"
+    elif not _check_floor(state.get("floor")):
+        problem = "'floor' is not null or two bounds and a tree"
     else:
         stats = state.get("stats", {})
         if not isinstance(stats, dict) or not all(
-            _is_number(value) for value in stats.values()
+            _is_number(value) and math.isfinite(value) for value in stats.values()
         ):
-            problem = "'stats' is not an object of numbers"
+            problem = "'stats' is not an object of finite numbers"
     if problem is not None:
         raise StoreCorruptError(f"{what}: malformed state record: {problem}")
 
@@ -393,9 +426,10 @@ def checkpointed_execute(
     If ``checkpoint_dir`` holds a valid checkpoint for this (graph,
     labels) pair the search resumes from it — under the *checkpoint's*
     algorithm, whose bounds the stored f-values embed — and the trace
-    records ``resumed_from``.  An unreadable checkpoint (truncated,
-    CRC-flipped, version-skewed, or fingerprint-mismatched) is removed
-    and the query falls back to a cold solve.  Checkpoints are written
+    records ``resumed_from``.  An unusable checkpoint (truncated,
+    CRC-flipped, version-skewed, fingerprint-mismatched, or naming a
+    node or mask outside the graph) is removed and the query falls back
+    to a cold solve.  Checkpoints are written
     on the policy's cadence and on cancellation; a run that finishes
     with *proven optimality* discards its checkpoint (anytime exits
     keep it, so the query can later be resumed to optimality).
@@ -405,24 +439,49 @@ def checkpointed_execute(
     os.makedirs(checkpoint_dir, exist_ok=True)
     fingerprint = index.snapshot.fingerprint
     path = checkpoint_path(checkpoint_dir, fingerprint, labels)
-    restore_state: Optional[dict] = None
-    resumed_from: Optional[str] = None
+    run = dict(
+        budget=budget,
+        query_id=query_id,
+        path=path,
+        fingerprint=fingerprint,
+        policy=policy,
+        on_write=on_write,
+        use_result_cache=use_result_cache,
+        **solver_kwargs,
+    )
     if os.path.exists(path):
         try:
-            meta, restore_state = read_checkpoint(
-                path, expect_fingerprint=fingerprint
-            )
-            algorithm = meta["algorithm"]
-            resumed_from = path
+            meta, state = read_checkpoint(path, expect_fingerprint=fingerprint)
         except StoreError:
-            # Fail closed, solve cold: the broken file is removed so the
-            # next checkpoint write starts from a clean slate.
-            restore_state = None
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            state = None
+        if state is not None:
+            outcome = _execute(index, labels, meta["algorithm"], state, **run)
+            # A row naming a node or mask outside the graph surfaces
+            # from the engine's restore; any other outcome stands.
+            if not isinstance(outcome.error, StoreError):
+                return outcome
+        # Fail closed, solve cold: the broken file is removed so the
+        # next checkpoint write starts from a clean slate.
+        _remove(path)
+    return _execute(index, labels, algorithm, None, **run)
 
+
+def _execute(
+    index: GraphIndex,
+    labels: Tuple[Hashable, ...],
+    algorithm: str,
+    restore_state: Optional[dict],
+    *,
+    budget: Optional[Budget],
+    query_id,
+    path: str,
+    fingerprint: str,
+    policy: "WorkerPolicy",
+    on_write: Optional[Callable[[Checkpointer], None]],
+    use_result_cache: bool,
+    **solver_kwargs,
+) -> QueryOutcome:
+    """One checkpointed solve: cold, or resumed from ``restore_state``."""
     key = _progressive_key(index, algorithm, labels)
     kwargs = dict(solver_kwargs)
     checkpointer: Optional[Checkpointer] = None
@@ -454,12 +513,19 @@ def checkpointed_execute(
         use_result_cache=use_result_cache and restore_state is None,
         **kwargs,
     )
-    outcome.trace.resumed_from = resumed_from
+    outcome.trace.resumed_from = path if restore_state is not None else None
     if checkpointer is not None:
         outcome.trace.checkpoints = checkpointer.written
         if outcome.ok and outcome.result is not None and outcome.result.optimal:
             checkpointer.discard()
     return outcome
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def resume_query(
@@ -475,9 +541,10 @@ def resume_query(
 
     Reads the checkpoint (raising the typed
     :class:`~repro.errors.StoreError` subclasses on corruption, version
-    skew, or a graph mismatch — resuming against the wrong graph is the
-    one failure this layer must never paper over), then continues the
-    search under the checkpoint's own algorithm and label set.  The
+    skew, a graph mismatch, or a row naming a node or mask outside the
+    graph — resuming against the wrong graph is the one failure this
+    layer must never paper over), then continues the search under the
+    checkpoint's own algorithm and label set.  The
     default budget is unlimited: the point of resuming is to push an
     interrupted anytime answer to proven optimality.  The checkpoint is
     discarded on a proven-optimal finish and refreshed otherwise.
@@ -504,6 +571,8 @@ def resume_query(
         restore_state=state,
         **solver_kwargs,
     )
+    if isinstance(outcome.error, StoreError):
+        raise outcome.error
     outcome.trace.resumed_from = path
     outcome.trace.checkpoints = checkpointer.written
     if outcome.ok and outcome.result is not None and outcome.result.optimal:

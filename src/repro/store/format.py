@@ -189,5 +189,6 @@ def pack_json(record: Any) -> bytes:
 def unpack_json(payload: bytes, *, what: str = "store file") -> Any:
     try:
         return json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the parser recurses.
         raise StoreCorruptError(f"{what}: malformed JSON record: {exc}") from None

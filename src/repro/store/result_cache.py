@@ -139,7 +139,9 @@ class CachedAnswer:
                 ),
                 created=float(record["created"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: JSON numbers past a float (10**400) or an
+            # integer node id of 1e400, which parses as infinity.
             raise StoreCorruptError(
                 f"{what}: malformed cached-answer record: {exc!r}"
             ) from None

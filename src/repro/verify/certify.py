@@ -104,7 +104,8 @@ def certify_result(
       cancelled, the exit guarantee ``weight ≤ (1+ε)·lower_bound``
       actually holds (``optimal`` answers satisfy it trivially);
     * **trace** — progress reports never cross (``LB ≤ UB``), the UB
-      curve is non-increasing, timestamps are non-decreasing, and the
+      curve is non-increasing and the LB curve non-decreasing, no LB
+      exceeds a proven optimum, timestamps are non-decreasing, and the
       final report matches the result;
     * **optimum** — when ``expected_weight`` (an independent reference,
       e.g. brute force) is given: never better than it, and equal to it
@@ -191,14 +192,33 @@ def certify_result(
 
 
 def _certify_trace(cert: Certificate, result: GSTResult) -> None:
-    """The monotone non-crossing invariants of the progressive contract."""
+    """The monotone non-crossing invariants of the progressive contract.
+
+    A lower bound may never fall, and none may exceed a proven optimum:
+    a bound that stays under its own upper bound can still be unsound.
+    """
     previous_ub = INF
+    previous_lb = 0.0
     previous_elapsed = -INF
     for i, point in enumerate(result.trace):
         if point.lower_bound > point.best_weight + _tol(point.best_weight):
             cert.violations.append(
                 f"trace[{i}]: lower_bound={point.lower_bound!r} crosses "
                 f"best_weight={point.best_weight!r}"
+            )
+            return
+        if point.lower_bound < previous_lb - _tol(previous_lb):
+            cert.violations.append(
+                f"trace[{i}]: lower_bound={point.lower_bound!r} fell "
+                f"from {previous_lb!r}"
+            )
+            return
+        if result.optimal and point.lower_bound > result.weight + _tol(
+            result.weight
+        ):
+            cert.violations.append(
+                f"trace[{i}]: lower_bound={point.lower_bound!r} exceeds "
+                f"the proven optimum {result.weight!r}"
             )
             return
         if point.best_weight > previous_ub + _tol(previous_ub):
@@ -213,6 +233,7 @@ def _certify_trace(cert: Certificate, result: GSTResult) -> None:
             )
             return
         previous_ub = point.best_weight
+        previous_lb = point.lower_bound
         previous_elapsed = point.elapsed
     if result.trace:
         final = result.trace[-1]

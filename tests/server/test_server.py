@@ -128,6 +128,18 @@ def graph():
     )
 
 
+def _assert_early_answer(frame):
+    """A cold query cancelled before its search popped a state.
+
+    Its anytime answer is the tree its label Dijkstras found, sent as a
+    RESULT with ``status="cancelled"``.
+    """
+    assert frame["type"] == "result", frame
+    assert frame["status"] == "cancelled"
+    assert frame["tree"] is not None
+    assert frame["stats"]["states_popped"] == 0
+
+
 @pytest.fixture
 def hanging_pruneddp(monkeypatch):
     """Swap pruneddp++ for a solver that wedges until cancelled."""
@@ -144,6 +156,22 @@ def hanging_pruneddp(monkeypatch):
 
 
 class TestStreaming:
+    def test_cold_query_streams_before_its_context_is_built(
+        self, graph, tmp_path
+    ):
+        """A cold query's first PROGRESS comes from its label Dijkstras,
+        so it was made before the context build (init_seconds) ended."""
+        traces = str(tmp_path / "traces.jsonl")
+        with ServerHarness(graph, trace_sink=traces) as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                updates = list(client.solve_stream(["q0", "q1", "q2", "q3"]))
+        with open(traces, encoding="utf-8") as handle:
+            (record,) = [json.loads(line) for line in handle]
+        first, final = updates[0], updates[-1]
+        assert not first.final and final.final
+        assert first.best_weight < float("inf")
+        assert first.elapsed < record["stats"]["init_seconds"]
+
     def test_progress_frames_before_result(self, graph):
         """The acceptance criterion: a query over real TCP yields >= 2
         PROGRESS frames with non-increasing UB/LB ratio, then RESULT."""
@@ -224,7 +252,12 @@ class TestProgressBursts:
         # The streamed (UB, LB) sequence of every query must equal its
         # in-process progress trace, with every PROGRESS before the
         # query's RESULT: a lost, duplicated or reordered point fails.
+        # A cold query's stream starts with the points its label
+        # Dijkstras report, so every label is cached first: the traces
+        # below and the served streams are then both warm.
         index = GraphIndex(graph)
+        for label in sorted({label for labels in STRESS_QUERIES for label in labels}):
+            index.cache.distances(label)
         expected = {
             labels: [
                 (point.best_weight, point.lower_bound)
@@ -313,9 +346,10 @@ class TestProgressBursts:
         harness_box: list = []
 
         class BlocksTheLoop(real):
-            def run_search(self, context, prepared=None):
-                # Occupy the loop before the first point, so every point
-                # of the search is pending when it next runs.
+            def build_context(self):
+                # Occupy the loop before the first point, which the cold
+                # label Dijkstras report, so every point of the solve is
+                # pending when it next runs.
                 loop_blocked = threading.Event()
 
                 def block() -> None:
@@ -324,6 +358,9 @@ class TestProgressBursts:
 
                 harness_box[0].loop.call_soon_threadsafe(block)
                 assert loop_blocked.wait(10)
+                return super().build_context()
+
+            def run_search(self, context, prepared=None):
                 try:
                     return super().run_search(context, prepared)
                 finally:
@@ -455,7 +492,7 @@ class TestErrors:
                 assert stats["server"]["queries_cancelled"] == 0
                 client.cancel(1)
                 frame = _terminal_frame(client, 1)
-        assert frame["code"] == "cancelled"
+        _assert_early_answer(frame)
 
     @pytest.mark.parametrize("algorithm", ["nope", 5])
     def test_bad_algorithm_is_bad_request(self, graph, algorithm):
@@ -493,9 +530,7 @@ class TestErrors:
                 assert overloaded["code"] == "overloaded"
                 # Unwedge query 1 so teardown is immediate.
                 client.cancel(1)
-                cancelled = _terminal_frame(client, 1)
-                assert cancelled["type"] == "error"
-                assert cancelled["code"] == "cancelled"
+                _assert_early_answer(_terminal_frame(client, 1))
 
 
 class TestCancellation:
@@ -524,13 +559,36 @@ class TestCancellation:
                 )
                 client.cancel(1)
                 frame = _terminal_frame(client, 1)
-        # The wedge was cancelled before any incumbent existed, so the
-        # terminal frame is a typed cancellation error.
-        assert frame["type"] == "error"
-        assert frame["code"] == "cancelled"
+        # The wedge was cancelled before the search found an incumbent:
+        # the answer is the tree the cold label Dijkstras found.
+        _assert_early_answer(frame)
 
 
 class TestDrain:
+    def test_drain_waits_for_idle_connection_handlers(self, graph, caplog):
+        """drain() returns after every connection handler has finished."""
+
+        async def scenario():
+            server = GSTServer(graph)
+            await server.start()
+            client = await AsyncGSTClient.connect("127.0.0.1", server.port)
+            await server.drain()
+            closed = server.stats.connections_closed
+            # Exit right away, as a caller that drains and returns does:
+            # asyncio.run's teardown cancels, and logs, any handler still
+            # running.  The client's socket closes in that teardown too.
+            client._writer.close()
+            return closed
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            closed = asyncio.run(scenario())
+        assert closed == 1
+        assert not [
+            record for record in caplog.records
+            if "CancelledError" in record.getMessage()
+            or (record.exc_info and record.exc_info[0] is asyncio.CancelledError)
+        ]
+
     def test_drain_rejects_new_queries_and_cancels_inflight(
         self, graph, hanging_pruneddp
     ):
@@ -553,8 +611,7 @@ class TestDrain:
         # the grace deadline instead of blocking the drain forever.
         assert frames[2]["type"] == "error"
         assert frames[2]["code"] == "draining"
-        assert frames[1]["type"] == "error"
-        assert frames[1]["code"] == "cancelled"
+        _assert_early_answer(frames[1])
 
     def test_drain_flushes_trace_sink(self, graph, tmp_path):
         traces = str(tmp_path / "traces.jsonl")
@@ -702,10 +759,14 @@ class TestResultCacheHits:
                 queued = depth.value()
                 client._send(query_frame("hit", labels, algorithm="pruneddp"))
                 frame = client._next_frame()
+                while frame["id"] == "wedge" and frame["type"] == "progress":
+                    # The wedge's cold label Dijkstras report before
+                    # its search wedges.
+                    frame = client._next_frame()
                 assert depth.value() == queued
                 assert harness.server.inflight_queries == 1
                 client.cancel("wedge")
-                assert _terminal_frame(client, "wedge")["code"] == "cancelled"
+                _assert_early_answer(_terminal_frame(client, "wedge"))
         # The first frame for the hit is its RESULT: no PROGRESS, and
         # no "overloaded" error though the one slot was taken.
         assert frame["type"] == "result" and frame["id"] == "hit"

@@ -31,8 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import GSTQuery, QueryContext, SearchEngine
 from repro.core.budget import Budget, CancellationToken
 from repro.errors import (
+    CheckpointRangeError,
     StoreCorruptError,
     StoreError,
     StoreFingerprintError,
@@ -148,6 +150,43 @@ class TestResumeEquivalence:
         )
 
 
+    def test_checkpoint_after_the_preprocessing_point(
+        self, graph, reference, tmp_path
+    ):
+        """A cold query checkpointed mid-search saves its early answer;
+        the resumed stream goes on monotone from it and reports no new
+        preprocessing point, though its labels are cold again."""
+        before, after = [], []
+        outcome = checkpointed_execute(
+            GraphIndex(graph),
+            LABELS,
+            algorithm="pruneddp++",
+            budget=Budget(max_states=150),
+            checkpoint_dir=str(tmp_path),
+            on_progress=before.append,
+        )
+        assert outcome.ok and not outcome.result.optimal
+        init = outcome.result.stats.init_seconds
+        assert before and before[0].elapsed < init  # made by the sweeps
+        path = checkpoint_path(
+            str(tmp_path), graph.freeze().fingerprint, LABELS
+        )
+        _, state = read_checkpoint(path)
+        assert state["floor"] is not None
+        resumed = resume_query(GraphIndex(graph), path, on_progress=after.append)
+        assert resumed.ok and resumed.result.optimal
+        assert resumed.result.weight == pytest.approx(reference.weight)
+        # The resumed clock goes on from the checkpoint's; a new
+        # preprocessing point would be stamped from zero.
+        assert after and all(p.elapsed >= state["elapsed"] for p in after)
+        stream = before + after
+        for earlier, later in zip(stream, stream[1:]):
+            assert later.best_weight <= earlier.best_weight + 1e-9
+            assert later.lower_bound >= earlier.lower_bound - 1e-9
+            assert later.ratio <= earlier.ratio + 1e-12
+        certify_result(graph, resumed.result).raise_if_failed()
+
+
 # ----------------------------------------------------------------------
 # Corruption: typed errors + cold-solve fallback
 # ----------------------------------------------------------------------
@@ -257,6 +296,25 @@ MALFORMED_RECORDS = {
 }
 
 
+def _bogus_backpointer(index, state):
+    state["pending"][0][2] = ["bogus", 1]
+
+
+def _node_past_graph(index, state):
+    key_bits = state["key_bits"]
+    packed = state["settled"][0][0]
+    mask = packed & ((1 << key_bits) - 1)
+    state["settled"][0][0] = (index.num_nodes << key_bits) | mask
+
+
+# Rows a reader cannot use: a backpointer of no known kind is caught by
+# read_checkpoint, a node past the graph by the engine's restore.
+UNUSABLE_ROWS = {
+    "bogus-backpointer": _bogus_backpointer,
+    "node-past-graph": _node_past_graph,
+}
+
+
 class TestMalformedRecords:
     @pytest.mark.parametrize("edit", sorted(MALFORMED_RECORDS))
     def test_resume_raises_typed(self, index, tmp_path, edit):
@@ -300,6 +358,15 @@ class TestMalformedRecords:
                 best_tree={"nodes": [0, 1], "edges": [[0, 1]]}
             ),
             lambda meta, state: state.update(stats={"states_popped": "x"}),
+            lambda meta, state: state.update(
+                stats={"states_popped": float("inf")}
+            ),
+            lambda meta, state: state["pending"][0].__setitem__(2, ["grow", 3]),
+            lambda meta, state: state["pending"][0].__setitem__(
+                2, ["merge", 1, "2"]
+            ),
+            lambda meta, state: state["pending"][0].__setitem__(2, []),
+            lambda meta, state: state.update(floor={"weight": 1.0}),
         ],
         ids=[
             "label-null", "algorithm-int", "key-bits-off-by-one",
@@ -307,7 +374,8 @@ class TestMalformedRecords:
             "elapsed-null", "queue-object", "queue-short-row",
             "settled-backpointer-int", "pending-string-key",
             "tree-without-nodes", "tree-edge-without-weight",
-            "stats-string",
+            "stats-string", "stats-infinite", "grow-without-weight",
+            "merge-string-mask", "empty-backpointer", "floor-without-tree",
         ],
     )
     def test_malformed_key_is_corrupt(self, index, tmp_path, edit):
@@ -315,6 +383,33 @@ class TestMalformedRecords:
         _rewrite(path, edit)
         with pytest.raises(StoreCorruptError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", sorted(UNUSABLE_ROWS))
+    def test_row_pointing_nowhere_fails_closed(self, index, tmp_path, kind):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, lambda meta, state: UNUSABLE_ROWS[kind](index, state))
+        with pytest.raises(StoreCorruptError):
+            resume_query(index, path)
+
+    @pytest.mark.parametrize("kind", sorted(UNUSABLE_ROWS))
+    def test_row_pointing_nowhere_solves_cold(
+        self, index, reference, tmp_path, kind
+    ):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, lambda meta, state: UNUSABLE_ROWS[kind](index, state))
+        outcome = checkpointed_execute(
+            index, LABELS, algorithm="pruneddp++", checkpoint_dir=str(tmp_path)
+        )
+        assert outcome.ok and outcome.result.optimal
+        assert outcome.trace.resumed_from is None
+        assert outcome.result.weight == pytest.approx(reference.weight)
+        assert not os.path.exists(path)
+
+    def test_node_past_the_graph_is_a_range_error(self, index, tmp_path):
+        path = _interrupt(index, tmp_path)
+        _rewrite(path, lambda meta, state: _node_past_graph(index, state))
+        with pytest.raises(CheckpointRangeError, match="node 400"):
+            resume_query(index, path)
 
     def test_integer_labels_are_kept(self, index, tmp_path):
         # checkpoint_meta documents strings or integers as labels.
@@ -364,7 +459,15 @@ def _edit_record(data, record, name):
             column = data.draw(
                 st.integers(0, len(value[row]) - 1), label="column"
             )
-            value[row][column] = data.draw(_JSON_VALUES, label="cell")
+            cell = value[row][column]
+            if isinstance(cell, list) and cell and data.draw(
+                st.booleans(), label="inside the cell"
+            ):
+                # A backpointer: retype one field, or add one.
+                field = data.draw(st.integers(0, len(cell)), label="field")
+                cell[field:field + 1] = [data.draw(_JSON_VALUES, label="field value")]
+            else:
+                value[row][column] = data.draw(_JSON_VALUES, label="cell")
         else:
             value[row] = data.draw(_JSON_VALUES, label="row value")
     elif data.draw(st.booleans(), label=f"{name}.{key} drop"):
@@ -375,10 +478,12 @@ def _edit_record(data, record, name):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_mutated_checkpoint_loads_or_raises_a_store_error(donor, data):
-    """Edit a real checkpoint's records (CRC-valid), then overwrite a few
-    of its bytes: ``read_checkpoint`` returns records its readers can use
-    or raises a ``StoreError``, never anything else."""
+def test_mutated_checkpoint_loads_or_raises_a_store_error(index, donor, data):
+    """Edit a real checkpoint's records (CRC-valid), backpointers
+    included, then overwrite a few of its bytes: ``read_checkpoint``
+    returns records the engine restores or rejects with a
+    ``StoreError``, or raises a ``StoreError`` itself; never anything
+    else."""
     meta, state = copy.deepcopy(donor)
     for _ in range(data.draw(st.integers(0, 3), label="record edits")):
         if data.draw(st.booleans(), label="edit meta"):
@@ -403,6 +508,14 @@ def test_mutated_checkpoint_loads_or_raises_a_store_error(donor, data):
             return
     assert isinstance(loaded_meta["algorithm"], str)
     assert loaded_state["key_bits"] == len(loaded_meta["labels"])
+    context = QueryContext.build(index.graph, GSTQuery(LABELS), cache=index.cache)
+    engine = SearchEngine(context, algorithm_name="fuzz")
+    if loaded_state["key_bits"] != context.k:
+        return
+    try:
+        engine.restore(loaded_state)
+    except StoreError:
+        pass
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,14 @@ from __future__ import annotations
 import pytest
 
 import repro.core.solver as solver_mod
-from repro.core import BasicSolver
+from repro.core import BasicSolver, GSTQuery, QueryContext
 from repro.core.budget import Budget, CancellationToken
 from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
 )
 from repro.graph import generators
+from repro.verify import certify_result
 from repro.service import (
     EPSILON_LADDER,
     AdmissionController,
@@ -69,7 +70,11 @@ class TestCancellation:
         result = BasicSolver(big_graph, HEAVY, budget=budget).solve()
         assert result.stats.cancelled
         assert result.stats.states_popped == 0
-        assert result.tree is None
+        # The anytime answer is the tree the cold label Dijkstras found.
+        early = QueryContext.build(big_graph, GSTQuery(HEAVY)).early
+        assert result.tree == early.tree
+        assert result.weight == early.weight
+        certify_result(big_graph, result).raise_if_failed()
 
     def test_midrun_cancel_stops_within_check_interval(self, big_graph):
         # Cancel at the first feasible answer: the engine must stop

@@ -14,6 +14,8 @@ import struct
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreCorruptError, StoreError, StoreVersionError
 from repro.store import format as store_format
@@ -198,6 +200,50 @@ class TestJsonPayload:
         with pytest.raises(StoreCorruptError, match="malformed JSON"):
             unpack_json(b"{not json")
 
+    def test_nesting_past_the_recursion_limit(self):
+        with pytest.raises(StoreCorruptError, match="malformed JSON"):
+            unpack_json(b"[" * 100000)
+
     def test_invalid_utf8(self):
         with pytest.raises(StoreCorruptError):
             unpack_json(b"\xff\xfe{}")
+
+
+# ----------------------------------------------------------------------
+# Fuzz: mutated containers read or raise a StoreError, nothing else.
+# ----------------------------------------------------------------------
+def _mutate(data, blob: bytearray, name: str) -> None:
+    """Overwrite, insert or delete a few bytes of ``blob`` in place."""
+    for _ in range(data.draw(st.integers(0, 4), label=f"{name} edits")):
+        edit = data.draw(st.sampled_from(["write", "insert", "delete"]))
+        at = data.draw(st.integers(0, len(blob)), label=f"{name} offset")
+        byte = data.draw(st.integers(0, 255), label=f"{name} byte")
+        if edit == "insert":
+            blob[at:at] = bytes([byte])
+        elif at < len(blob):
+            if edit == "write":
+                blob[at] = byte
+            else:
+                del blob[at]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payloads=st.lists(st.binary(max_size=24), max_size=4),
+    data=st.data(),
+)
+def test_mutated_container_reads_or_raises_a_store_error(payloads, data):
+    """A valid CRC container with bytes overwritten, inserted or deleted:
+    ``read_header`` and ``iter_records`` yield payloads or raise a
+    ``StoreError`` (never ``struct.error``, ``EOFError`` or
+    ``KeyError``), and the read ends."""
+    blob = bytearray(framed(*payloads).getvalue())
+    _mutate(data, blob, "container")
+    buf = io.BytesIO(bytes(blob))
+    try:
+        read_header(buf)
+        records = list(iter_records(buf))
+    except StoreError:
+        return
+    assert all(isinstance(record, bytes) for record in records)
+    assert len(records) <= len(blob) // 8

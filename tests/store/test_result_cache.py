@@ -13,11 +13,14 @@ import io
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GraphIndex, QueryExecutor, solve_gst
-from repro.errors import StoreCorruptError
+from repro.errors import StoreCorruptError, StoreError
 from repro.graph import generators
 from repro.store import result_cache
+from repro.store.format import pack_json, write_header, write_record
 from repro.store.result_cache import CachedAnswer, ResultCache, result_key
 
 
@@ -173,6 +176,32 @@ class TestRehydration:
             ResultCache().load_from(buf)
 
 
+@pytest.mark.parametrize(
+    "field, raw",
+    [("tree_nodes", "[1e400]"), ("weight", "1" + "0" * 400)],
+    ids=["node-id-infinite", "weight-past-a-float"],
+)
+def test_overflowing_number_is_corrupt(exact_result, field, raw):
+    record = CachedAnswer(
+        labels=("q0", "q1"),
+        algorithm="pruneddp++",
+        weight=exact_result.weight,
+        lower_bound=exact_result.weight,
+        optimal=True,
+        epsilon=0.0,
+        tree_nodes=tuple(exact_result.tree.nodes),
+        tree_edges=exact_result.tree.edges,
+        created=0.0,
+    ).to_record()
+    record[field] = "RAW"
+    buf = io.BytesIO()
+    write_header(buf)
+    write_record(buf, pack_json(record).replace(b'"RAW"', raw.encode()))
+    buf.seek(0)
+    with pytest.raises(StoreCorruptError, match="malformed cached-answer"):
+        ResultCache().load_from(buf)
+
+
 class TestPersistence:
     def test_round_trip(self, graph, exact_result):
         cache = ResultCache()
@@ -241,3 +270,58 @@ class TestPersistence:
         truncated = io.BytesIO(buf.getvalue()[:-5])
         with pytest.raises(StoreCorruptError):
             ResultCache().load_from(truncated)
+
+
+# ----------------------------------------------------------------------
+# Fuzz: mutated records load or raise a StoreError, nothing else.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def saved_records(graph, exact_result):
+    """The JSON payloads of a persisted cache: exact and loose entries."""
+    cache = ResultCache()
+    cache.put(["q0", "q1"], "pruneddp++", exact_result)
+    install(cache, loose_answer(exact_result, ["q2"], epsilon=0.25))
+    return [pack_json(entry.to_record()) for entry in cache.entries()]
+
+
+def _mutate(data, blob: bytearray, name: str) -> None:
+    """Overwrite, insert or delete a few bytes of ``blob`` in place."""
+    for _ in range(data.draw(st.integers(0, 4), label=f"{name} edits")):
+        edit = data.draw(st.sampled_from(["write", "insert", "delete"]))
+        at = data.draw(st.integers(0, len(blob)), label=f"{name} offset")
+        byte = data.draw(st.integers(0, 255), label=f"{name} byte")
+        if edit == "insert":
+            blob[at:at] = bytes([byte])
+        elif at < len(blob):
+            if edit == "write":
+                blob[at] = byte
+            else:
+                del blob[at]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_result_cache_loads_or_raises_a_store_error(saved_records, data):
+    """Mutate a persisted cache's JSON records byte by byte and frame
+    them with valid CRCs, then mutate the container too: ``load_from``
+    loads entries a lookup can serve or raises a ``StoreError`` (never
+    ``struct.error``, ``UnicodeDecodeError`` or ``KeyError``)."""
+    buf = io.BytesIO()
+    write_header(buf)
+    for payload in saved_records:
+        record = bytearray(payload)
+        _mutate(data, record, "record")
+        write_record(buf, bytes(record))
+    blob = bytearray(buf.getvalue())
+    if data.draw(st.booleans(), label="mutate the container"):
+        _mutate(data, blob, "container")
+    cache = ResultCache()
+    try:
+        count = cache.load_from(io.BytesIO(bytes(blob)))
+    except StoreError:
+        return
+    assert count == len(cache)
+    for entry in cache.entries():
+        assert entry.lower_bound <= entry.weight + 1e-9 * max(1.0, abs(entry.weight))
+        result = entry.to_result(entry.labels, "PrunedDP++")
+        assert result.tree is entry.tree

@@ -144,6 +144,40 @@ def test_trace_invariants_enforced(solved):
     assert any("final" in v for v in cert.violations)
 
 
+def test_falling_lower_bound_caught(solved):
+    # Every point keeps LB <= UB, but the bound falls: one of the two
+    # points was unsound.
+    graph, labels, result = solved
+    w = result.weight
+    fell = dataclasses.replace(
+        result,
+        trace=[
+            ProgressPoint(0.0, w * 1.5, w * 0.8),
+            ProgressPoint(0.1, w, w * 0.5),
+            ProgressPoint(0.2, w, w),
+        ],
+    )
+    cert = certify_result(graph, fell, labels=labels)
+    assert any("fell" in v for v in cert.violations), cert.violations
+
+
+def test_lower_bound_past_the_optimum_caught(solved):
+    # An early point below its own UB but above the proven optimum: a
+    # bound that overshoots f* without crossing its incumbent.
+    graph, labels, result = solved
+    assert result.optimal
+    w = result.weight
+    overshoot = dataclasses.replace(
+        result,
+        trace=[
+            ProgressPoint(0.0, w * 2.0, w * 1.1),
+            ProgressPoint(0.1, w, w),
+        ],
+    )
+    cert = certify_result(graph, overshoot, labels=labels)
+    assert any("proven optimum" in v for v in cert.violations), cert.violations
+
+
 def test_reference_optimum_checks(solved):
     graph, labels, result = solved
     better = certify_result(
