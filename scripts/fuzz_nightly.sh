@@ -34,11 +34,12 @@ python -m repro fuzz --seed "$((SEED + ROUNDS))" --rounds "$((ROUNDS / 4))" \
     --max-nodes "$MAX_NODES" --epsilon 0.5 --out "$OUT_DIR"
 
 echo "== parser properties (hypothesis seed $SEED) =="
-# The shared-memory segment, store-manifest, CRC container, result-cache
-# and checkpoint-record parsers under mutated bytes: each must load or
-# raise a typed ReproError.  Seeded from $SEED, so each night draws
-# fresh mutations.
+# The wire-frame decoder, shared-memory segment, store-manifest, CRC
+# container, result-cache and checkpoint-record parsers under mutated
+# bytes: each must load or raise a typed ReproError.  Seeded from $SEED,
+# so each night draws fresh mutations.
 python -m pytest -q -p no:cacheprovider --hypothesis-seed "$SEED" \
+    "tests/server/test_protocol.py::test_mutated_stream_decodes_or_raises_a_protocol_error" \
     "tests/graph/test_shm.py::test_mutated_header_and_metadata_load_the_donor_or_raise_typed" \
     "tests/store/test_manifest.py::test_every_manifest_edit_loads_or_raises_a_store_error" \
     "tests/store/test_format.py::test_mutated_container_reads_or_raises_a_store_error" \

@@ -25,6 +25,11 @@ hit: a lone ``RESULT`` with no ``PROGRESS`` frame, an answer that
 certifies, a trace line whose ``result_cache`` is ``"hit"``, and a
 drain that exits 0.
 
+The malformed leg first sends one frame the decoder cannot read (JSON
+nested past the recursion limit).  It must get ``ERROR
+code=protocol`` and a hang-up; a fresh connection must then be
+answered, and SIGTERM must still drain to exit 0.
+
 Exit code 0 on success, 1 with a diagnostic on any violation.
 """
 
@@ -34,12 +39,16 @@ import json
 import os
 import re
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
 import time
 
 QUERY = ["q0", "q1", "q2"]
+# A frame whose JSON nests past the recursion limit.
+MALFORMED = b"[" * 200_000
 
 
 class SmokeFailure(Exception):
@@ -51,10 +60,38 @@ def fail(message: str) -> int:
     return 1
 
 
-def stream(serve_args, traces):
-    """Launch ``serve``, stream QUERY, SIGTERM; the updates and traces."""
+def solve(port):
+    """Stream QUERY on a fresh connection; every update."""
     from repro.server import GSTClient
 
+    with GSTClient("127.0.0.1", port, timeout=60) as client:
+        return list(client.solve_stream(QUERY))
+
+
+def malformed_then_solve(port):
+    """Send MALFORMED, read to the hang-up, then :func:`solve`."""
+    from repro.server.protocol import FrameDecoder
+
+    decoder = FrameDecoder()
+    frames = []
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(struct.pack(">I", len(MALFORMED)) + MALFORMED)
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            frames.extend(decoder.feed(data))
+    seen = [(frame["type"], frame.get("code")) for frame in frames]
+    if seen != [("hello", None), ("error", "protocol")]:
+        raise SmokeFailure(
+            f"a malformed frame got {seen}, expected HELLO, then ERROR "
+            "code=protocol and a hang-up"
+        )
+    return solve(port)
+
+
+def stream(serve_args, traces, exchange=solve):
+    """Launch ``serve``, run ``exchange(port)``, SIGTERM; its updates and traces."""
     # --port 0 lets the OS pick; the server announces the bound port on
     # stdout, which is the smoke's only coupling to its output format.
     proc = subprocess.Popen(
@@ -76,8 +113,7 @@ def stream(serve_args, traces):
                 raise SmokeFailure(f"no port announcement in: {output!r}")
             output.append(line)
             match = re.search(r"^serving .* on \S+:(\d+)", line)
-        with GSTClient("127.0.0.1", int(match.group(1)), timeout=60) as client:
-            updates = list(client.solve_stream(QUERY))
+        updates = exchange(int(match.group(1)))
         proc.send_signal(signal.SIGTERM)
         try:
             returncode = proc.wait(timeout=60)
@@ -181,6 +217,19 @@ def store_leg(graph, stem, tmp) -> str:
     )
 
 
+def malformed_leg(graph, stem, tmp) -> str:
+    updates, _ = stream(
+        ["--graph", stem],
+        os.path.join(tmp, "malformed-traces.jsonl"),
+        exchange=malformed_then_solve,
+    )
+    certify(graph, updates[-1])
+    return (
+        "malformed: ERROR code=protocol, a fresh connection answered, "
+        "drained exit 0"
+    )
+
+
 def main() -> int:
     from repro.graph import generators
     from repro.graph.io import save_graph
@@ -194,9 +243,10 @@ def main() -> int:
     try:
         cold = cold_leg(graph, stem, tmp)
         warm = store_leg(graph, stem, tmp)
+        malformed = malformed_leg(graph, stem, tmp)
     except SmokeFailure as exc:
         return fail(str(exc))
-    print(f"server_smoke: OK — {cold}; {warm}")
+    print(f"server_smoke: OK — {cold}; {warm}; {malformed}")
     return 0
 
 

@@ -239,7 +239,6 @@ def run_throughput(
     budget: Optional[Budget] = None,
     deadline: Optional[float] = None,
     trace_sink: Optional[TraceSink] = None,
-    **solver_kwargs,
 ) -> ThroughputResult:
     """Serve a query batch through the executor and read queries/sec.
 
@@ -257,9 +256,7 @@ def run_throughput(
         budget=budget,
         trace_sink=trace_sink,
     ) as executor:
-        outcomes = executor.run_batch(
-            queries, deadline=deadline, **solver_kwargs
-        )
+        outcomes = executor.run_batch(queries, deadline=deadline)
     total = time.perf_counter() - started
     return ThroughputResult(
         outcomes=outcomes,

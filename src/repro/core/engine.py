@@ -300,6 +300,7 @@ class SearchEngine:
 
         checkpointer = self.checkpointer
         optimal = False
+        limited = False
         pops_since_check = 0
         try:
             while queue:
@@ -321,6 +322,7 @@ class SearchEngine:
                     stats.states_popped = pops
                     self._track_peak()
                     if self._limits_hit():
+                        limited = True
                         break
                 if self._epsilon_satisfied():
                     optimal = self.epsilon == 0.0 or self._best <= 0.0
@@ -420,6 +422,13 @@ class SearchEngine:
         self._track_peak()
         stats.total_seconds = self._elapsed()
         self._record_progress(force=True)
+        if limited and checkpointer is not None:
+            # An anytime exit (cancellation, time limit, state cap)
+            # persists the frontier, so the query can later be resumed
+            # to proven optimality instead of restarting cold.  Written
+            # after the final progress point, so a resumed stream's
+            # clock starts at or past it.
+            checkpointer.checkpoint(self)
         result = self._result(optimal)
         self._emit(
             "search_finished",
@@ -783,22 +792,11 @@ class SearchEngine:
             # ``_LIMIT_CHECK_INTERVAL`` pops, so a cancelled query stops
             # within that many pops and returns its incumbent answer.
             self.stats.cancelled = True
-            if self.checkpointer is not None:
-                # Persist the frontier before unwinding so the query can
-                # be resumed exactly where cancellation struck.
-                self.checkpointer.checkpoint(self)
             self._emit("search_cancelled", elapsed=self._elapsed())
             return True
         if self.time_limit is not None and self._elapsed() >= self.time_limit:
-            if self.checkpointer is not None:
-                # Anytime exits persist a final checkpoint too, so a
-                # budget-limited answer can later be resumed and pushed
-                # to proven optimality instead of restarting cold.
-                self.checkpointer.checkpoint(self)
             return True
         if self.max_states is not None and self.stats.states_popped >= self.max_states:
-            if self.checkpointer is not None:
-                self.checkpointer.checkpoint(self)
             return True
         return False
 

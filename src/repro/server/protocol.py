@@ -39,8 +39,11 @@ Frame types
 
 Safety: frames larger than ``max_frame_bytes`` are rejected *from the
 length prefix alone* — the codec never buffers an attacker-controlled
-amount of memory — and any non-JSON payload or missing ``type`` raises
-a typed :class:`~repro.errors.ProtocolError`.
+amount of memory.  :meth:`FrameDecoder.feed` returns frames or raises
+a typed :class:`~repro.errors.ProtocolError`, and nothing else: a bad
+length, a payload that is not UTF-8 JSON (deep nesting and an integer
+past Python's int-string limit included), a payload that is not an
+object, and a ``type`` that is not one of the frame-type strings.
 
 :class:`FrameDecoder` is incremental: ``feed()`` it whatever chunk the
 transport produced (one byte or one megabyte) and it returns every
@@ -150,8 +153,9 @@ class FrameDecoder:
 
     Feed it transport chunks of any size; it yields every complete
     frame and keeps the remainder buffered.  All violations raise
-    :class:`~repro.errors.ProtocolError` — after which the decoder is
-    poisoned and must be discarded (the connection is dead anyway).
+    :class:`~repro.errors.ProtocolError`, and no other exception
+    escapes — after which the decoder is poisoned and must be
+    discarded (the connection is dead anyway).
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -188,7 +192,9 @@ class FrameDecoder:
     def _parse(self, payload: bytes) -> Dict[str, Any]:
         try:
             frame = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and an integer past
+            # Python's int-string limit; RecursionError deep nesting.
             raise ProtocolError(f"malformed frame payload: {exc}") from None
         if not isinstance(frame, dict):
             raise ProtocolError(
@@ -196,8 +202,14 @@ class FrameDecoder:
                 f"{type(frame).__name__}"
             )
         frame_type = frame.get("type")
+        # The message quotes at most 64 characters of the peer's bytes,
+        # so the ERROR frame that carries it always fits.
+        if not isinstance(frame_type, str):
+            raise ProtocolError(
+                f"frame 'type' must be a string, got {type(frame_type).__name__}"
+            )
         if frame_type not in FRAME_TYPES:
-            raise ProtocolError(f"unknown frame type {frame_type!r}")
+            raise ProtocolError(f"unknown frame type {frame_type[:64]!r}")
         return frame
 
 

@@ -23,10 +23,15 @@ that anytime state *durable*:
   which runs solves in other processes and resumes a killed worker's
   query from its latest checkpoint.
 
-The executor injects :func:`checkpointed_execute` (in-thread) or
-:meth:`FleetPool.execute <repro.service.fleet.FleetPool.execute>` as
-the ``execute`` callable of its
-:class:`~repro.service.resilience.ResiliencePipeline`.
+The executor hands :func:`checkpointed_execute` (in-thread) or
+:meth:`FleetPool.execute <repro.service.fleet.FleetPool.execute>` to
+its :class:`~repro.service.resilience.ResiliencePipeline` as the
+``execute`` callable.  Both take a query's labels, ``algorithm``,
+``budget`` and ``query_id``, and neither looks in the result cache:
+:meth:`QueryExecutor.cached
+<repro.service.executor.QueryExecutor.cached>` already missed.
+:func:`checkpointed_execute` and :func:`resume_query` solve in the
+calling thread, so they also take ``on_progress``.
 """
 
 from __future__ import annotations
@@ -154,8 +159,9 @@ def read_checkpoint(
     different graph raises :class:`~repro.errors.StoreFingerprintError`.
     A record without the keys its readers use, or with one of the
     wrong JSON type, is a :class:`~repro.errors.StoreCorruptError`
-    too: the meta's ``algorithm`` (a string) and ``labels`` (a list of
-    strings or integers), and every key
+    too: the meta's ``algorithm`` (the key of a solver that
+    checkpoints) and ``labels`` (a list of strings or integers), and
+    every key
     :meth:`SearchEngine.restore <repro.core.engine.SearchEngine.restore>`
     reads from the state, down to each backpointer's kind and fields.
     Node ids and masks are checked against the graph by ``restore``,
@@ -212,8 +218,10 @@ def _is_number(value) -> bool:
 
 def _check_meta(meta: dict, what: str) -> None:
     """The meta keys :func:`checkpointed_execute` and :func:`resume_query` read."""
-    if not isinstance(meta.get("algorithm"), str):
-        raise StoreCorruptError(f"{what}: meta 'algorithm' is not a string")
+    if not _checkpoints(meta.get("algorithm")):
+        raise StoreCorruptError(
+            f"{what}: meta 'algorithm' names no solver that checkpoints"
+        )
     labels = meta.get("labels")
     if not isinstance(labels, list) or not all(
         isinstance(label, str) or _is_int(label) for label in labels
@@ -389,8 +397,8 @@ class Checkpointer:
 # Checkpoint-aware execution (shared by the thread backend, the fleet
 # worker entry, and the CLI resume path)
 # ----------------------------------------------------------------------
-def _progressive_key(index: GraphIndex, algorithm: str, labels) -> Optional[str]:
-    """Resolved solver key if it supports checkpointing, else ``None``.
+def _checkpoints(key) -> bool:
+    """Whether the solver key ``key`` names a solver that checkpoints.
 
     Only the shared-engine progressive solvers can checkpoint; DPBF
     (and any future off-family baseline) runs without durability rather
@@ -399,11 +407,17 @@ def _progressive_key(index: GraphIndex, algorithm: str, labels) -> Optional[str]
     from ..core.algorithms import _ProgressiveSolverBase
     from ..core.solver import ALGORITHMS
 
+    solver = ALGORITHMS.get(key) if isinstance(key, str) else None
+    return solver is not None and issubclass(solver, _ProgressiveSolverBase)
+
+
+def _progressive_key(index: GraphIndex, algorithm: str, labels) -> Optional[str]:
+    """Resolved solver key if it supports checkpointing, else ``None``."""
     try:
         key = index.resolve_algorithm(algorithm, labels)
     except ValueError:
         return None
-    return key if issubclass(ALGORITHMS[key], _ProgressiveSolverBase) else None
+    return key if _checkpoints(key) else None
 
 
 def checkpointed_execute(
@@ -416,26 +430,28 @@ def checkpointed_execute(
     checkpoint_dir: str,
     policy: Optional["WorkerPolicy"] = None,
     on_write: Optional[Callable[[Checkpointer], None]] = None,
-    use_result_cache: bool = True,
-    **solver_kwargs,
+    on_progress: Optional[Callable] = None,
 ) -> QueryOutcome:
     """``index.execute`` with durability: resume, checkpoint, clean up.
 
-    Same signature and never-raises contract as
-    :meth:`GraphIndex.execute <repro.service.index.GraphIndex.execute>`.
-    If ``checkpoint_dir`` holds a valid checkpoint for this (graph,
-    labels) pair the search resumes from it — under the *checkpoint's*
-    algorithm, whose bounds the stored f-values embed — and the trace
-    records ``resumed_from``.  An unusable checkpoint (truncated,
-    CRC-flipped, version-skewed, fingerprint-mismatched, or naming a
-    node or mask outside the graph) is removed and the query falls back
-    to a cold solve.  Checkpoints are written
-    on the policy's cadence and on cancellation; a run that finishes
-    with *proven optimality* discards its checkpoint (anytime exits
-    keep it, so the query can later be resumed to optimality).
+    Takes the labels, ``algorithm``, ``budget`` and ``query_id`` of
+    :meth:`GraphIndex.execute <repro.service.index.GraphIndex.execute>`
+    and never raises.  It always solves: the result-cache lookup is the
+    caller's (:meth:`QueryExecutor.cached
+    <repro.service.executor.QueryExecutor.cached>`), and a successful
+    answer is still written back.  If ``checkpoint_dir`` holds a valid
+    checkpoint for this (graph, labels) pair the search resumes from it
+    — under the *checkpoint's* algorithm, whose bounds the stored
+    f-values embed — and the trace records ``resumed_from``.  An
+    unusable checkpoint (truncated, CRC-flipped, version-skewed,
+    fingerprint-mismatched, or naming a node or mask outside the graph)
+    is removed and the query falls back to a cold solve.  Checkpoints
+    are written on the policy's cadence and at an anytime exit; a run
+    that finishes with *proven optimality* discards its checkpoint
+    (anytime exits keep it, so the query can later be resumed to
+    optimality).  ``on_progress`` receives the solve's progress points.
     """
     labels = tuple(labels)
-    policy = policy or WorkerPolicy()
     os.makedirs(checkpoint_dir, exist_ok=True)
     fingerprint = index.snapshot.fingerprint
     path = checkpoint_path(checkpoint_dir, fingerprint, labels)
@@ -443,11 +459,9 @@ def checkpointed_execute(
         budget=budget,
         query_id=query_id,
         path=path,
-        fingerprint=fingerprint,
         policy=policy,
         on_write=on_write,
-        use_result_cache=use_result_cache,
-        **solver_kwargs,
+        on_progress=on_progress,
     )
     if os.path.exists(path):
         try:
@@ -475,21 +489,24 @@ def _execute(
     budget: Optional[Budget],
     query_id,
     path: str,
-    fingerprint: str,
-    policy: "WorkerPolicy",
-    on_write: Optional[Callable[[Checkpointer], None]],
-    use_result_cache: bool,
-    **solver_kwargs,
+    policy: Optional["WorkerPolicy"],
+    on_write: Optional[Callable[[Checkpointer], None]] = None,
+    on_progress: Optional[Callable] = None,
 ) -> QueryOutcome:
-    """One checkpointed solve: cold, or resumed from ``restore_state``."""
+    """One checkpointed solve: cold, or resumed from ``restore_state``.
+
+    The checkpoint's meta is written afresh from this solve: its
+    resolved algorithm, its budget's epsilon and its ``query_id``.
+    """
     key = _progressive_key(index, algorithm, labels)
-    kwargs = dict(solver_kwargs)
+    durability = {}
     checkpointer: Optional[Checkpointer] = None
     if key is not None:
+        policy = policy or WorkerPolicy()
         checkpointer = Checkpointer(
             path,
             checkpoint_meta(
-                fingerprint,
+                index.snapshot.fingerprint,
                 labels,
                 key,
                 epsilon=budget.epsilon if budget is not None else 0.0,
@@ -499,22 +516,19 @@ def _execute(
             every_seconds=policy.checkpoint_every_seconds,
             on_write=on_write,
         )
-        kwargs["checkpointer"] = checkpointer
-        if restore_state is not None:
-            kwargs["restore_state"] = restore_state
+        durability = dict(checkpointer=checkpointer, restore_state=restore_state)
 
     outcome = index.execute(
         labels,
         algorithm=algorithm,
         budget=budget,
         query_id=query_id,
-        # A resumed query is being pushed past a previous anytime exit;
-        # a cached (possibly looser) answer must not shadow that.
-        use_result_cache=use_result_cache and restore_state is None,
-        **kwargs,
+        use_result_cache=False,
+        on_progress=on_progress,
+        **durability,
     )
-    outcome.trace.resumed_from = path if restore_state is not None else None
     if checkpointer is not None:
+        outcome.trace.resumed_from = path if restore_state is not None else None
         outcome.trace.checkpoints = checkpointer.written
         if outcome.ok and outcome.result is not None and outcome.result.optimal:
             checkpointer.discard()
@@ -535,7 +549,7 @@ def resume_query(
     budget: Optional[Budget] = None,
     query_id=None,
     policy: Optional["WorkerPolicy"] = None,
-    **solver_kwargs,
+    on_progress: Optional[Callable] = None,
 ) -> QueryOutcome:
     """Resume one checkpointed query to completion (the CLI's ``resume``).
 
@@ -544,39 +558,29 @@ def resume_query(
     skew, a graph mismatch, or a row naming a node or mask outside the
     graph — resuming against the wrong graph is the one failure this
     layer must never paper over), then continues the search under the
-    checkpoint's own algorithm and label set.  The
+    checkpoint's own algorithm and label set, and under ``query_id``
+    or else the checkpoint's.  The
     default budget is unlimited: the point of resuming is to push an
     interrupted anytime answer to proven optimality.  The checkpoint is
-    discarded on a proven-optimal finish and refreshed otherwise.
+    discarded on a proven-optimal finish and refreshed otherwise, its
+    meta then carrying this resume's epsilon, as its engine state does.
     """
     index = GraphIndex.ensure(index)
-    policy = policy or WorkerPolicy()
     fingerprint = index.snapshot.fingerprint
     meta, state = read_checkpoint(path, expect_fingerprint=fingerprint)
-    labels = tuple(meta["labels"])
-    algorithm = meta["algorithm"]
-    checkpointer = Checkpointer(
-        path,
-        meta,
-        every_pops=policy.checkpoint_every_pops,
-        every_seconds=policy.checkpoint_every_seconds,
-    )
-    outcome = index.execute(
-        labels,
-        algorithm=algorithm,
+    outcome = _execute(
+        index,
+        tuple(meta["labels"]),
+        meta["algorithm"],
+        state,
         budget=budget,
         query_id=query_id if query_id is not None else meta.get("query_id"),
-        use_result_cache=False,
-        checkpointer=checkpointer,
-        restore_state=state,
-        **solver_kwargs,
+        path=path,
+        policy=policy,
+        on_progress=on_progress,
     )
     if isinstance(outcome.error, StoreError):
         raise outcome.error
-    outcome.trace.resumed_from = path
-    outcome.trace.checkpoints = checkpointer.written
-    if outcome.ok and outcome.result is not None and outcome.result.optimal:
-        checkpointer.discard()
     return outcome
 
 

@@ -29,10 +29,18 @@ shared index, with
   :class:`~repro.service.telemetry.TraceSink` to stream them as JSONL.
 
 A result-cache hit never reaches a pool: :meth:`QueryExecutor.cached`
-serves it on the caller's thread.  Solves run on the executor's
-threads by default: per-label Dijkstras and DP searches release no
-GIL, so the win is cache amortization and overlap of waiting, not CPU
-parallelism.  With ``workers=N`` each solve instead runs in one of N
+serves it on the caller's thread, and it is the serving path's one
+result-cache lookup.  Each solve backend behind it — ``index.execute``,
+:func:`~repro.service.durability.checkpointed_execute`,
+:meth:`FleetPool.execute <repro.service.fleet.FleetPool.execute>` —
+takes one explicit set of keywords (labels, ``algorithm``, ``budget``,
+``query_id``, and ``on_progress`` for in-thread solves) and looks
+nothing up again; a solved answer is still written back.
+
+Solves run on the executor's threads by default: per-label Dijkstras
+and DP searches release no GIL, so the win is cache amortization and
+overlap of waiting, not CPU parallelism.  With ``workers=N`` each
+solve instead runs in one of N
 persistent pre-forked processes
 (:class:`~repro.service.fleet.FleetPool`) attached zero-copy to one
 shared-memory CSR snapshot — multi-core throughput, and hangs, OOM
@@ -43,9 +51,9 @@ latest engine checkpoint instead of restarting cold.
 
 from __future__ import annotations
 
-import inspect
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import (
     Callable,
     Hashable,
@@ -57,7 +65,6 @@ from typing import (
 )
 
 from ..core.budget import Budget, CancellationToken
-from ..core.solver import ALGORITHMS
 from ..graph.graph import Graph
 from ..obs import instruments
 from .index import GraphIndex, QueryOutcome
@@ -74,28 +81,6 @@ __all__ = ["QueryExecutor"]
 
 def _default_workers() -> int:
     return min(8, os.cpu_count() or 1)
-
-
-# GraphIndex.execute passes these to the solver itself.
-_INDEX_KEYWORDS = frozenset({"budget", "distance_cache", "on_event"})
-
-
-def _solver_keywords(solver_cls: type) -> frozenset:
-    """Keywords a caller may pass ``solver_cls`` through the executor.
-
-    Follows the MRO while an ``__init__`` forwards ``**kwargs``, so the
-    keywords PrunedDP++ hands to the progressive base count too.
-    """
-    names = set()
-    for klass in solver_cls.__mro__:
-        init = vars(klass).get("__init__")
-        if init is None:
-            continue
-        params = inspect.signature(init).parameters.values()
-        names.update(p.name for p in params if p.kind is p.KEYWORD_ONLY)
-        if not any(p.kind is p.VAR_KEYWORD for p in params):
-            break
-    return frozenset(names - _INDEX_KEYWORDS)
 
 
 class QueryExecutor:
@@ -176,7 +161,6 @@ class QueryExecutor:
         query_id=None,
         cancel_token: Optional[CancellationToken] = None,
         on_progress: Optional[Callable] = None,
-        **solver_kwargs,
     ) -> "Future[QueryOutcome]":
         """Answer one query; the future resolves to a QueryOutcome.
 
@@ -193,13 +177,10 @@ class QueryExecutor:
         thread* — it must be cheap and thread-safe.  Progress streaming
         needs in-thread solves (a callback cannot cross a process
         boundary, so an executor with ``workers=N`` rejects it);
-        served-from-cache answers emit no progress.  A keyword in
-        ``solver_kwargs`` that the query's solver class does not take
-        raises ``TypeError`` here, on a hit and a miss alike.
+        served-from-cache answers emit no progress.
         """
         self._check_submittable(on_progress)
         labels = tuple(labels)
-        self._check_solver_kwargs(labels, algorithm, solver_kwargs)
         outcome = self.cached(
             labels,
             algorithm=algorithm,
@@ -214,7 +195,6 @@ class QueryExecutor:
                 query_id=query_id,
                 cancel_token=cancel_token,
                 on_progress=on_progress,
-                **solver_kwargs,
             )
         future: "Future[QueryOutcome]" = Future()
         future.set_result(outcome)
@@ -265,30 +245,24 @@ class QueryExecutor:
         query_id=None,
         cancel_token: Optional[CancellationToken] = None,
         on_progress: Optional[Callable] = None,
-        **solver_kwargs,
     ) -> "Future[QueryOutcome]":
         """Queue one query for a solve, with no result-cache lookup.
 
-        The second step of :meth:`submit` (same arguments, same
-        keyword check), for a caller whose :meth:`cached` already
-        missed: the miss is counted once, and the solve writes a
-        successful answer back.
+        The second step of :meth:`submit` (same arguments), for a
+        caller whose :meth:`cached` already missed: the miss is counted
+        once, and the solve writes a successful answer back.
         """
         self._check_submittable(on_progress)
-        labels = tuple(labels)
-        self._check_solver_kwargs(labels, algorithm, solver_kwargs)
         effective = budget if budget is not None else self.budget
         if cancel_token is not None:
             effective = (effective or Budget()).with_cancellation(cancel_token)
-        if on_progress is not None:
-            solver_kwargs = dict(solver_kwargs, on_progress=on_progress)
         future = self._pool.submit(
             self._run_one,
-            labels,
+            tuple(labels),
             algorithm or self.algorithm,
             effective,
             query_id,
-            solver_kwargs,
+            on_progress,
         )
         # Queue-depth gauge: up on enqueue, down when the future settles
         # (including cancellation by shutdown(wait=False), which is why
@@ -307,30 +281,6 @@ class QueryExecutor:
                 "progress callback cannot cross a process boundary"
             )
 
-    def _check_solver_kwargs(
-        self, labels: tuple, algorithm: Optional[str], solver_kwargs: dict
-    ) -> None:
-        """Raise ``TypeError`` for a keyword the solver class does not take.
-
-        Inside the solve that ``TypeError`` would count as retryable,
-        and a result-cache hit never builds a solver, so the same call
-        would fail after every retry on a miss yet succeed on a hit.
-        """
-        if not solver_kwargs:
-            return
-        try:
-            key = self.index.resolve_algorithm(algorithm or self.algorithm, labels)
-        except ValueError:
-            return  # execute() reports an unknown algorithm in its outcome
-        solver_cls = ALGORITHMS[key]
-        accepted = _solver_keywords(solver_cls)
-        for name in solver_kwargs:
-            if name not in accepted:
-                raise TypeError(
-                    f"{solver_cls.__name__} got an unexpected keyword "
-                    f"argument {name!r}"
-                )
-
     def run_batch(
         self,
         queries: Sequence[Iterable[Hashable]],
@@ -340,7 +290,6 @@ class QueryExecutor:
         deadline: Optional[float] = None,
         cancel_token: Optional[CancellationToken] = None,
         on_progress: Optional[Callable] = None,
-        **solver_kwargs,
     ) -> List[QueryOutcome]:
         """Run a batch concurrently; outcomes come back in input order.
 
@@ -377,7 +326,6 @@ class QueryExecutor:
                         budget=batch_budget,
                         query_id=i,
                         on_progress=query_progress,
-                        **solver_kwargs,
                     )
                 )
         except Exception as exc:
@@ -399,19 +347,15 @@ class QueryExecutor:
         algorithm: str,
         budget: Optional[Budget],
         query_id,
-        solver_kwargs: dict,
+        on_progress: Optional[Callable],
     ) -> QueryOutcome:
-        # cached() already missed, so execute() is told to skip its own
-        # lookup; it still writes successful outcomes back.
         outcome = self._pipeline.run(
             self.index,
             labels,
             algorithm=algorithm,
             budget=budget,
             query_id=query_id,
-            use_result_cache=False,
-            execute=self._execute_callable(),
-            **solver_kwargs,
+            execute=self._execute_callable(on_progress),
         )
         return self._record(outcome)
 
@@ -427,33 +371,36 @@ class QueryExecutor:
         instruments.record_query_trace(outcome.trace)
         return outcome
 
-    def _execute_callable(self):
-        """The solver dispatch every attempt runs through.
+    def _execute_callable(self, on_progress: Optional[Callable]):
+        """The solve backend every attempt of one query runs through.
 
         An executor with ``workers=N`` routes attempts into the
-        supervised fleet; an in-thread executor with a
+        supervised fleet (``_check_submittable`` refused any
+        ``on_progress``); an in-thread executor with a
         ``checkpoint_dir`` wraps the index in
         :func:`~repro.service.durability.checkpointed_execute` (same
         durability guarantees, in-process); otherwise this is the plain
-        ``index.execute``.  Either way the resilience pipeline's
-        admission and retry machinery composes on top unchanged.
+        ``index.execute``.  Each takes the labels, ``algorithm``,
+        ``budget`` and ``query_id`` of an attempt; ``on_progress`` is
+        bound here, once.  None of them looks in the result cache:
+        :meth:`cached` already missed.  A solved answer is still
+        written back.
         """
         if self.worker_pool is not None:
             return self.worker_pool.execute
         if self.checkpoint_dir is not None:
             from .durability import checkpointed_execute
 
-            def execute(labels, **kwargs):
-                return checkpointed_execute(
-                    self.index,
-                    labels,
-                    checkpoint_dir=self.checkpoint_dir,
-                    policy=self._worker_policy,
-                    **kwargs,
-                )
-
-            return execute
-        return self.index.execute
+            return partial(
+                checkpointed_execute,
+                self.index,
+                checkpoint_dir=self.checkpoint_dir,
+                policy=self._worker_policy,
+                on_progress=on_progress,
+            )
+        return partial(
+            self.index.execute, use_result_cache=False, on_progress=on_progress
+        )
 
     def _certified_hit(self, outcome: QueryOutcome) -> bool:
         """Certify a cache-served answer; evict and miss on violation."""

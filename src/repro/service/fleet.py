@@ -33,10 +33,13 @@ a failed :class:`~repro.service.index.QueryOutcome` carrying a typed
 :class:`~repro.errors.WorkerCrashedError` — retryable, so the
 executor's retry ladder can resume the query degraded.
 
-Workers have no result cache of their own: the parent consults and
-fills :attr:`GraphIndex.result_cache
-<repro.service.index.GraphIndex.result_cache>`, so answers solved in
-a worker are persisted by ``save_results()`` like in-thread ones.
+Workers have no result cache of their own, and the pool looks nothing
+up: :meth:`QueryExecutor.cached
+<repro.service.executor.QueryExecutor.cached>` is the serving path's
+one lookup.  The parent fills :attr:`GraphIndex.result_cache
+<repro.service.index.GraphIndex.result_cache>` with every answer a
+worker solves, so those are persisted by ``save_results()`` like
+in-thread ones.
 
 The pool owns the segment: its one
 :meth:`~repro.graph.shm.SharedCSR.close` unlinks it, and a worker's
@@ -249,7 +252,6 @@ def _fleet_worker_entry(
                         checkpoint_dir=checkpoint_dir,
                         policy=policy,
                         on_write=on_write,
-                        **job.get("solver_kwargs", {}),
                     )
                 else:
                     outcome = index.execute(
@@ -257,7 +259,6 @@ def _fleet_worker_entry(
                         algorithm=algorithm,
                         budget=budget,
                         query_id=query_id,
-                        **job.get("solver_kwargs", {}),
                     )
             except BaseException as exc:  # pragma: no cover - belt+braces
                 outcome = _error_outcome(
@@ -362,10 +363,11 @@ class FleetPool:
     and pre-forks ``workers`` processes, each of which attaches the
     segment (fingerprint-verified) and reports ready.  The constructor
     returns only when every worker is warm — the first query never pays
-    an attach.  :meth:`execute` has the same signature and never-raises
-    contract as :meth:`GraphIndex.execute
-    <repro.service.index.GraphIndex.execute>`, so the executor injects
-    it as the resilience pipeline's ``execute`` callable unchanged.
+    an attach.  :meth:`execute` takes the labels, ``algorithm``,
+    ``budget`` and ``query_id`` of :meth:`GraphIndex.execute
+    <repro.service.index.GraphIndex.execute>` and never raises, so the
+    executor hands it to the resilience pipeline as its ``execute``
+    callable unchanged.
     """
 
     def __init__(
@@ -534,8 +536,6 @@ class FleetPool:
         algorithm: str = "pruneddp++",
         budget: Optional[Budget] = None,
         query_id=None,
-        use_result_cache: bool = True,
-        **solver_kwargs,
     ) -> QueryOutcome:
         """Run one query on the next free warm worker (never raises).
 
@@ -543,23 +543,16 @@ class FleetPool:
         the queue in front of this), then supervises that worker for
         the duration: watchdog, hard deadline, cancellation, and
         respawn-and-resume all per the pool's
-        :class:`~repro.service.durability.WorkerPolicy`.  The parent
-        index's result cache is consulted first (unless
-        ``use_result_cache=False``); every outcome a worker delivers
-        is traced as a miss and every ``ok`` answer fills the cache,
-        as :meth:`GraphIndex.execute
+        :class:`~repro.service.durability.WorkerPolicy`.  It always
+        solves: the result-cache lookup is the caller's
+        (:meth:`QueryExecutor.cached
+        <repro.service.executor.QueryExecutor.cached>`).  When the
+        parent index has a result cache, every outcome a worker
+        delivers is traced as a miss and every ``ok`` answer fills the
+        cache, as :meth:`GraphIndex.execute
         <repro.service.index.GraphIndex.execute>` does in-thread.
         """
         labels = tuple(labels)
-        if use_result_cache:
-            cached = self.index.cached_outcome(
-                labels,
-                algorithm=algorithm,
-                budget=budget,
-                query_id=query_id,
-            )
-            if cached is not None:
-                return cached
         slot = self._acquire()
         if slot is None:
             return _error_outcome(
@@ -567,9 +560,7 @@ class FleetPool:
                 ReproError("fleet is shut down"),
             )
         try:
-            outcome = self._execute_on(
-                slot, labels, algorithm, budget, query_id, solver_kwargs
-            )
+            outcome = self._execute_on(slot, labels, algorithm, budget, query_id)
         finally:
             self._release(slot)
         return outcome
@@ -591,7 +582,7 @@ class FleetPool:
             self._cond.notify_all()
 
     def _execute_on(
-        self, slot, labels, algorithm, budget, query_id, solver_kwargs
+        self, slot, labels, algorithm, budget, query_id
     ) -> QueryOutcome:
         policy = self.policy
         # The parent's token cannot cross the process boundary (it is a
@@ -607,7 +598,6 @@ class FleetPool:
             "algorithm": algorithm,
             "budget": wire_budget,
             "query_id": query_id,
-            "solver_kwargs": solver_kwargs,
         }
         restarts = 0
         while True:
@@ -629,7 +619,7 @@ class FleetPool:
                 result_cache = self.index.result_cache
                 if result_cache is not None:
                     # Workers have no result cache: the parent traces
-                    # the miss its lookup counted and writes back.
+                    # the caller's miss and writes back.
                     outcome.trace.result_cache = "miss"
                     if outcome.trace.status == "ok" and outcome.result is not None:
                         result_cache.put(labels, outcome.algorithm, outcome.result)

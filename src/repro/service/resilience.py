@@ -25,6 +25,10 @@ pipeline per query:
   degraded-but-valid answer, and the degradation is recorded in the
   :class:`~repro.service.telemetry.QueryTrace`.
 
+Each attempt calls the solve backend the executor hands in with the
+query's labels, ``algorithm``, ``budget`` and ``query_id``, and nothing
+else; a retry changes only the algorithm and the budget.
+
 A time limit is not a failure: the engine returns its anytime
 incumbent with status ``ok``, so a timed-out query is never retried.
 Everything here is deterministic, thread-safe, and dependency-free.
@@ -303,14 +307,15 @@ class ResiliencePipeline:
         budget: Optional[Budget],
         query_id=None,
         execute=None,
-        **solver_kwargs,
     ):
         """Run one query through admission → retry ladder.
 
-        ``execute`` overrides how each attempt actually runs (same
-        signature and never-raises contract as ``index.execute``); the
-        worker fleet injects its dispatch here so crashed workers flow
-        through the same ladder as any other retryable failure.
+        ``execute`` overrides how each attempt actually runs.  It is
+        called as ``execute(labels, algorithm=..., budget=...,
+        query_id=...)`` and never raises, like ``index.execute``; the
+        executor passes its solve backend here (the worker fleet's
+        dispatch included), so crashed workers flow through the same
+        ladder as any other retryable failure.
         """
         labels = tuple(labels)
         if execute is None:
@@ -324,7 +329,6 @@ class ResiliencePipeline:
                 algorithm=algorithm,
                 budget=budget,
                 query_id=query_id,
-                **solver_kwargs,
             )
 
         admission_record = None
@@ -346,7 +350,6 @@ class ResiliencePipeline:
                 algorithm=algo,
                 budget=attempt_budget,
                 query_id=query_id,
-                **solver_kwargs,
             )
             if len(retry_records) >= max_retries or not retryable(outcome):
                 break

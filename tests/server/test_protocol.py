@@ -8,14 +8,18 @@ boundary, never as a hang, an OOM, or a stray ``struct.error``.
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.result import GSTResult, ProgressPoint, SearchStats
 from repro.core.tree import SteinerTree
 from repro.errors import ProtocolError
 from repro.server.protocol import (
+    FRAME_TYPES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -210,10 +214,15 @@ class TestRejection:
             decoder.feed(b"\xff\xfe\xfd\xfc garbage after the frame")
 
     def test_non_json_payload(self):
-        payload = b"this is not json\n"
-        wire = struct.pack(">I", len(payload)) + payload
-        with pytest.raises(ProtocolError, match="malformed"):
-            _decode_all(wire)
+        """Past the recursion limit or Python's int-string limit too."""
+        for payload in (
+            b"this is not json\n",
+            b"[" * 200_000,
+            b'{"type": "query", "id": ' + b"9" * 5000 + b"}",
+        ):
+            wire = struct.pack(">I", len(payload)) + payload
+            with pytest.raises(ProtocolError, match="malformed"):
+                _decode_all(wire)
 
     def test_non_object_json_payload(self):
         payload = json.dumps([1, 2, 3]).encode() + b"\n"
@@ -222,11 +231,20 @@ class TestRejection:
             _decode_all(wire)
 
     def test_missing_or_unknown_type(self):
-        for obj in ({}, {"type": "launch_missiles"}):
+        """A ``type`` that is not a string is refused too, and the
+        message stays short enough for the ERROR frame carrying it."""
+        for obj in (
+            {},
+            {"type": "launch_missiles"},
+            {"type": ["query"]},
+            {"type": {"query": 1}},
+            {"type": "x" * 100_000},
+        ):
             payload = json.dumps(obj).encode() + b"\n"
             wire = struct.pack(">I", len(payload)) + payload
-            with pytest.raises(ProtocolError, match="type"):
+            with pytest.raises(ProtocolError, match="type") as excinfo:
                 _decode_all(wire)
+            assert len(str(excinfo.value)) < 200
 
     def test_encode_refuses_unknown_type(self):
         with pytest.raises(ProtocolError, match="cannot encode"):
@@ -253,3 +271,105 @@ class TestHello:
         assert frame["max_inflight"] == 2
         assert frame["max_frame_bytes"] == 4096
         assert MAX_FRAME_BYTES >= 4096
+
+
+# ----------------------------------------------------------------------
+# Fuzz: a mutated stream decodes to frames or raises a ProtocolError.
+# ----------------------------------------------------------------------
+_IDS = st.one_of(st.integers(), st.text(max_size=6))
+_FRAMES = st.one_of(
+    st.builds(query_frame, _IDS, st.lists(st.text(max_size=6), max_size=3)),
+    st.builds(cancel_frame, _IDS),
+    st.builds(stats_frame, _IDS),
+    st.builds(
+        lambda query_id, ub: progress_frame(
+            query_id, ProgressPoint(0.25, ub, ub / 2)
+        ),
+        _IDS,
+        st.floats(1.0, 1e6),
+    ),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# A fuzzing dictionary: what a "run" edit splices in, up to thousands
+# of times over.  At the start of a value, a run of "[" nests past the
+# recursion limit and a run of "9" makes an integer past the int-string
+# limit.
+_TOKENS = [b"[", b"9", b"{", b'"', b"\\u"]
+_VALUE_START = re.compile(rb": |\[")
+
+
+def _chunks(data, wire: bytes, name: str) -> list:
+    """``wire`` cut at a few drawn offsets."""
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(wire)), max_size=6), label=name)
+    )
+    return [wire[a:b] for a, b in zip([0, *cuts], [*cuts, len(wire)])]
+
+
+def _feed(chunks) -> list:
+    decoder = FrameDecoder()
+    frames = []
+    for chunk in chunks:
+        frames.extend(decoder.feed(chunk))
+    return frames
+
+
+def _mutate(data, blob: bytearray, name: str) -> None:
+    """Overwrite, delete, insert, or splice a run of one token, in place.
+
+    A run goes where a JSON value starts, so it nests or lengthens the
+    value instead of only breaking the syntax.
+    """
+    for _ in range(data.draw(st.integers(0, 3), label=f"{name} edits")):
+        edit = data.draw(st.sampled_from(["run", "write", "delete", "insert"]))
+        if edit == "run":
+            starts = [0, *(match.end() for match in _VALUE_START.finditer(blob))]
+            at = data.draw(st.sampled_from(starts), label=f"{name} offset")
+            token = data.draw(st.sampled_from(_TOKENS))
+            count = st.one_of(st.integers(1, 8), st.integers(5000, 8000))
+            blob[at:at] = token * data.draw(count, label=f"{name} run")
+            continue
+        at = data.draw(st.integers(0, len(blob)), label=f"{name} offset")
+        if edit == "insert":
+            blob[at:at] = bytes([data.draw(st.integers(0, 255))])
+        elif at < len(blob):
+            if edit == "write":
+                blob[at] = data.draw(st.integers(0, 255))
+            else:
+                del blob[at]
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(_FRAMES, min_size=1, max_size=4), data=st.data())
+def test_mutated_stream_decodes_or_raises_a_protocol_error(frames, data):
+    """Frames on the wire, split anywhere: the clean stream decodes to
+    the same frames whatever the split.  Mutated — a frame's ``type``
+    swapped for any JSON value, its payload edited and re-framed (so
+    the damage reaches the JSON parser), then bytes of the whole stream
+    edited (so the framing breaks too) — and fed in random chunks,
+    ``feed`` returns frames or raises ``ProtocolError``, never any other
+    exception."""
+    wire = b"".join(encode_frame(frame) for frame in frames)
+    assert _feed(_chunks(data, wire, "clean cuts")) == frames
+
+    blob = bytearray()
+    for frame in frames:
+        if data.draw(st.booleans(), label="retype"):
+            frame = dict(frame, type=data.draw(_JSON, label="type"))
+        payload = bytearray(json.dumps(frame).encode() + b"\n")
+        _mutate(data, payload, "payload")
+        blob += struct.pack(">I", len(payload)) + payload
+    _mutate(data, blob, "stream")
+    try:
+        decoded = _feed(_chunks(data, bytes(blob), "cuts"))
+    except ProtocolError:
+        return
+    assert all(
+        isinstance(frame, dict) and frame["type"] in FRAME_TYPES
+        for frame in decoded
+    )

@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import socket
+import struct
 import sys
 import threading
 import time
@@ -516,6 +517,32 @@ class TestErrors:
                 frame = _terminal_frame(client, 1)
         assert frame["type"] == "error"
         assert frame["code"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[" * 200_000,
+            b'{"type": "query", "id": ' + b"9" * 5000 + b"}",
+            b'{"type": ["query"]}',
+            b'{"type": {"query": 1}}',
+        ],
+        ids=["deep-nesting", "long-integer", "list-type", "object-type"],
+    )
+    def test_malformed_frame_is_a_protocol_error(self, graph, payload):
+        """A frame the decoder cannot read gets ``ERROR code=protocol``
+        and a hang-up, is counted, and leaves the server answering."""
+        with ServerHarness(graph, algorithm="basic") as harness:
+            with GSTClient("127.0.0.1", harness.port) as client:
+                client._sock.sendall(struct.pack(">I", len(payload)) + payload)
+                frame = client._next_frame()
+                assert frame["type"] == "error" and frame["id"] is None
+                assert frame["code"] == "protocol"
+                with pytest.raises(ProtocolError, match="closed"):
+                    client._next_frame()
+            assert harness.server.stats.protocol_errors == 1
+            with GSTClient("127.0.0.1", harness.port) as client:
+                final = client.solve(["q0", "q1"])
+        assert final.final and final.status == "ok"
 
     def test_overloaded_beyond_max_inflight(self, graph, hanging_pruneddp):
         with ServerHarness(graph, max_inflight=1, max_workers=4) as harness:

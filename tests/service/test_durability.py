@@ -181,6 +181,9 @@ class TestResumeEquivalence:
         assert after and all(p.elapsed >= state["elapsed"] for p in after)
         stream = before + after
         for earlier, later in zip(stream, stream[1:]):
+            # The exit checkpoint is written after the interrupted
+            # stream's last point, so the resumed clock never goes back.
+            assert later.elapsed >= earlier.elapsed
             assert later.best_weight <= earlier.best_weight + 1e-9
             assert later.lower_bound >= earlier.lower_bound - 1e-9
             assert later.ratio <= earlier.ratio + 1e-12
@@ -367,6 +370,8 @@ class TestMalformedRecords:
             ),
             lambda meta, state: state["pending"][0].__setitem__(2, []),
             lambda meta, state: state.update(floor={"weight": 1.0}),
+            lambda meta, state: meta.update(algorithm="dpbf"),
+            lambda meta, state: meta.update(algorithm="nope"),
         ],
         ids=[
             "label-null", "algorithm-int", "key-bits-off-by-one",
@@ -376,6 +381,7 @@ class TestMalformedRecords:
             "tree-without-nodes", "tree-edge-without-weight",
             "stats-string", "stats-infinite", "grow-without-weight",
             "merge-string-mask", "empty-backpointer", "floor-without-tree",
+            "algorithm-dpbf", "algorithm-unknown",
         ],
     )
     def test_malformed_key_is_corrupt(self, index, tmp_path, edit):

@@ -79,7 +79,7 @@ class TestBatchBasics:
 
 
 class TestSolverKeywords:
-    """A keyword the solver class does not take fails once, up front."""
+    """The executor takes a query's own keywords and nothing else."""
 
     @pytest.fixture
     def store_executor(self, graph, tmp_path):
@@ -96,22 +96,35 @@ class TestSolverKeywords:
             yield executor
 
     def test_stray_keyword_fails_alike_on_miss_and_hit(self, store_executor):
+        """A stray keyword raises Python's own ``TypeError`` at the call,
+        before the result-cache lookup, on a miss and on a hit alike:
+        the cache counts nothing and nothing is retried."""
         labels = ["q0", "q1"]
-        with pytest.raises(TypeError, match="'epsilon'"):
-            store_executor.submit(labels, epsilon=0.1)  # a miss
+        strays = [
+            {"epsilon": 0.1},  # a limit outside its Budget
+            {"distance_cache": None},  # the index's own solver keyword
+            {"use_tour2": False},  # a keyword of one solver class
+            {"use_result_cache": True},  # only GraphIndex.execute has it
+        ]
+        cache = store_executor.index.result_cache
+
+        def assert_refused():
+            before = cache.counters()
+            for stray in strays:
+                (name,) = stray
+                for call in (store_executor.submit, store_executor.enqueue):
+                    with pytest.raises(TypeError, match=f"'{name}'"):
+                        call(labels, **stray)
+            after = cache.counters()
+            assert (after["hits"], after["misses"]) == (
+                before["hits"], before["misses"]
+            )
+
+        assert store_executor.cached(labels) is None
+        assert_refused()  # a miss
         assert store_executor.submit(labels).result().ok  # store it
         assert store_executor.cached(labels) is not None
-        with pytest.raises(TypeError, match="'epsilon'"):
-            store_executor.submit(labels, epsilon=0.1)  # a hit
-        with pytest.raises(TypeError, match="'epsilon'"):
-            store_executor.enqueue(labels, epsilon=0.1)
-
-    def test_keywords_the_solver_forwards_to_its_base_pass(self, index):
-        with QueryExecutor(index, algorithm="pruneddp++") as executor:
-            outcome = executor.submit(
-                ["q0", "q1"], use_tour2=False, debug_certify=True
-            ).result()
-        assert outcome.ok and outcome.trace.attempts == 1
+        assert_refused()  # a hit
 
     def test_index_supplied_keyword_is_refused(self, index):
         with QueryExecutor(index) as executor:
@@ -119,8 +132,12 @@ class TestSolverKeywords:
                 executor.submit(["q0", "q1"], distance_cache=None)
 
     def test_keyword_of_another_class_is_refused(self, index):
+        """A keyword only another solver class takes is refused by the
+        executor's own signature, whatever the executor's algorithm."""
         with QueryExecutor(index, algorithm="dpbf") as executor:
-            with pytest.raises(TypeError, match="DPBFSolver.*'use_tour2'"):
+            with pytest.raises(
+                TypeError, match=r"QueryExecutor\.submit\(\).*'use_tour2'"
+            ):
                 executor.submit(["q0", "q1"], use_tour2=False)
 
 

@@ -136,14 +136,27 @@ class TestResultCache:
         index = GraphIndex(graph)
         index.attach_store(store_dir)
         labels = ["q0", "q1", "q2"]
+        other = ["q3", "q4"]
+        cache = index.result_cache
         with QueryExecutor(index, workers=1) as executor:
             first = executor.submit(labels).result()
             second = executor.submit(labels).result()
+            # The pool looks nothing up (QueryExecutor.cached is the
+            # one lookup): a direct call solves, even a stored answer,
+            # and the parent still writes a solved miss back.
+            counted = cache.counters()
             direct = executor.worker_pool.execute(labels)
+            fresh = executor.worker_pool.execute(other)
+            assert cache.counters()["hits"] == counted["hits"]
+            assert cache.counters()["misses"] == counted["misses"]
+            assert executor.cached(other) is not None
         assert first.ok and first.trace.result_cache == "miss"
-        assert direct.trace.result_cache == "hit"
         assert second.ok and second.trace.result_cache == "hit"
         assert second.result.weight == first.result.weight
+        assert direct.ok and direct.trace.result_cache == "miss"
+        assert direct.trace.fleet_worker == 0
+        assert direct.result.weight == first.result.weight
+        assert fresh.ok and fresh.trace.result_cache == "miss"
         assert index.save_results() > 0
 
 
@@ -167,9 +180,7 @@ class TestRespawnAndResume:
             slow_index, workers=1,
             checkpoint_dir=str(tmp_path), policy=policy,
         ) as pool:
-            outcome = pool.execute(
-                SLOW_QUERY, algorithm="pruneddp++", use_result_cache=False
-            )
+            outcome = pool.execute(SLOW_QUERY, algorithm="pruneddp++")
             assert outcome.ok, outcome.error
             assert outcome.trace.worker_restarts >= 1
             assert outcome.trace.resumed_from is not None
@@ -194,11 +205,7 @@ class TestShutdownAndUnlinkSafety:
         outcomes = []
 
         def run():
-            outcomes.append(
-                pool.execute(
-                    SLOW_QUERY, algorithm="basic", use_result_cache=False
-                )
-            )
+            outcomes.append(pool.execute(SLOW_QUERY, algorithm="basic"))
 
         thread = threading.Thread(target=run)
         thread.start()
@@ -239,11 +246,7 @@ class TestShutdownAndUnlinkSafety:
             outcomes = []
 
             def run():
-                outcomes.append(
-                    pool.execute(
-                        SLOW_QUERY, algorithm="basic", use_result_cache=False
-                    )
-                )
+                outcomes.append(pool.execute(SLOW_QUERY, algorithm="basic"))
 
             thread = threading.Thread(target=run)
             thread.start()

@@ -167,3 +167,47 @@ class TestOneWayIn:
             if taken:
                 offenders.append((entry.__qualname__, sorted(taken)))
         assert offenders == []
+
+    def test_serving_path_names_every_keyword(self):
+        """Between ``QueryExecutor`` and a solve backend no hop forwards
+        ``**kwargs`` or takes ``use_result_cache``: a stray keyword fails
+        at the call, and ``QueryExecutor.cached`` is the one result-cache
+        lookup (only ``GraphIndex.execute`` keeps the switch)."""
+        offenders = []
+        for entry in _serving_path():
+            params = inspect.signature(entry).parameters.values()
+            loose = [
+                p.name
+                for p in params
+                if p.kind is p.VAR_KEYWORD or p.name == "use_result_cache"
+            ]
+            if loose:
+                offenders.append((entry.__qualname__, loose))
+        assert offenders == []
+
+
+def _serving_path():
+    """Every hop a served query takes from the executor to a backend."""
+    from repro.bench import run_throughput
+    from repro.service import (
+        FleetPool,
+        QueryExecutor,
+        ResiliencePipeline,
+        checkpointed_execute,
+        resume_query,
+    )
+    from repro.service.durability import _execute
+
+    return [
+        QueryExecutor.submit,
+        QueryExecutor.enqueue,
+        QueryExecutor.run_batch,
+        QueryExecutor._run_one,
+        ResiliencePipeline.run,
+        FleetPool.execute,
+        FleetPool._execute_on,
+        checkpointed_execute,
+        _execute,
+        resume_query,
+        run_throughput,
+    ]
